@@ -9,7 +9,7 @@ None when the selector has no meaningful per-algorithm estimate.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -51,15 +51,14 @@ class HarrisSelector(Selector):
 
     name = "harris"
 
-    def __init__(self, config: ForestConfig, threads=None):
+    def __init__(self, config: ForestConfig):
         self.config = config
-        self.threads = threads
         self.forest = None
 
     def fit(self, features, costs, *, scale=None, algorithm_names=None):
         X, Y = _checked_training_data(features, costs)
         self.forest = fit_forest(X, Y, self.config, scale=scale,
-                                 algorithm_names=algorithm_names, threads=self.threads)
+                                 algorithm_names=algorithm_names)
         return self
 
     def select(self, x) -> int:
@@ -69,40 +68,35 @@ class HarrisSelector(Selector):
         return predict_costs(self.forest, x)
 
 
-class RegressionForestSelector(Selector):
-    """One regression forest per algorithm; select the predicted-cheapest.
-
-    Sub-forests are hybrid forests at lambda = 0 on a single-column target,
-    i.e. ordinary variance-reduction regression trees.
-    """
-
-    name = "rfr"
+class _SubForestSelector(Selector):
+    """Base of the baselines built from single-target sub-forests: hybrid
+    forests at lambda = 0, i.e. ordinary variance-reduction regression trees."""
 
     def __init__(self, n_trees=100, max_depth=10, features_per_split="sqrt",
-                 bootstrap=True, seed=0, threads=None):
-        self.n_trees = n_trees
-        self.max_depth = max_depth
-        self.features_per_split = features_per_split
-        self.bootstrap = bootstrap
-        self.seed = seed
-        self.threads = threads
-        self.forests = None
-
-    def _sub_config(self, index: int) -> ForestConfig:
-        return ForestConfig(
-            n_trees=self.n_trees,
-            bootstrap=self.bootstrap,
-            seed=_derived_seed(self.seed, index),
-            tree=TreeConfig(lam=0.0, max_depth=self.max_depth,
-                            features_per_split=self.features_per_split),
+                 bootstrap=True, seed=0):
+        self.config = ForestConfig(
+            n_trees=n_trees,
+            bootstrap=bootstrap,
+            seed=seed,
+            tree=TreeConfig(lam=0.0, max_depth=max_depth,
+                            features_per_split=features_per_split),
         )
+
+    def _fit_sub_forest(self, X, target, index: int):
+        """Sub-forest number `index` on one target column, seeded from (seed, index)."""
+        config = replace(self.config, seed=_derived_seed(self.config.seed, index))
+        return fit_forest(X, target[:, None], config)
+
+
+class RegressionForestSelector(_SubForestSelector):
+    """One regression forest per algorithm; select the predicted-cheapest."""
+
+    name = "rfr"
+    forests = None
 
     def fit(self, features, costs, *, scale=None, algorithm_names=None):
         X, Y = _checked_training_data(features, costs)
-        self.forests = [
-            fit_forest(X, Y[:, [j]], self._sub_config(j), threads=self.threads)
-            for j in range(Y.shape[1])
-        ]
+        self.forests = [self._fit_sub_forest(X, Y[:, j], j) for j in range(Y.shape[1])]
         return self
 
     def predicted_costs(self, x):
@@ -112,7 +106,7 @@ class RegressionForestSelector(Selector):
         return int(np.argmin(self.predicted_costs(x)))
 
 
-class PairwiseVotingSelector(Selector):
+class PairwiseVotingSelector(_SubForestSelector):
     """SATzilla-style voting on pairwise performance differences.
 
     For each unordered algorithm pair (i, j) a regression forest predicts
@@ -121,17 +115,8 @@ class PairwiseVotingSelector(Selector):
     """
 
     name = "satzilla"
-
-    def __init__(self, n_trees=100, max_depth=10, features_per_split="sqrt",
-                 bootstrap=True, seed=0, threads=None):
-        self.n_trees = n_trees
-        self.max_depth = max_depth
-        self.features_per_split = features_per_split
-        self.bootstrap = bootstrap
-        self.seed = seed
-        self.threads = threads
-        self.models = None
-        self.n_algorithms = None
+    models = None
+    n_algorithms = None
 
     def fit(self, features, costs, *, scale=None, algorithm_names=None):
         X, Y = _checked_training_data(features, costs)
@@ -139,20 +124,9 @@ class PairwiseVotingSelector(Selector):
         if k < 2:
             raise DomainError("pairwise voting needs at least two algorithms")
         self.n_algorithms = k
-        self.models = []
-        pair_index = 0
-        for i in range(k):
-            for j in range(i + 1, k):
-                diff = (Y[:, i] - Y[:, j])[:, None]
-                config = ForestConfig(
-                    n_trees=self.n_trees,
-                    bootstrap=self.bootstrap,
-                    seed=_derived_seed(self.seed, pair_index),
-                    tree=TreeConfig(lam=0.0, max_depth=self.max_depth,
-                                    features_per_split=self.features_per_split),
-                )
-                self.models.append((i, j, fit_forest(X, diff, config, threads=self.threads)))
-                pair_index += 1
+        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        self.models = [(i, j, self._fit_sub_forest(X, Y[:, i] - Y[:, j], pair_index))
+                       for pair_index, (i, j) in enumerate(pairs)]
         return self
 
     def select(self, x) -> int:

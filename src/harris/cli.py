@@ -72,8 +72,6 @@ def forest_options(func):
                         help="Preset: a single unbagged tree searching all features.")(func)
     func = click.option("--seed", type=int, default=0, show_default=True,
                         help="Seed for all randomized components.")(func)
-    func = click.option("--threads", type=int, default=None,
-                        help="Worker threads for tree building (default: $HARRIS_THREADS or 1).")(func)
     return func
 
 
@@ -111,17 +109,17 @@ def _forest_config(lam, depth, n_trees, bootstrap, features_per_split, seed, pap
 
 
 def _selector_factories(names, forest_config, *, baseline_trees, baseline_depth,
-                        isac_clusters, seed, threads):
+                        isac_clusters, seed):
     factories = {}
     for name in names:
         if name == "harris":
-            factories[name] = lambda: HarrisSelector(forest_config, threads=threads)
+            factories[name] = lambda: HarrisSelector(forest_config)
         elif name == "rfr":
             factories[name] = lambda: RegressionForestSelector(
-                n_trees=baseline_trees, max_depth=baseline_depth, seed=seed, threads=threads)
+                n_trees=baseline_trees, max_depth=baseline_depth, seed=seed)
         elif name == "satzilla":
             factories[name] = lambda: PairwiseVotingSelector(
-                n_trees=baseline_trees, max_depth=baseline_depth, seed=seed, threads=threads)
+                n_trees=baseline_trees, max_depth=baseline_depth, seed=seed)
         elif name == "isac":
             factories[name] = lambda: ClusterSelector(n_clusters=isac_clusters, seed=seed)
         elif name == "sbs":
@@ -168,7 +166,7 @@ def main():
               show_default=True, help="Report CSV path.")
 @_fail_on
 def evaluate(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolved,
-             lam, depth, n_trees, bootstrap, features_per_split, paper_tree, seed, threads,
+             lam, depth, n_trees, bootstrap, features_per_split, paper_tree, seed,
              selectors, baseline_trees, baseline_depth, isac_clusters, output):
     """Run 10-fold cross-validation for the requested selectors."""
     scn = _load_scenario(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolved)
@@ -176,7 +174,7 @@ def evaluate(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolved
     names = [s.strip() for s in selectors.split(",") if s.strip()]
     factories = _selector_factories(names, config, baseline_trees=baseline_trees,
                                     baseline_depth=baseline_depth, isac_clusters=isac_clusters,
-                                    seed=seed, threads=threads)
+                                    seed=seed)
     fold_records, aggregates = [], []
     for name in names:
         annotate = name == "harris"
@@ -201,7 +199,7 @@ def evaluate(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolved
               show_default=True, help="Report CSV path.")
 @_fail_on
 def sweep_cmd(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolved,
-              lam, depth, n_trees, bootstrap, features_per_split, paper_tree, seed, threads,
+              lam, depth, n_trees, bootstrap, features_per_split, paper_tree, seed,
               lambdas, depths, output):
     """Cross-validate the hybrid forest over a lambda x depth grid."""
     scn = _load_scenario(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolved)
@@ -210,12 +208,8 @@ def sweep_cmd(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolve
         depth_grid = [int(v) for v in depths.split(",") if v.strip() != ""]
     except ValueError:
         raise click.BadParameter("--lambdas/--depths must be comma-separated numbers")
-    fold_records, aggregates = sweep(
-        scn, lambda_grid, depth_grid,
-        n_trees=n_trees, bootstrap=bootstrap,
-        features_per_split=_parse_features_per_split(features_per_split),
-        single_tree=paper_tree, seed=seed, threads=threads,
-    )
+    config = _forest_config(lam, depth, n_trees, bootstrap, features_per_split, seed, paper_tree)
+    fold_records, aggregates = sweep(scn, lambda_grid, depth_grid, config=config)
     write_report_csv(output, fold_records, aggregates)
     best = min(aggregates, key=lambda a: a.par10_mean)
     click.echo(f"{len(aggregates)} grid cells written to {output}")
@@ -230,7 +224,7 @@ def sweep_cmd(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolve
               show_default=True, help="Where to write the fitted forest.")
 @_fail_on
 def train(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolved,
-          lam, depth, n_trees, bootstrap, features_per_split, paper_tree, seed, threads,
+          lam, depth, n_trees, bootstrap, features_per_split, paper_tree, seed,
           model):
     """Fit a hybrid forest on a full scenario and save it as JSON."""
     scn = _load_scenario(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolved)
@@ -238,7 +232,7 @@ def train(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolved,
     features = impute_features(scn.features, column_medians(scn.features))
     scaled, scale = scale_performances(par10_matrix(scn))
     forest = fit_forest(features, scaled, config, scale=scale,
-                        algorithm_names=scn.algorithm_names, threads=threads)
+                        algorithm_names=scn.algorithm_names)
     save_forest(forest, model)
     click.echo(f"trained {config.n_trees} tree(s) on {scn.name} "
                f"(n={scn.n_instances}, k={scn.n_algorithms}); wrote {model}")

@@ -11,14 +11,14 @@ defined.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .baselines import HarrisSelector, OracleSelector, Selector, oracle_select
 from .errors import DomainError, UndefinedMetric
-from .forest import ForestConfig, single_tree_config
+from .forest import ForestConfig
 from .losses import kendall_tau_b, rank_vector
 from .scenario import Scenario, column_medians, impute_features, par10_matrix, scale_performances
 from .tree import TreeConfig
@@ -141,12 +141,11 @@ def _aggregate(fold_records: Sequence[FoldRecord]) -> AggregateRecord:
 
 def sweep(scenario: Scenario, lambdas: Iterable[float] = DEFAULT_LAMBDA_GRID,
           depths: Iterable[int] = DEFAULT_DEPTH_GRID, *,
-          n_trees: int = 100, bootstrap: bool = True,
-          features_per_split="sqrt", min_samples_split: int = 2,
-          single_tree: bool = False, seed: int = 0,
-          threads=None) -> tuple[list[FoldRecord], list[AggregateRecord]]:
+          config: ForestConfig = ForestConfig(tree=TreeConfig(features_per_split="sqrt")),
+          ) -> tuple[list[FoldRecord], list[AggregateRecord]]:
     """Cross-validate the hybrid forest over the full lambda x depth grid.
 
+    Every cell uses `config` with its tree's lambda and max depth replaced.
     All cells share the scenario's fold split and the same seed, so the table
     isolates the effect of the two hyperparameters.
     """
@@ -158,22 +157,9 @@ def sweep(scenario: Scenario, lambdas: Iterable[float] = DEFAULT_LAMBDA_GRID,
     aggregates: list[AggregateRecord] = []
     for lam in lambdas:
         for depth in depths:
-            if single_tree:
-                config = single_tree_config(lam, depth, seed)
-            else:
-                config = ForestConfig(
-                    n_trees=n_trees,
-                    bootstrap=bootstrap,
-                    seed=seed,
-                    tree=TreeConfig(lam=lam, max_depth=depth,
-                                    min_samples_split=min_samples_split,
-                                    features_per_split=features_per_split),
-                )
-            folds, agg = cross_validate(
-                scenario,
-                lambda: HarrisSelector(config, threads=threads),
-                lam=lam, depth=depth,
-            )
+            cell = replace(config, tree=replace(config.tree, lam=lam, max_depth=depth))
+            folds, agg = cross_validate(scenario, lambda: HarrisSelector(cell),
+                                        lam=lam, depth=depth)
             fold_records.extend(folds)
             aggregates.append(agg)
     return fold_records, aggregates

@@ -1,16 +1,14 @@
 """Bagged ensembles of hybrid trees.
 
 Each tree draws its RNG stream from (seed, tree_number), so forests are
-reproducible no matter in which order, or on how many threads, the trees are
-built. Prediction averages the trees' regression leaf labels; the Borda leaf
-rankings stay available per tree for diagnostics.
+reproducible no matter in which order the trees are built. Prediction
+averages the trees' regression leaf labels; the Borda leaf rankings stay
+available per tree for diagnostics.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,8 +18,6 @@ from .errors import DomainError, ModelFormatError
 from .labels import NodeLabels
 from .scenario import ScaleParams
 from .tree import Internal, Leaf, TreeConfig, TreeNode, build_tree, predict_leaf
-
-THREADS_ENV_VAR = "HARRIS_THREADS"
 
 MODEL_FORMAT = "harris-forest"
 MODEL_VERSION = 1
@@ -59,15 +55,6 @@ class HybridForest:
     n_features: int
 
 
-def resolve_threads(threads=None) -> int:
-    if threads is None:
-        threads = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(threads))
-    except ValueError:
-        return 1
-
-
 def _tree_rng(seed: int, tree_number: int) -> np.random.Generator:
     entropy = (int(seed) & 0xFFFFFFFFFFFFFFFF, tree_number)
     return np.random.default_rng(np.random.SeedSequence(entropy))
@@ -75,8 +62,7 @@ def _tree_rng(seed: int, tree_number: int) -> np.random.Generator:
 
 def fit_forest(features, labels, config: ForestConfig, *,
                scale: ScaleParams | None = None,
-               algorithm_names=None,
-               threads=None) -> HybridForest:
+               algorithm_names=None) -> HybridForest:
     """Fit config.n_trees hybrid trees on (features, labels).
 
     With bootstrap, tree t trains on a size-n sample drawn with replacement
@@ -101,16 +87,8 @@ def fit_forest(features, labels, config: ForestConfig, *,
             return build_tree(X[idx], Y[idx], config.tree, rng)
         return build_tree(X, Y, config.tree, rng)
 
-    numbers = range(1, config.n_trees + 1)
-    workers = resolve_threads(threads)
-    if workers > 1 and config.n_trees > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trees = tuple(pool.map(build_one, numbers))
-    else:
-        trees = tuple(build_one(t) for t in numbers)
-
     return HybridForest(
-        trees=trees,
+        trees=tuple(build_one(t) for t in range(1, config.n_trees + 1)),
         config=config,
         scale=scale,
         algorithm_names=tuple(algorithm_names),
@@ -161,11 +139,18 @@ def _node_list(tree: TreeNode) -> list[dict]:
 def _node_from_list(nodes: list[dict], index: int) -> TreeNode:
     record = nodes[index]
     if "feature" in record:
+        left, right = int(record["left"]), int(record["right"])
+        # _node_list numbers nodes in preorder, so children follow their parent;
+        # this also rules out cycles.
+        if not (index < left < len(nodes) and index < right < len(nodes)):
+            raise ModelFormatError(
+                f"node {index}: child ids must lie in {index + 1}..{len(nodes) - 1}"
+            )
         return Internal(
             feature_index=int(record["feature"]),
             split_point=float(record["split"]),
-            left=_node_from_list(nodes, int(record["left"])),
-            right=_node_from_list(nodes, int(record["right"])),
+            left=_node_from_list(nodes, left),
+            right=_node_from_list(nodes, right),
         )
     return Leaf(
         labels=NodeLabels(
@@ -204,26 +189,31 @@ def forest_from_dict(data: dict) -> HybridForest:
         raise ModelFormatError(
             f"unsupported model version {data.get('version')!r}, expected {MODEL_VERSION}"
         )
-    cfg = data["config"]
-    fps = cfg["features_per_split"]
-    config = ForestConfig(
-        n_trees=int(cfg["n_trees"]),
-        bootstrap=bool(cfg["bootstrap"]),
-        seed=int(cfg["seed"]),
-        tree=TreeConfig(
-            lam=float(cfg["lambda"]),
-            max_depth=int(cfg["max_depth"]),
-            min_samples_split=int(cfg["min_samples_split"]),
-            features_per_split=fps if isinstance(fps, str) else int(fps),
-        ),
-    )
-    return HybridForest(
-        trees=tuple(_node_from_list(nodes, 0) for nodes in data["trees"]),
-        config=config,
-        scale=ScaleParams(min=float(data["scale"]["min"]), max=float(data["scale"]["max"])),
-        algorithm_names=tuple(data["algorithm_names"]),
-        n_features=int(data["n_features"]),
-    )
+    try:
+        cfg = data["config"]
+        fps = cfg["features_per_split"]
+        config = ForestConfig(
+            n_trees=int(cfg["n_trees"]),
+            bootstrap=bool(cfg["bootstrap"]),
+            seed=int(cfg["seed"]),
+            tree=TreeConfig(
+                lam=float(cfg["lambda"]),
+                max_depth=int(cfg["max_depth"]),
+                min_samples_split=int(cfg["min_samples_split"]),
+                features_per_split=fps if isinstance(fps, str) else int(fps),
+            ),
+        )
+        return HybridForest(
+            trees=tuple(_node_from_list(nodes, 0) for nodes in data["trees"]),
+            config=config,
+            scale=ScaleParams(min=float(data["scale"]["min"]), max=float(data["scale"]["max"])),
+            algorithm_names=tuple(data["algorithm_names"]),
+            n_features=int(data["n_features"]),
+        )
+    except KeyError as exc:
+        raise ModelFormatError(f"model file lacks the key {exc}") from None
+    except (IndexError, TypeError, ValueError, RecursionError) as exc:
+        raise ModelFormatError(f"malformed model file: {exc}") from None
 
 
 def save_forest(forest: HybridForest, path) -> None:
@@ -237,5 +227,8 @@ def load_forest(path) -> HybridForest:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"model file is not valid JSON: {exc}") from None
-    return forest_from_dict(data)
+        raise ModelFormatError(f"{path}: not valid JSON: {exc}") from None
+    try:
+        return forest_from_dict(data)
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None

@@ -19,6 +19,7 @@ the cutoff, so PAR10 labeling later maps it to 10 * cutoff.
 from __future__ import annotations
 
 import csv
+import re
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -176,11 +177,15 @@ def scale_performances(costs) -> tuple[np.ndarray, ScaleParams]:
 
 # --- ASLib directory parsing -------------------------------------------------
 
+_ATTRIBUTE = re.compile(r"""@attribute\s+('[^']*'|"[^"]*"|\S+)\s+\S""", re.IGNORECASE)
+
+
 def _read_arff(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """Minimal ARFF reader: attribute names plus (line_number, fields) rows.
 
     Only the subset ASLib uses is supported: @relation/@attribute headers and
-    comma-separated @data rows, with '%' comments and quoted names.
+    comma-separated @data rows, with '%' comments and names or fields quoted
+    with ' or ".
     """
     attributes: list[str] = []
     rows: list[tuple[int, list[str]]] = []
@@ -193,10 +198,10 @@ def _read_arff(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
             if not in_data:
                 lowered = line.lower()
                 if lowered.startswith("@attribute"):
-                    parts = line.split(None, 2)
-                    if len(parts) < 3:
+                    match = _ATTRIBUTE.match(line)
+                    if match is None:
                         raise ParseError(f"{path.name}:{lineno}: malformed @attribute line")
-                    attributes.append(parts[1].strip().strip("'\""))
+                    attributes.append(match.group(1).strip("'\""))
                 elif lowered.startswith("@data"):
                     in_data = True
                 elif lowered.startswith("@relation"):
@@ -204,7 +209,11 @@ def _read_arff(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
                 else:
                     raise ParseError(f"{path.name}:{lineno}: unexpected header line {line!r}")
             else:
-                fields = next(csv.reader([line]))
+                if "'" in line:
+                    fields = next(csv.reader([line], quotechar="'", escapechar="\\",
+                                             skipinitialspace=True))
+                else:
+                    fields = next(csv.reader([line]))
                 fields = [f.strip().strip("'\"") for f in fields]
                 if len(fields) != len(attributes):
                     raise ParseError(

@@ -186,17 +186,16 @@ def test_criterion_7_aslib_smoke(tmp_path):
 
 
 def test_criterion_8_byte_determinism(tmp_path):
-    with criterion(8, "byte-identical reruns (CSV and model, threaded)"):
+    with criterion(8, "byte-identical reruns (CSV and model)"):
         runner = CliRunner()
         eval_args = ["evaluate", "--synthetic", "--synthetic-n", "90",
                      "--n-trees", "6", "--depth", "3", "--lambda", "0.7",
                      "--seed", "11", "--selectors", "harris,rfr",
                      "--baseline-trees", "4"]
         payloads = []
-        for name, threads in (("a.csv", "2"), ("b.csv", "2"), ("c.csv", "1")):
+        for name in ("a.csv", "b.csv", "c.csv"):
             out = tmp_path / name
-            result = runner.invoke(cli_main, eval_args + ["-o", str(out)],
-                                   env={"HARRIS_THREADS": threads})
+            result = runner.invoke(cli_main, eval_args + ["-o", str(out)])
             assert result.exit_code == 0, result.output
             payloads.append(out.read_bytes())
         assert payloads[0] == payloads[1] == payloads[2]
@@ -204,10 +203,9 @@ def test_criterion_8_byte_determinism(tmp_path):
         train_args = ["train", "--synthetic", "--synthetic-n", "90",
                       "--n-trees", "6", "--depth", "3", "--seed", "11"]
         models = []
-        for name, threads in (("a.json", "2"), ("b.json", "2"), ("c.json", "1")):
+        for name in ("a.json", "b.json", "c.json"):
             out = tmp_path / name
-            result = runner.invoke(cli_main, train_args + ["-o", str(out)],
-                                   env={"HARRIS_THREADS": threads})
+            result = runner.invoke(cli_main, train_args + ["-o", str(out)])
             assert result.exit_code == 0, result.output
             models.append(out.read_bytes())
         assert models[0] == models[1] == models[2]
@@ -217,7 +215,7 @@ def test_criterion_9_sweep_shape_and_affine_loss(tmp_path):
     with criterion(9, "default sweep grid is 55 cells; node loss affine in lambda"):
         scn = make_synthetic_scenario(90, seed=6)
         _, aggregates = sweep(scn, DEFAULT_LAMBDA_GRID, DEFAULT_DEPTH_GRID,
-                              single_tree=True, seed=0)
+                              config=single_tree_config(0.0, 2, seed=0))
         assert len(aggregates) == 55
         assert len({(a.lam, a.depth) for a in aggregates}) == 55
 

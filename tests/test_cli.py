@@ -55,15 +55,19 @@ class TestEvaluate:
         result = runner.invoke(main, fast_eval_args(tmp_path / "x.csv", selectors="nope"))
         assert result.exit_code != 0
 
-    def test_byte_identical_reruns_across_thread_counts(self, runner, tmp_path):
+    def test_threads_is_not_an_option(self, runner, tmp_path):
+        result = runner.invoke(main, fast_eval_args(tmp_path / "x.csv", extra=["--threads", "2"]))
+        assert result.exit_code != 0
+        assert "No such option" in result.output
+
+    def test_byte_identical_reruns(self, runner, tmp_path):
         outputs = []
-        for name, threads in (("a.csv", "2"), ("b.csv", "2"), ("c.csv", "1")):
+        for name in ("a.csv", "b.csv", "c.csv"):
             out = tmp_path / name
             result = runner.invoke(
                 main,
                 fast_eval_args(out, selectors="harris,rfr",
                                extra=["--baseline-trees", "4", "--no-bootstrap"]),
-                env={"HARRIS_THREADS": threads},
             )
             assert result.exit_code == 0, result.output
             outputs.append(out.read_bytes())
@@ -89,6 +93,19 @@ class TestSweep:
         assert runner.invoke(main, args + ["-o", str(a)]).exit_code == 0
         assert runner.invoke(main, args + ["-o", str(b)]).exit_code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_sweep_cell_matches_evaluate(self, runner, tmp_path):
+        common = ["--synthetic", "--synthetic-n", "90", "--n-trees", "3", "--seed", "4"]
+        sweep_csv, eval_csv = tmp_path / "sweep.csv", tmp_path / "eval.csv"
+        result = runner.invoke(main, ["sweep", *common, "--lambdas", "0.5", "--depths", "3",
+                                      "-o", str(sweep_csv)])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["evaluate", *common, "--selectors", "harris",
+                                      "--lambda", "0.5", "--depth", "3", "-o", str(eval_csv)])
+        assert result.exit_code == 0, result.output
+        swept = [r for r in read_report_csv(sweep_csv) if r["selector"] == "harris"]
+        assert swept == [r for r in read_report_csv(eval_csv) if r["selector"] == "harris"]
+        assert len(swept) == 11
 
     def test_bad_grid(self, runner, tmp_path):
         result = runner.invoke(main, [
@@ -137,6 +154,16 @@ class TestTrainPredict:
         assert runner.invoke(main, args + ["-o", str(a)]).exit_code == 0
         assert runner.invoke(main, args + ["-o", str(b)]).exit_code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_malformed_model_fails_with_a_message(self, runner, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"format": "harris-forest", "version": 1}')
+        feats = tmp_path / "f.csv"
+        feats.write_text("0.1,0.2,0.3\n")
+        result = runner.invoke(main, ["predict", "-m", str(bad), "--features", str(feats)])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit)  # a clean exit, not a traceback
+        assert "bad.json" in result.output and "config" in result.output
 
     def test_model_version_mismatch(self, runner, tmp_path):
         bad = tmp_path / "model.json"

@@ -100,7 +100,7 @@ class TestCrossValidate:
 class TestSweep:
     def test_single_cell_equals_cross_validate(self):
         scn = make_synthetic_scenario(80, seed=6)
-        folds, aggs = sweep(scn, [0.5], [2], single_tree=True, seed=0)
+        folds, aggs = sweep(scn, [0.5], [2], config=single_tree_config(0.5, 2, seed=0))
         config = single_tree_config(0.5, 2, seed=0)
         ref_folds, ref_agg = cross_validate(
             scn, lambda: HarrisSelector(config), lam=0.5, depth=2)
@@ -109,8 +109,9 @@ class TestSweep:
 
     def test_grid_shape_and_determinism(self):
         scn = make_synthetic_scenario(70, seed=7)
-        folds_a, aggs_a = sweep(scn, [0.0, 1.0], [1, 2], single_tree=True, seed=3)
-        folds_b, aggs_b = sweep(scn, [0.0, 1.0], [1, 2], single_tree=True, seed=3)
+        config = single_tree_config(0.0, 1, seed=3)
+        folds_a, aggs_a = sweep(scn, [0.0, 1.0], [1, 2], config=config)
+        folds_b, aggs_b = sweep(scn, [0.0, 1.0], [1, 2], config=config)
         assert len(aggs_a) == 4
         assert [(a.lam, a.depth) for a in aggs_a] == [(0.0, 1), (0.0, 2), (1.0, 1), (1.0, 2)]
         assert folds_a == folds_b and aggs_a == aggs_b
@@ -185,7 +186,7 @@ class TestReportCsv:
 
     def test_best_cells_keep_minimum_par10(self, tmp_path):
         scn = make_synthetic_scenario(60, seed=10)
-        folds, aggs = sweep(scn, [0.0, 1.0], [0, 2], single_tree=True, seed=0)
+        folds, aggs = sweep(scn, [0.0, 1.0], [0, 2], config=single_tree_config(0.0, 0, seed=0))
         path = tmp_path / "sweep.csv"
         write_report_csv(path, folds, aggs)
         table = best_cells_by_scenario(read_report_csv(path))

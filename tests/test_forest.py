@@ -57,16 +57,6 @@ class TestFitForest:
         second = fit_forest(X, Y, ForestConfig(n_trees=8, seed=1, tree=tree))
         assert forest_to_dict(first) != forest_to_dict(second)
 
-    def test_threads_do_not_change_the_forest(self):
-        rng = np.random.default_rng(6)
-        X = rng.uniform(size=(40, 4))
-        Y = rng.uniform(size=(40, 3))
-        config = ForestConfig(n_trees=6, seed=9,
-                              tree=TreeConfig(lam=0.3, max_depth=3, features_per_split=2))
-        serial = fit_forest(X, Y, config, threads=1)
-        parallel = fit_forest(X, Y, config, threads=4)
-        assert forest_to_dict(serial) == forest_to_dict(parallel)
-
     def test_bootstrap_forest_still_solves_pure_dataset(self):
         config = ForestConfig(n_trees=10, seed=1, bootstrap=True,
                               tree=TreeConfig(lam=0.5, max_depth=2))
@@ -185,4 +175,23 @@ class TestSerialization:
         path = tmp_path / "model.json"
         path.write_text("definitely not json")
         with pytest.raises(ModelFormatError):
+            load_forest(path)
+
+    @pytest.mark.parametrize("damage", [
+        lambda d: d.pop("config"),
+        lambda d: d["config"].pop("lambda"),
+        lambda d: d.pop("scale"),
+        lambda d: d.pop("trees"),
+        lambda d: d["trees"][0][0].update(right=10_000),
+        lambda d: d["trees"][0][0].update(left=-1),
+        lambda d: d["trees"][0][0].update(left=0),
+    ], ids=["no-config", "no-lambda", "no-scale", "no-trees",
+            "child-out-of-range", "negative-child", "node-cycle"])
+    def test_malformed_model_raises_model_format_error(self, tmp_path, damage):
+        data = forest_to_dict(self.fitted())
+        assert "feature" in data["trees"][0][0]  # the root is an internal node
+        damage(data)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ModelFormatError, match="model.json"):
             load_forest(path)

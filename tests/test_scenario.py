@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from harris.errors import ConsistencyError, DomainError, EmptyScenarioError, ParseError
 from harris.losses import rank_vector
-from harris.scenario import (ScaleParams, Scenario, column_medians, filter_unsolved,
-                             impute_features, par10, par10_matrix, parse_scenario,
-                             scale_performances)
+from harris.scenario import (ScaleParams, Scenario, _read_arff, column_medians,
+                             filter_unsolved, impute_features, par10, par10_matrix,
+                             parse_scenario, scale_performances)
 
 runtimes = st.floats(min_value=0, max_value=5000, allow_nan=False)
 
@@ -213,3 +213,20 @@ class TestParseScenario:
         scn = parse_scenario(aslib_dir_factory())
         with pytest.raises(ValueError):
             scn.performances[0, 0] = 1.0
+
+
+class TestReadArff:
+    def test_quoted_attribute_names_keep_their_spaces(self, tmp_path):
+        path = tmp_path / "x.arff"
+        path.write_text("@relation x\n@attribute 'my feat' numeric\n"
+                        "@attribute \"other feat\" numeric\n@attribute plain numeric\n"
+                        "@data\n1,2,3\n")
+        names, _ = _read_arff(path)
+        assert names == ["my feat", "other feat", "plain"]
+
+    def test_quoted_fields_keep_their_commas(self, tmp_path):
+        path = tmp_path / "x.arff"
+        path.write_text("@relation x\n@attribute id string\n@attribute v numeric\n@data\n"
+                        "'a,b',1\n\"c,d\",2\nplain,3\n")
+        _, rows = _read_arff(path)
+        assert rows == [(5, ["a,b", "1"]), (6, ["c,d", "2"]), (7, ["plain", "3"])]
