@@ -57,11 +57,16 @@ def scenario_options(func):
     return func
 
 
-def forest_options(func):
+def lambda_depth_options(func):
+    """--lambda/--depth, for the commands that fit one (lambda, depth) cell."""
     func = click.option("--lambda", "lam", type=click.FloatRange(0.0, 1.0), default=0.5,
                         show_default=True, help="Weight of the ranking loss in split search.")(func)
     func = click.option("--depth", type=click.IntRange(min=0), default=6, show_default=True,
                         help="Maximum tree depth.")(func)
+    return func
+
+
+def forest_options(func):
     func = click.option("--n-trees", type=click.IntRange(min=1), default=100, show_default=True,
                         help="Trees per hybrid forest.")(func)
     func = click.option("--bootstrap/--no-bootstrap", default=True, show_default=True,
@@ -153,6 +158,7 @@ def main():
 
 @main.command()
 @scenario_options
+@lambda_depth_options
 @forest_options
 @click.option("--selectors", default="harris,rfr,isac,satzilla", show_default=True,
               help="Comma-separated selector list.")
@@ -199,7 +205,7 @@ def evaluate(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolved
               show_default=True, help="Report CSV path.")
 @_fail_on
 def sweep_cmd(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolved,
-              lam, depth, n_trees, bootstrap, features_per_split, paper_tree, seed,
+              n_trees, bootstrap, features_per_split, paper_tree, seed,
               lambdas, depths, output):
     """Cross-validate the hybrid forest over a lambda x depth grid."""
     scn = _load_scenario(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolved)
@@ -208,7 +214,9 @@ def sweep_cmd(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolve
         depth_grid = [int(v) for v in depths.split(",") if v.strip() != ""]
     except ValueError:
         raise click.BadParameter("--lambdas/--depths must be comma-separated numbers")
-    config = _forest_config(lam, depth, n_trees, bootstrap, features_per_split, seed, paper_tree)
+    # the grid replaces the tree's lambda and depth in every cell
+    config = _forest_config(TreeConfig.lam, TreeConfig.max_depth, n_trees, bootstrap,
+                            features_per_split, seed, paper_tree)
     fold_records, aggregates = sweep(scn, lambda_grid, depth_grid, config=config)
     write_report_csv(output, fold_records, aggregates)
     best = min(aggregates, key=lambda a: a.par10_mean)
@@ -219,6 +227,7 @@ def sweep_cmd(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolve
 
 @main.command()
 @scenario_options
+@lambda_depth_options
 @forest_options
 @click.option("--model", "-o", type=click.Path(dir_okay=False), default="model.json",
               show_default=True, help="Where to write the fitted forest.")

@@ -11,6 +11,7 @@ defined.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -222,13 +223,31 @@ def write_report_csv(path, fold_records: Sequence[FoldRecord],
 
 
 def read_report_csv(path) -> list[dict[str, str]]:
-    """Read a report CSV back as dict rows, validating the schema header."""
+    """Read a report CSV back as dict rows, validating the schema header, the
+    field count of each row and the par10 of each aggregate row (a finite
+    number); a bad row raises DomainError naming file:line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != REPORT_COLUMNS:
             raise DomainError(f"unsupported report schema in {path}")
-        return [dict(zip(REPORT_COLUMNS, row)) for row in reader]
+        rows = []
+        for fields in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(fields) != len(REPORT_COLUMNS):
+                raise DomainError(
+                    f"{where}: expected {len(REPORT_COLUMNS)} fields, got {len(fields)}")
+            row = dict(zip(REPORT_COLUMNS, fields))
+            if row["row_type"] == "aggregate":
+                try:
+                    par10 = float(row["par10"])
+                except ValueError:
+                    par10 = math.nan
+                if not math.isfinite(par10):
+                    raise DomainError(f"{where}: par10 must be a finite number, "
+                                      f"got {row['par10']!r}")
+            rows.append(row)
+        return rows
 
 
 def best_cells_by_scenario(rows: Iterable[dict[str, str]]) -> dict[str, dict[str, float]]:

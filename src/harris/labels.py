@@ -34,9 +34,7 @@ def borda_consensus(labels) -> Ranking:
     The lowest rank total wins consensus rank 1; tied totals share averaged
     ranks, so the consensus is itself a valid (possibly fractional) ranking.
     """
-    Y = _as_label_matrix(labels)
-    rank_sums = np.sum([rank_vector(y) for y in Y], axis=0)
-    return rank_vector(rank_sums)
+    return rank_vector(rank_vector(_as_label_matrix(labels)).sum(axis=0))
 
 
 def node_labels(labels) -> NodeLabels:

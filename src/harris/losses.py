@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.stats import kendalltau as _kendalltau
-from scipy.stats import rankdata
 
 from .errors import DomainError, UndefinedMetric
 
@@ -20,8 +18,19 @@ Ranking = np.ndarray
 
 
 def rank_vector(costs) -> Ranking:
-    """Average-rank transform of a cost vector; rank 1 = lowest cost."""
-    return rankdata(np.asarray(costs, dtype=float), method="average")
+    """Average-rank transform along the last axis; rank 1 = lowest cost.
+
+    Ranks are counted exactly as 1 + #smaller + (#equal - 1) / 2, so tied
+    costs share the mean of their positions and an n x k matrix is ranked row
+    by row. NaN has no rank and raises DomainError.
+    """
+    a = np.asarray(costs, dtype=float)
+    if np.isnan(a).any():
+        raise DomainError("cannot rank NaN costs")
+    row, other = a[..., :, None], a[..., None, :]
+    smaller = (other < row).sum(axis=-1)
+    equal = (other == row).sum(axis=-1)
+    return 1.0 + smaller + (equal - 1) / 2.0
 
 
 def spearman_loss(r1: Ranking, r2: Ranking) -> float:
@@ -58,14 +67,13 @@ def mse_loss(y, y_hat) -> float:
     return float(d @ d) / a.size
 
 
-def node_loss(labels, reg_label, rank_label: Ranking, lam: float,
-              ranking_loss=spearman_loss, regression_loss=mse_loss) -> float:
+def node_loss(labels, reg_label, rank_label: Ranking, lam: float) -> float:
     """Hybrid homogeneity loss of a set of cost vectors against node labels.
 
-    lam weighs the ranking component (mean ranking_loss of each instance's
+    lam weighs the ranking component (mean spearman_loss of each instance's
     ranking against rank_label), 1 - lam the regression component (mean
-    regression_loss against reg_label). Endpoint values of lam skip the
-    unused component entirely.
+    mse_loss against reg_label). Endpoint values of lam skip the unused
+    component entirely.
     """
     Y = np.atleast_2d(np.asarray(labels, dtype=float))
     if Y.shape[0] == 0:
@@ -74,26 +82,40 @@ def node_loss(labels, reg_label, rank_label: Ranking, lam: float,
         raise DomainError(f"lambda must lie in [0, 1], got {lam}")
     rank_term = 0.0
     if lam != 0.0:
-        rank_term = float(np.mean([ranking_loss(rank_vector(y), rank_label) for y in Y]))
+        rank_term = float(np.mean([spearman_loss(r, rank_label) for r in rank_vector(Y)]))
     reg_term = 0.0
     if lam != 1.0:
-        reg_term = float(np.mean([regression_loss(y, reg_label) for y in Y]))
+        reg_term = float(np.mean([mse_loss(y, reg_label) for y in Y]))
     return lam * rank_term + (1.0 - lam) * reg_term
+
+
+def _pair_signs(v: np.ndarray) -> np.ndarray:
+    """k x k matrix of sign(v_i - v_j), by comparison so infinities stay exact."""
+    return (v[:, None] > v).astype(np.int64) - (v[:, None] < v)
 
 
 def kendall_tau_b(r1: Ranking, r2: Ranking) -> float:
     """Kendall's tau-b between two rankings, with tie correction.
 
-    Raises UndefinedMetric when either ranking is fully tied (the tie-corrected
+    Counts all k(k-1)/2 pairs: (concordant - discordant) over the geometric
+    mean of the pairs untied in each ranking, clipped to [-1, 1]. Raises
+    UndefinedMetric when either ranking is fully tied (the tie-corrected
     denominator vanishes); callers report such instances as missing.
     """
-    a = np.asarray(r1, dtype=float)
-    b = np.asarray(r2, dtype=float)
+    a = np.asarray(r1, dtype=float).ravel()
+    b = np.asarray(r2, dtype=float).ravel()
     if a.shape != b.shape:
         raise DomainError(f"rank vectors differ in length: {a.size} vs {b.size}")
     if a.size < 2:
         raise DomainError("need at least two algorithms to compare rankings")
-    tau = float(_kendalltau(a, b, variant="b").statistic)
-    if math.isnan(tau):
+    if np.isnan(a).any() or np.isnan(b).any():
+        raise UndefinedMetric("tau-b is undefined for rankings holding NaN")
+    sa, sb = _pair_signs(a), _pair_signs(b)
+    # every unordered pair appears twice in the sign matrices
+    untied_a = np.count_nonzero(sa) // 2
+    untied_b = np.count_nonzero(sb) // 2
+    if untied_a == 0 or untied_b == 0:
         raise UndefinedMetric("tau-b is undefined when a ranking is all-tied")
-    return tau
+    con_minus_dis = int((sa * sb).sum()) // 2
+    tau = con_minus_dis / np.sqrt(untied_a) / np.sqrt(untied_b)
+    return float(min(1.0, max(-1.0, tau)))

@@ -180,6 +180,34 @@ def scale_performances(costs) -> tuple[np.ndarray, ScaleParams]:
 _ATTRIBUTE = re.compile(r"""@attribute\s+('[^']*'|"[^"]*"|\S+)\s+\S""", re.IGNORECASE)
 
 
+def _split_quoted(line: str) -> list[str]:
+    """Split an ARFF data line on the commas outside '...' and "..." quotes.
+
+    Either quote style may appear on one line. A quote opens a field only at
+    its start (after spaces) and a backslash escapes the next character, as
+    in csv.reader with escapechar='\\'.
+    """
+    fields, field, quote = [], "", None
+    chars = iter(line)
+    for ch in chars:
+        if ch == "\\":
+            field += next(chars, "")
+        elif quote is not None:
+            if ch == quote:
+                quote = None
+            else:
+                field += ch
+        elif ch in "'\"" and not field.strip():
+            quote = ch
+        elif ch == ",":
+            fields.append(field)
+            field = ""
+        else:
+            field += ch
+    fields.append(field)
+    return fields
+
+
 def _read_arff(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """Minimal ARFF reader: attribute names plus (line_number, fields) rows.
 
@@ -210,8 +238,7 @@ def _read_arff(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
                     raise ParseError(f"{path.name}:{lineno}: unexpected header line {line!r}")
             else:
                 if "'" in line:
-                    fields = next(csv.reader([line], quotechar="'", escapechar="\\",
-                                             skipinitialspace=True))
+                    fields = _split_quoted(line)
                 else:
                     fields = next(csv.reader([line]))
                 fields = [f.strip().strip("'\"") for f in fields]

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DomainError
 from .labels import NodeLabels
@@ -86,7 +85,7 @@ class _LabelStats:
 
     def __init__(self, labels: np.ndarray):
         self.labels = labels
-        self.rank_rows = rankdata(labels, method="average", axis=1)
+        self.rank_rows = rank_vector(labels)
         centered = self.rank_rows - self.rank_rows.mean(axis=1, keepdims=True)
         norms = np.sqrt((centered ** 2).sum(axis=1))
         unit = np.zeros_like(centered)
@@ -112,7 +111,7 @@ def _ranking_means(rank_sums, unit_sums, sizes, k):
     0.5 - (sum_i u_i) . c_hat / (2 |S|). A constant consensus fixes the loss
     at 0.5.
     """
-    consensus = rankdata(rank_sums, method="average", axis=1)
+    consensus = rank_vector(rank_sums)
     centered = consensus - (k + 1) / 2.0
     norms = np.sqrt((centered ** 2).sum(axis=1))
     safe = np.where(norms == 0.0, 1.0, norms)

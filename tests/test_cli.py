@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import harris
 from harris.cli import main
 from harris.evaluation import read_report_csv
 from harris.scenario import par10_matrix
@@ -17,6 +23,16 @@ def fast_eval_args(out, selectors="harris,sbs", extra=()):
     return ["evaluate", "--synthetic", "--synthetic-n", "90", "--paper-tree",
             "--depth", "2", "--lambda", "0.5", "--seed", "7",
             "--selectors", selectors, "-o", str(out), *extra]
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test/benchmark dependency only; the runtime must not need it
+    code = ("import sys; import harris.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    src = str(Path(harris.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 class TestEvaluate:
@@ -107,6 +123,15 @@ class TestSweep:
         assert swept == [r for r in read_report_csv(eval_csv) if r["selector"] == "harris"]
         assert len(swept) == 11
 
+    @pytest.mark.parametrize("option", [("--lambda", "0.1"), ("--depth", "7")])
+    def test_lambda_and_depth_are_not_options(self, runner, tmp_path, option):
+        # the grid sets both per cell, so sweep must not take and ignore them
+        result = runner.invoke(main, ["sweep", "--synthetic", "--synthetic-n", "30",
+                                      "--paper-tree", "--lambdas", "0", "--depths", "1",
+                                      *option, "-o", str(tmp_path / "x.csv")])
+        assert result.exit_code != 0
+        assert "No such option" in result.output
+
     def test_bad_grid(self, runner, tmp_path):
         result = runner.invoke(main, [
             "sweep", "--synthetic", "--lambdas", "zero", "-o", str(tmp_path / "x.csv")])
@@ -189,3 +214,18 @@ class TestReport:
         alien = tmp_path / "alien.csv"
         alien.write_text("a,b\n1,2\n")
         assert runner.invoke(main, ["report", str(alien)]).exit_code != 0
+
+    @pytest.mark.parametrize("par10", ["abc", "nan"])
+    def test_bad_aggregate_par10_fails_with_file_and_line(self, runner, tmp_path, par10):
+        out = tmp_path / "eval.csv"
+        assert runner.invoke(main, fast_eval_args(out, selectors="sbs")).exit_code == 0
+        lines = out.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if ",aggregate," in line)
+        fields = lines[at].split(",")
+        fields[6] = par10
+        lines[at] = ",".join(fields)
+        out.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["report", str(out)])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit)  # a clean exit, not a traceback
+        assert f"eval.csv:{at + 1}" in result.output and repr(par10) in result.output

@@ -4,8 +4,8 @@ import pytest
 import oracles
 from harris.baselines import HarrisSelector, OracleSelector, Selector, SingleBestSelector
 from harris.errors import DomainError
-from harris.evaluation import (average_rank, best_cells_by_scenario, cross_validate,
-                               read_report_csv, sweep, write_report_csv)
+from harris.evaluation import (REPORT_COLUMNS, average_rank, best_cells_by_scenario,
+                               cross_validate, read_report_csv, sweep, write_report_csv)
 from harris.forest import single_tree_config
 from harris.scenario import par10_matrix
 from harris.synthetic import make_synthetic_scenario
@@ -183,6 +183,12 @@ class TestReportCsv:
         bad.write_text("foo,bar\n1,2\n")
         with pytest.raises(DomainError):
             read_report_csv(bad)
+
+    def test_short_row_names_file_and_line(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text(",".join(REPORT_COLUMNS) + "\nsynthetic,harris,aggregate\n")
+        with pytest.raises(DomainError, match=r"short\.csv:2: expected 11 fields, got 3"):
+            read_report_csv(path)
 
     def test_best_cells_keep_minimum_par10(self, tmp_path):
         scn = make_synthetic_scenario(60, seed=10)

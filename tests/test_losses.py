@@ -18,6 +18,12 @@ tied_vectors = st.integers(min_value=2, max_value=8).flatmap(
     lambda k: st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=k, max_size=k)
 ).map(np.array)
 
+# n x k lists of rows drawn from the same tiny alphabet
+tied_matrices = st.tuples(st.integers(1, 6), st.integers(2, 8)).flatmap(
+    lambda nk: st.lists(
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=nk[1], max_size=nk[1]),
+        min_size=nk[0], max_size=nk[0]))
+
 
 class TestRankVector:
     def test_strictly_sorted(self):
@@ -32,6 +38,14 @@ class TestRankVector:
     @given(cost_vectors)
     def test_matches_counting_definition(self, costs):
         assert rank_vector(costs).tolist() == oracles.counting_ranks(costs)
+
+    @given(tied_matrices)
+    def test_ranks_each_row_of_a_matrix(self, rows):
+        assert rank_vector(np.array(rows)).tolist() == [oracles.counting_ranks(r) for r in rows]
+
+    def test_nan_raises(self):
+        with pytest.raises(DomainError):
+            rank_vector([0.5, np.nan, 0.1])
 
     @given(cost_vectors)
     def test_rank_sum_invariant(self, costs):

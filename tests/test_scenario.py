@@ -227,6 +227,7 @@ class TestReadArff:
     def test_quoted_fields_keep_their_commas(self, tmp_path):
         path = tmp_path / "x.arff"
         path.write_text("@relation x\n@attribute id string\n@attribute v numeric\n@data\n"
-                        "'a,b',1\n\"c,d\",2\nplain,3\n")
+                        "'a,b',1\n\"c,d\",2\nplain,3\n\"c,d\",'a,b'\n")
         _, rows = _read_arff(path)
-        assert rows == [(5, ["a,b", "1"]), (6, ["c,d", "2"]), (7, ["plain", "3"])]
+        assert rows == [(5, ["a,b", "1"]), (6, ["c,d", "2"]), (7, ["plain", "3"]),
+                        (8, ["c,d", "a,b"])]
