@@ -8,6 +8,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__
 from .baselines import (ClusterSelector, HarrisSelector, OracleSelector,
@@ -19,7 +20,7 @@ from .evaluation import (DEFAULT_DEPTH_GRID, DEFAULT_LAMBDA_GRID, average_rank,
                          best_cells_by_scenario, cross_validate, read_report_csv,
                          sweep, write_report_csv)
 from .forest import (ForestConfig, fit_forest, load_forest, predict_costs,
-                     save_forest, select_algorithm, single_tree_config)
+                     save_forest, single_tree_config)
 from .scenario import (column_medians, filter_unsolved, impute_features,
                        par10_matrix, parse_scenario, scale_performances)
 from .synthetic import make_synthetic_scenario
@@ -101,8 +102,18 @@ def _load_scenario(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_un
     return scn
 
 
+# options that --paper-tree fixes itself (one tree, no bootstrap, all features)
+_PAPER_TREE_FIXES = ("n_trees", "bootstrap", "features_per_split")
+
+
 def _forest_config(lam, depth, n_trees, bootstrap, features_per_split, seed, paper_tree):
     if paper_tree:
+        ctx = click.get_current_context()
+        for param in ctx.command.params:
+            if (param.name in _PAPER_TREE_FIXES
+                    and ctx.get_parameter_source(param.name) == ParameterSource.COMMANDLINE):
+                flag = "/".join(param.opts + param.secondary_opts)
+                raise click.UsageError(f"--paper-tree fixes {flag}; do not pass both")
         return single_tree_config(lam, depth, seed)
     return ForestConfig(
         n_trees=n_trees,
@@ -257,21 +268,24 @@ def predict(model, features_csv):
     """Select an algorithm for each feature vector in a CSV file."""
     forest = load_forest(model)
     with open(features_csv, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise DomainError(f"{features_csv}: no feature rows")
-    for row in rows:
+    for line, row in rows:
+        where = f"{features_csv}:{line}"
         try:
             x = np.array([float(v) for v in row])
         except ValueError:
-            raise DomainError(f"feature row is not numeric: {row!r}") from None
+            raise DomainError(f"{where}: feature row is not numeric: {row!r}") from None
         if x.size != forest.n_features:
-            raise DomainError(f"expected {forest.n_features} features, got {x.size}")
+            raise DomainError(f"{where}: expected {forest.n_features} features, got {x.size}")
         if not np.all(np.isfinite(x)):
-            raise DomainError("feature vectors must be finite (impute missing values first)")
-        costs = forest.scale.invert(predict_costs(forest, x))
-        choice = select_algorithm(forest, x)
-        cost_text = ",".join(f"{c:.4f}" for c in costs)
+            raise DomainError(f"{where}: feature vectors must be finite "
+                              "(impute missing values first)")
+        predicted = predict_costs(forest, x)
+        choice = int(np.argmin(predicted))  # select_algorithm, without a second walk
+        cost_text = ",".join(f"{c:.4f}" for c in forest.scale.invert(predicted))
         click.echo(f"{forest.algorithm_names[choice]}\t{cost_text}")
 
 

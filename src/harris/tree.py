@@ -5,6 +5,9 @@ candidate feature and every midpoint between consecutive distinct feature
 values, scoring each candidate by the size-weighted hybrid loss of the two
 children with both children's labels (mean vector and Borda consensus)
 recomputed on that side. Rows with feature value <= split point go left.
+A node's candidate columns are scored in one pass: one column-wise sort,
+prefix sums over the sorted rows, and the losses of every real split point
+of every column at once (in blocks of BLOCK_CELLS label cells).
 """
 
 from __future__ import annotations
@@ -24,6 +27,10 @@ from .losses import rank_vector
 # split point. Distinct split losses on unit-scaled labels sit far above
 # this gap, so only mathematical ties are merged.
 SPLIT_TIE_TOL = 1e-10
+
+# Split search scores a node's candidate columns in blocks of at most this
+# many n x columns x k label cells, which bounds its scratch memory.
+BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -120,36 +127,33 @@ def _ranking_means(rank_sums, unit_sums, sizes, k):
     return np.where(norms == 0.0, 0.5, means)
 
 
-def _candidate_losses(column, stats: _LabelStats, lam: float):
-    """All candidate splits of one feature column with their weighted losses.
+def _candidate_losses(columns, stats: _LabelStats, lam: float):
+    """All candidate splits of an n x m block of feature columns.
 
-    Returns (split_points, losses) or None when the column is constant.
-    Losses come from prefix sums over the column-sorted rows; children's
-    labels are implicit (mean vector for the regression term, Borda
-    consensus for the ranking term).
+    Returns (column positions, split points, losses), ordered by column, then
+    by split point; empty when every column is constant. Each column is
+    sorted once and losses come from prefix sums over its sorted rows, read
+    only at real split points; children's labels are implicit (mean vector
+    for the regression term, Borda consensus for the ranking term).
     """
-    order = np.argsort(column, kind="stable")
-    xs = column[order]
-    left_sizes = np.nonzero(xs[1:] > xs[:-1])[0] + 1
-    if left_sizes.size == 0:
-        return None
-    splits = (xs[left_sizes - 1] + xs[left_sizes]) / 2.0
+    order = np.argsort(columns, axis=0, kind="stable")
+    xs = np.take_along_axis(columns, order, axis=0)
+    feat, sel = np.nonzero((xs[1:] > xs[:-1]).T)  # sel + 1 rows go left
+    splits = (xs[sel, feat] + xs[sel + 1, feat]) / 2.0
 
-    n = column.size
+    n = columns.shape[0]
     k = stats.labels.shape[1]
-    nl = left_sizes.astype(float)
+    nl = (sel + 1).astype(float)
     nr = n - nl
-    sel = left_sizes - 1
 
     reg_left = reg_right = 0.0
     if lam != 1.0:
-        Y = stats.labels[order]
-        col_cum = np.cumsum(Y, axis=0)
-        sq_cum = np.cumsum(stats.sq_sums[order])
-        sums_left = col_cum[sel]
-        sums_right = col_cum[-1] - sums_left
-        sq_left = sq_cum[sel]
-        sq_right = sq_cum[-1] - sq_left
+        col_cum = np.cumsum(stats.labels[order], axis=0)
+        sq_cum = np.cumsum(stats.sq_sums[order], axis=0)
+        sums_left = col_cum[sel, feat]
+        sums_right = col_cum[-1, feat] - sums_left
+        sq_left = sq_cum[sel, feat]
+        sq_right = sq_cum[-1, feat] - sq_left
         # mean over side of per-row MSE against the side mean; clamp the
         # cancellation residue of mathematically zero losses
         reg_left = np.maximum(sq_left - (sums_left ** 2).sum(axis=1) / nl, 0.0) / (nl * k)
@@ -157,16 +161,16 @@ def _candidate_losses(column, stats: _LabelStats, lam: float):
 
     rank_left = rank_right = 0.0
     if lam != 0.0:
-        R = stats.rank_rows[order]
-        U = stats.unit_ranks[order]
-        rank_cum = np.cumsum(R, axis=0)
-        unit_cum = np.cumsum(U, axis=0)
-        rank_left = _ranking_means(rank_cum[sel], unit_cum[sel], nl, k)
-        rank_right = _ranking_means(rank_cum[-1] - rank_cum[sel], unit_cum[-1] - unit_cum[sel], nr, k)
+        rank_cum = np.cumsum(stats.rank_rows[order], axis=0)
+        unit_cum = np.cumsum(stats.unit_ranks[order], axis=0)
+        rank_sel, unit_sel = rank_cum[sel, feat], unit_cum[sel, feat]
+        rank_left = _ranking_means(rank_sel, unit_sel, nl, k)
+        rank_right = _ranking_means(rank_cum[-1, feat] - rank_sel,
+                                    unit_cum[-1, feat] - unit_sel, nr, k)
 
     left_loss = lam * rank_left + (1.0 - lam) * reg_left
     right_loss = lam * rank_right + (1.0 - lam) * reg_right
-    return splits, (nl / n) * left_loss + (nr / n) * right_loss
+    return feat, splits, (nl / n) * left_loss + (nr / n) * right_loss
 
 
 def best_split(features, labels, lam: float, candidate_features=None,
@@ -174,7 +178,8 @@ def best_split(features, labels, lam: float, candidate_features=None,
     """Minimize the size-weighted hybrid child loss over all candidate splits.
 
     Returns (feature_index, split_point, weighted_loss), or None when no
-    candidate feature has two distinct values.
+    candidate feature has two distinct values. The candidate columns are
+    scored together, BLOCK_CELLS label cells at a time.
     """
     X = np.asarray(features, dtype=float)
     Y = np.atleast_2d(np.asarray(labels, dtype=float))
@@ -186,22 +191,22 @@ def best_split(features, labels, lam: float, candidate_features=None,
         candidate_features = range(X.shape[1])
     stats = _stats if _stats is not None else _LabelStats(Y)
 
-    per_feature = []
-    for f in sorted(int(f) for f in candidate_features):
-        cand = _candidate_losses(X[:, f], stats, lam)
-        if cand is not None:
-            per_feature.append((f, *cand))
-    if not per_feature:
+    feats = np.array(sorted(int(f) for f in candidate_features), dtype=np.intp)
+    width = max(1, BLOCK_CELLS // (Y.shape[0] * Y.shape[1]))
+    owners, splits, losses = [], [], []
+    for start in range(0, feats.size, width):
+        pos, points, loss = _candidate_losses(X[:, feats[start:start + width]], stats, lam)
+        owners.append(feats[start + pos])
+        splits.append(points)
+        losses.append(loss)
+    if not any(loss.size for loss in losses):
         return None
 
-    minimum = min(float(losses.min()) for _, _, losses in per_feature)
-    threshold = minimum + SPLIT_TIE_TOL * max(1.0, abs(minimum))
-    for f, splits, losses in per_feature:
-        tied = np.nonzero(losses <= threshold)[0]
-        if tied.size:
-            i = tied[0]  # splits are ascending, so this is the lowest point
-            return f, float(splits[i]), float(losses[i])
-    raise AssertionError("unreachable: minimum vanished from candidates")
+    losses = np.concatenate(losses)
+    minimum = float(losses.min())
+    # candidates run by feature, then split point: the first tie is the lowest
+    i = int(np.argmax(losses <= minimum + SPLIT_TIE_TOL * max(1.0, abs(minimum))))
+    return int(np.concatenate(owners)[i]), float(np.concatenate(splits)[i]), float(losses[i])
 
 
 def _hybrid_loss_is_zero(labels: np.ndarray, rank_rows: np.ndarray, lam: float) -> bool:
@@ -242,13 +247,16 @@ def build_tree(features, labels, config: TreeConfig, rng: np.random.Generator) -
     def grow(idx: np.ndarray, depth: int) -> TreeNode:
         sub_labels = Y[idx]
         sub_ranks = stats.rank_rows[idx]
-        # same floats as labels.node_labels(sub_labels), reusing cached ranks
-        leaf_labels = NodeLabels(regression=sub_labels.mean(axis=0),
-                                 ranking=rank_vector(sub_ranks.sum(axis=0)))
+
+        def leaf() -> Leaf:
+            # same floats as labels.node_labels(sub_labels), reusing cached ranks
+            return Leaf(NodeLabels(regression=sub_labels.mean(axis=0),
+                                   ranking=rank_vector(sub_ranks.sum(axis=0))), idx.size)
+
         if depth >= config.max_depth or idx.size < config.min_samples_split:
-            return Leaf(leaf_labels, idx.size)
+            return leaf()
         if _hybrid_loss_is_zero(sub_labels, sub_ranks, config.lam):
-            return Leaf(leaf_labels, idx.size)
+            return leaf()
         if mtry < n_features:
             candidates = rng.choice(n_features, size=mtry, replace=False)
         else:
@@ -256,7 +264,7 @@ def build_tree(features, labels, config: TreeConfig, rng: np.random.Generator) -
         found = best_split(X[idx], sub_labels, config.lam, candidates,
                            _stats=stats.subset(idx))
         if found is None:
-            return Leaf(leaf_labels, idx.size)
+            return leaf()
         f, point, _ = found
         mask = X[idx, f] <= point
         return Internal(

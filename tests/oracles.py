@@ -152,6 +152,89 @@ def exhaustive_best_split(X, Y, lam, candidate_features=None):
     raise AssertionError("minimum not found among candidates")
 
 
+# --- column-at-a-time split search ---------------------------------------------
+# The prefix-sum split search scored one feature column per call, with the
+# same elementwise operations on the same sorted rows as the package's batched
+# search. Kept here so tests can demand bit-identical floats, not just ties.
+
+def _per_feature_ranking_means(rank_sums, unit_sums, sizes, k):
+    consensus = rank_vector(rank_sums)
+    centered = consensus - (k + 1) / 2.0
+    norms = np.sqrt((centered ** 2).sum(axis=1))
+    safe = np.where(norms == 0.0, 1.0, norms)
+    dots = (unit_sums * (centered / safe[:, None])).sum(axis=1)
+    means = 0.5 - 0.5 * dots / sizes
+    return np.where(norms == 0.0, 0.5, means)
+
+
+def _per_feature_candidate_losses(column, labels, rank_rows, unit_ranks, sq_sums, lam):
+    order = np.argsort(column, kind="stable")
+    xs = column[order]
+    left_sizes = np.nonzero(xs[1:] > xs[:-1])[0] + 1
+    if left_sizes.size == 0:
+        return None
+    splits = (xs[left_sizes - 1] + xs[left_sizes]) / 2.0
+
+    n = column.size
+    k = labels.shape[1]
+    nl = left_sizes.astype(float)
+    nr = n - nl
+    sel = left_sizes - 1
+
+    reg_left = reg_right = 0.0
+    if lam != 1.0:
+        col_cum = np.cumsum(labels[order], axis=0)
+        sq_cum = np.cumsum(sq_sums[order])
+        sums_left = col_cum[sel]
+        sums_right = col_cum[-1] - sums_left
+        sq_left = sq_cum[sel]
+        sq_right = sq_cum[-1] - sq_left
+        reg_left = np.maximum(sq_left - (sums_left ** 2).sum(axis=1) / nl, 0.0) / (nl * k)
+        reg_right = np.maximum(sq_right - (sums_right ** 2).sum(axis=1) / nr, 0.0) / (nr * k)
+
+    rank_left = rank_right = 0.0
+    if lam != 0.0:
+        rank_cum = np.cumsum(rank_rows[order], axis=0)
+        unit_cum = np.cumsum(unit_ranks[order], axis=0)
+        rank_left = _per_feature_ranking_means(rank_cum[sel], unit_cum[sel], nl, k)
+        rank_right = _per_feature_ranking_means(rank_cum[-1] - rank_cum[sel],
+                                                unit_cum[-1] - unit_cum[sel], nr, k)
+
+    left_loss = lam * rank_left + (1.0 - lam) * reg_left
+    right_loss = lam * rank_right + (1.0 - lam) * reg_right
+    return splits, (nl / n) * left_loss + (nr / n) * right_loss
+
+
+def per_feature_best_split(X, Y, lam, candidate_features=None):
+    """(feature, split point, loss) of the lowest-loss split, one column per call."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    rank_rows = rank_vector(Y)
+    centered = rank_rows - rank_rows.mean(axis=1, keepdims=True)
+    norms = np.sqrt((centered ** 2).sum(axis=1))
+    unit_ranks = np.zeros_like(centered)
+    nonzero = norms > 0
+    unit_ranks[nonzero] = centered[nonzero] / norms[nonzero, None]
+    sq_sums = (Y ** 2).sum(axis=1)
+    if candidate_features is None:
+        candidate_features = range(X.shape[1])
+
+    per_feature = []
+    for f in sorted(int(f) for f in candidate_features):
+        cand = _per_feature_candidate_losses(X[:, f], Y, rank_rows, unit_ranks, sq_sums, lam)
+        if cand is not None:
+            per_feature.append((f, *cand))
+    if not per_feature:
+        return None
+    minimum = min(float(losses.min()) for _, _, losses in per_feature)
+    threshold = minimum + TIE_TOL * max(1.0, abs(minimum))
+    for f, splits, losses in per_feature:
+        tied = np.nonzero(losses <= threshold)[0]
+        if tied.size:
+            return f, float(splits[tied[0]]), float(losses[tied[0]])
+    raise AssertionError("minimum not found among candidates")
+
+
 # --- single-loss reference trees ----------------------------------------------
 
 def reference_tree(X, Y, max_depth, mode):

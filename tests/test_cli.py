@@ -83,11 +83,35 @@ class TestEvaluate:
             result = runner.invoke(
                 main,
                 fast_eval_args(out, selectors="harris,rfr",
-                               extra=["--baseline-trees", "4", "--no-bootstrap"]),
+                               extra=["--baseline-trees", "4"]),
             )
             assert result.exit_code == 0, result.output
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+class TestPaperTree:
+    COMMANDS = {
+        "evaluate": ["evaluate", "--selectors", "harris"],
+        "sweep": ["sweep", "--lambdas", "0", "--depths", "1"],
+        "train": ["train"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("option, flag", [
+        (("--n-trees", "5"), "--n-trees"),
+        (("--bootstrap",), "--bootstrap/--no-bootstrap"),
+        (("--no-bootstrap",), "--bootstrap/--no-bootstrap"),
+        (("--features-per-split", "all"), "--features-per-split"),
+    ])
+    def test_rejects_the_options_it_fixes(self, runner, tmp_path, command, option, flag):
+        # --paper-tree is one unbagged tree over all features: these would be ignored
+        result = runner.invoke(main, [*self.COMMANDS[command], "--synthetic",
+                                      "--synthetic-n", "30", "--paper-tree", *option,
+                                      "-o", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert flag in result.output and "--paper-tree" in result.output
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweep:
@@ -171,6 +195,23 @@ class TestTrainPredict:
         result = runner.invoke(main, ["predict", "-m", str(model), "--features", str(bad)])
         assert result.exit_code != 0
         assert "expected 3 features" in result.output
+
+    @pytest.mark.parametrize("row, message", [
+        ("0.1,abc,0.3", "not numeric"),
+        ("0.1,0.2", "expected 3 features, got 2"),
+        ("0.1,nan,0.3", "must be finite"),
+    ])
+    def test_bad_feature_row_names_file_and_line(self, runner, tmp_path, row, message):
+        model = tmp_path / "model.json"
+        assert runner.invoke(main, [
+            "train", "--synthetic", "--synthetic-n", "90", "--paper-tree",
+            "--depth", "1", "-o", str(model)]).exit_code == 0
+        feats = tmp_path / "f.csv"
+        feats.write_text(f"0.1,0.2,0.3\n\n{row}\n")
+        result = runner.invoke(main, ["predict", "-m", str(model), "--features", str(feats)])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit)  # a clean exit, not a traceback
+        assert f"f.csv:3: " in result.output and message in result.output
 
     def test_same_seed_identical_model_files(self, runner, tmp_path):
         args = ["train", "--synthetic", "--synthetic-n", "90", "--n-trees", "4",

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import harris.tree
 from harris.errors import DomainError
 from harris.tree import (Internal, Leaf, TreeConfig, best_split, build_tree,
                          predict_leaf, tree_depth)
@@ -43,6 +44,8 @@ class TestBestSplit:
         X = np.hstack([PURE_X, PURE_X])
         f, point, _ = best_split(X, PURE_Y, 0.5)
         assert (f, point) == (0, 1.5)
+        f, point, _ = best_split(X, PURE_Y, 0.5, candidate_features=[1, 0])
+        assert (f, point) == (0, 1.5)
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 10**9), st.sampled_from([0.0, 0.3, 0.7, 1.0]))
@@ -68,6 +71,54 @@ class TestBestSplit:
             return
         losses = [loss for _, _, loss in oracles.enumerate_split_losses(X, Y, 0.5)]
         assert got[2] <= min(losses) + 1e-9
+
+
+@st.composite
+def batched_split_cases(draw):
+    """Columns that are continuous, constant, discrete with 2-4 levels, or
+    copies of an earlier column; candidates all, or a subset given unsorted."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, k = draw(st.integers(2, 30)), draw(st.integers(2, 5))
+    kinds = draw(st.lists(st.sampled_from(["continuous", "constant", "discrete", "copy"]),
+                          min_size=1, max_size=6))
+    X = np.empty((n, len(kinds)))
+    for f, kind in enumerate(kinds):
+        if kind == "copy" and f > 0:
+            X[:, f] = X[:, int(rng.integers(0, f))]
+        elif kind == "constant":
+            X[:, f] = rng.normal()
+        elif kind == "discrete":
+            X[:, f] = rng.choice(rng.normal(size=int(rng.integers(2, 5))), size=n)
+        else:
+            X[:, f] = rng.normal(size=n)
+    Y = rng.uniform(size=(n, k))
+    if draw(st.booleans()):
+        Y = np.round(Y, 1)  # tied costs
+    candidates = None
+    if draw(st.booleans()):
+        candidates = draw(st.permutations(range(len(kinds))))[:draw(st.integers(1, len(kinds)))]
+    return X, Y, candidates
+
+
+class TestBatchedSplitSearch:
+    @settings(deadline=None, max_examples=200)
+    @given(batched_split_cases(), st.sampled_from([0.0, 0.3, 1.0]))
+    def test_bit_identical_to_per_feature_search(self, case, lam):
+        X, Y, candidates = case
+        assert best_split(X, Y, lam, candidates) == \
+            oracles.per_feature_best_split(X, Y, lam, candidates)
+
+    @settings(deadline=None, max_examples=50)
+    @given(batched_split_cases(), st.sampled_from([0.0, 0.3, 1.0]))
+    def test_one_column_blocks_match_one_block(self, case, lam):
+        X, Y, candidates = case
+        expected = best_split(X, Y, lam, candidates)
+        saved = harris.tree.BLOCK_CELLS
+        harris.tree.BLOCK_CELLS = 1  # one column per block
+        try:
+            assert best_split(X, Y, lam, candidates) == expected
+        finally:
+            harris.tree.BLOCK_CELLS = saved
 
 
 class TestBuildTree:
