@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .baselines import (ClusterSelector, HarrisSelector, OracleSelector,
                         PairwiseVotingSelector, RegressionForestSelector,
-                        Selector, SingleBestSelector, oracle_select)
+                        Selector, SingleBestSelector)
 from .errors import (ConsistencyError, DomainError, EmptyScenarioError,
                      ModelFormatError, ParseError, UndefinedMetric)
 from .evaluation import (AggregateRecord, FoldRecord, average_rank, cross_validate,

@@ -1,9 +1,11 @@
 """Selectors evaluated by the harness.
 
 Every selector is fit on imputed features and min-max-scaled PAR10 costs
-(n x k, smaller is better) and answers select(x) with an algorithm index.
-predicted_costs(x) returns a cost vector for rank-correlation metrics, or
-None when the selector has no meaningful per-algorithm estimate.
+(n x k, smaller is better). A selector writes fit and predicted_costs(x), a
+length-k cost vector for one instance; Selector.select(x) is its argmin, ties
+going to the lowest index. Only a selector whose scores are not costs
+(pairwise voting) overrides select and returns None from predicted_costs, which
+leaves its rank-correlation metrics empty.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import DomainError
-from .forest import ForestConfig, fit_forest, predict_costs, select_algorithm
+from .forest import ForestConfig, fit_forest, predict_costs
 from .scenario import ScaleParams
 from .tree import TreeConfig
 
@@ -26,11 +28,11 @@ class Selector:
             algorithm_names=None) -> "Selector":
         raise NotImplementedError
 
-    def select(self, x) -> int:
+    def predicted_costs(self, x):
         raise NotImplementedError
 
-    def predicted_costs(self, x):
-        return None
+    def select(self, x) -> int:
+        return int(np.argmin(self.predicted_costs(x)))
 
 
 def _checked_training_data(features, costs):
@@ -61,25 +63,20 @@ class HarrisSelector(Selector):
                                  algorithm_names=algorithm_names)
         return self
 
-    def select(self, x) -> int:
-        return select_algorithm(self.forest, x)
-
     def predicted_costs(self, x):
         return predict_costs(self.forest, x)
 
 
 class _SubForestSelector(Selector):
     """Base of the baselines built from single-target sub-forests: hybrid
-    forests at lambda = 0, i.e. ordinary variance-reduction regression trees."""
+    forests at lambda = 0, i.e. ordinary variance-reduction regression trees,
+    bootstrapped and sampling sqrt(p) features per split."""
 
-    def __init__(self, n_trees=100, max_depth=10, features_per_split="sqrt",
-                 bootstrap=True, seed=0):
+    def __init__(self, n_trees=100, max_depth=10, seed=0):
         self.config = ForestConfig(
             n_trees=n_trees,
-            bootstrap=bootstrap,
             seed=seed,
-            tree=TreeConfig(lam=0.0, max_depth=max_depth,
-                            features_per_split=features_per_split),
+            tree=TreeConfig(lam=0.0, max_depth=max_depth, features_per_split="sqrt"),
         )
 
     def _fit_sub_forest(self, X, target, index: int):
@@ -102,9 +99,6 @@ class RegressionForestSelector(_SubForestSelector):
     def predicted_costs(self, x):
         return np.array([float(predict_costs(f, x)[0]) for f in self.forests])
 
-    def select(self, x) -> int:
-        return int(np.argmin(self.predicted_costs(x)))
-
 
 class PairwiseVotingSelector(_SubForestSelector):
     """SATzilla-style voting on pairwise performance differences.
@@ -112,6 +106,7 @@ class PairwiseVotingSelector(_SubForestSelector):
     For each unordered algorithm pair (i, j) a regression forest predicts
     cost_i - cost_j; a negative prediction votes for i, otherwise j. The
     algorithm with the most votes wins, ties going to the lowest index.
+    Votes are not costs, so this selector writes select itself.
     """
 
     name = "satzilla"
@@ -140,6 +135,9 @@ class PairwiseVotingSelector(_SubForestSelector):
             # an exactly-zero prediction carries no preference: no vote
         return int(np.argmax(votes))
 
+    def predicted_costs(self, x):
+        return None
+
 
 class ClusterSelector(Selector):
     """ISAC-style selection: cluster z-scored features with k-means and pick
@@ -148,13 +146,10 @@ class ClusterSelector(Selector):
 
     name = "isac"
 
-    def __init__(self, n_clusters=10, restarts=25, max_iter=100, seed=0):
+    def __init__(self, n_clusters=10, seed=0):
         self.n_clusters = n_clusters
-        self.restarts = restarts
-        self.max_iter = max_iter
         self.seed = seed
         self.centroids = None
-        self.cluster_best = None
         self.cluster_costs = None
         self.feature_mean = None
         self.feature_std = None
@@ -178,16 +173,13 @@ class ClusterSelector(Selector):
         rng = np.random.default_rng(
             np.random.SeedSequence((int(self.seed) & 0xFFFFFFFFFFFFFFFF, 0x15AC))
         )
-        self.centroids, assignment = _kmeans(Z, k_clusters, self.restarts, self.max_iter, rng)
+        self.centroids, assignment = _kmeans(Z, k_clusters, rng)
 
         global_mean = Y.mean(axis=0)
-        best, means = [], []
+        means = []
         for c in range(k_clusters):
             members = assignment == c
-            cluster_mean = Y[members].mean(axis=0) if members.any() else global_mean
-            means.append(cluster_mean)
-            best.append(int(np.argmin(cluster_mean)))
-        self.cluster_best = np.array(best)
+            means.append(Y[members].mean(axis=0) if members.any() else global_mean)
         self.cluster_costs = np.array(means)
         return self
 
@@ -196,22 +188,23 @@ class ClusterSelector(Selector):
         d2 = ((self.centroids - z) ** 2).sum(axis=1)
         return int(np.argmin(d2))
 
-    def select(self, x) -> int:
-        return int(self.cluster_best[self._nearest(x)])
-
     def predicted_costs(self, x):
         return self.cluster_costs[self._nearest(x)].copy()
 
 
-def _kmeans(Z, k, restarts, max_iter, rng):
+KMEANS_RESTARTS = 25
+KMEANS_MAX_ITER = 100
+
+
+def _kmeans(Z, k, rng):
     """Plain Lloyd iterations with seeded restarts; lowest inertia wins."""
     n = Z.shape[0]
     best_inertia = np.inf
     best = None
-    for _ in range(max(1, restarts)):
+    for _ in range(KMEANS_RESTARTS):
         centroids = Z[rng.choice(n, size=k, replace=False)].copy()
         assignment = np.zeros(n, dtype=int)
-        for _ in range(max_iter):
+        for _ in range(KMEANS_MAX_ITER):
             d2 = ((Z[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
             assignment = d2.argmin(axis=1)
             moved = False
@@ -242,16 +235,11 @@ class SingleBestSelector(Selector):
 
     def __init__(self):
         self.mean_costs = None
-        self.best = None
 
     def fit(self, features, costs, *, scale=None, algorithm_names=None):
         _, Y = _checked_training_data(features, costs)
         self.mean_costs = Y.mean(axis=0)
-        self.best = int(np.argmin(self.mean_costs))
         return self
-
-    def select(self, x) -> int:
-        return self.best
 
     def predicted_costs(self, x):
         return self.mean_costs.copy()
@@ -266,13 +254,5 @@ class OracleSelector(Selector):
     def fit(self, features, costs, *, scale=None, algorithm_names=None):
         return self
 
-    def select_from_costs(self, true_costs) -> int:
-        return oracle_select(true_costs)
-
-    def select(self, x) -> int:
+    def predicted_costs(self, x):
         raise DomainError("the oracle selects from true costs, not features")
-
-
-def oracle_select(true_costs) -> int:
-    """Index of the truly cheapest algorithm for one instance."""
-    return int(np.argmin(np.asarray(true_costs, dtype=float)))

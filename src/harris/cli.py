@@ -29,8 +29,6 @@ from .tree import TreeConfig
 _USER_ERRORS = (ParseError, ConsistencyError, EmptyScenarioError, DomainError,
                 ModelFormatError)
 
-KNOWN_SELECTORS = ("harris", "rfr", "isac", "satzilla", "sbs", "oracle")
-
 
 def _fail_on(func):
     """Turn domain/parse failures into clean nonzero exits."""
@@ -124,28 +122,31 @@ def _forest_config(lam, depth, n_trees, bootstrap, features_per_split, seed, pap
     )
 
 
-def _selector_factories(names, forest_config, *, baseline_trees, baseline_depth,
-                        isac_clusters, seed):
-    factories = {}
+def _selector_factories(forest_config, *, baseline_trees, baseline_depth, isac_clusters, seed):
+    """Selector name -> factory of a fresh, unfitted selector."""
+    return {
+        "harris": lambda: HarrisSelector(forest_config),
+        "rfr": lambda: RegressionForestSelector(
+            n_trees=baseline_trees, max_depth=baseline_depth, seed=seed),
+        "isac": lambda: ClusterSelector(n_clusters=isac_clusters, seed=seed),
+        "satzilla": lambda: PairwiseVotingSelector(
+            n_trees=baseline_trees, max_depth=baseline_depth, seed=seed),
+        "sbs": SingleBestSelector,
+        "oracle": OracleSelector,
+    }
+
+
+def _selector_names(selectors, known):
+    """The --selectors list: at least one known name, none twice."""
+    names = [s.strip() for s in selectors.split(",") if s.strip()]
     for name in names:
-        if name == "harris":
-            factories[name] = lambda: HarrisSelector(forest_config)
-        elif name == "rfr":
-            factories[name] = lambda: RegressionForestSelector(
-                n_trees=baseline_trees, max_depth=baseline_depth, seed=seed)
-        elif name == "satzilla":
-            factories[name] = lambda: PairwiseVotingSelector(
-                n_trees=baseline_trees, max_depth=baseline_depth, seed=seed)
-        elif name == "isac":
-            factories[name] = lambda: ClusterSelector(n_clusters=isac_clusters, seed=seed)
-        elif name == "sbs":
-            factories[name] = lambda: SingleBestSelector()
-        elif name == "oracle":
-            factories[name] = lambda: OracleSelector()
-        else:
-            raise click.BadParameter(
-                f"unknown selector {name!r}; choose from {', '.join(KNOWN_SELECTORS)}")
-    return factories
+        if name not in known:
+            raise click.UsageError(f"--selectors {selectors!r}: unknown selector {name!r}; "
+                                   f"choose from {', '.join(known)}")
+    if not names or len(set(names)) != len(names):
+        raise click.UsageError(f"--selectors {selectors!r} must name at least one selector, "
+                               "each once")
+    return names
 
 
 def _fmt_cell(value, digits=2):
@@ -188,10 +189,10 @@ def evaluate(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolved
     """Run 10-fold cross-validation for the requested selectors."""
     scn = _load_scenario(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolved)
     config = _forest_config(lam, depth, n_trees, bootstrap, features_per_split, seed, paper_tree)
-    names = [s.strip() for s in selectors.split(",") if s.strip()]
-    factories = _selector_factories(names, config, baseline_trees=baseline_trees,
+    factories = _selector_factories(config, baseline_trees=baseline_trees,
                                     baseline_depth=baseline_depth, isac_clusters=isac_clusters,
                                     seed=seed)
+    names = _selector_names(selectors, factories)
     fold_records, aggregates = [], []
     for name in names:
         annotate = name == "harris"
@@ -272,6 +273,7 @@ def predict(model, features_csv):
         rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise DomainError(f"{features_csv}: no feature rows")
+    vectors = []  # every row is checked before any selection is printed
     for line, row in rows:
         where = f"{features_csv}:{line}"
         try:
@@ -283,6 +285,8 @@ def predict(model, features_csv):
         if not np.all(np.isfinite(x)):
             raise DomainError(f"{where}: feature vectors must be finite "
                               "(impute missing values first)")
+        vectors.append(x)
+    for x in vectors:
         predicted = predict_costs(forest, x)
         choice = int(np.argmin(predicted))  # select_algorithm, without a second walk
         cost_text = ",".join(f"{c:.4f}" for c in forest.scale.invert(predicted))

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .baselines import HarrisSelector, OracleSelector, Selector, oracle_select
+from .baselines import HarrisSelector, OracleSelector, Selector
 from .errors import DomainError, UndefinedMetric
 from .forest import ForestConfig
 from .losses import kendall_tau_b, rank_vector
@@ -86,20 +86,19 @@ def cross_validate(scenario: Scenario, selector_factory: Callable[[], Selector],
         selector = selector_factory()
         selector_name = selector.name
         is_oracle = isinstance(selector, OracleSelector)
-        if not is_oracle:
-            selector.fit(train_features, scaled_train, scale=scale,
-                         algorithm_names=scenario.algorithm_names)
+        selector.fit(train_features, scaled_train, scale=scale,
+                     algorithm_names=scenario.algorithm_names)
 
         fold_costs: list[float] = []
         fold_taus: list[float] = []
         for row, instance in enumerate(np.nonzero(test_mask)[0]):
             true_costs = costs[instance]
-            if is_oracle:
-                choice = oracle_select(true_costs)
-                predicted = true_costs
-            else:
+            # the oracle is scored on the test labels it is meant to know
+            predicted = true_costs if is_oracle else selector.predicted_costs(test_features[row])
+            if predicted is None:
                 choice = selector.select(test_features[row])
-                predicted = selector.predicted_costs(test_features[row])
+            else:
+                choice = int(np.argmin(predicted))  # Selector.select, without a second call
             fold_costs.append(float(true_costs[choice]))
             if predicted is not None:
                 try:

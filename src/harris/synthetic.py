@@ -18,7 +18,6 @@ from .scenario import N_FOLDS, Scenario
 
 def make_synthetic_scenario(n_instances: int = 500, n_algorithms: int = 3,
                             n_features: int = 3, seed: int = 0,
-                            confusion: float = 0.0,
                             name: str = "synthetic") -> Scenario:
     """Build the oracle-separable fixture scenario.
 
@@ -26,11 +25,6 @@ def make_synthetic_scenario(n_instances: int = 500, n_algorithms: int = 3,
     [50, 70]; the algorithm ranked r places in [300r, 300r + 50]. All runs
     finish, the cutoff clears the worst band, and folds 1..10 are assigned
     round-robin within each group so every fold sees every group.
-
-    With confusion > 0 that fraction of instances draws its cost structure
-    from a random group instead of the feature-determined one, adding
-    irreducible error for harder demo runs; the default keeps the scenario
-    exactly recoverable.
     """
     k = int(n_algorithms)
     n = int(n_instances)
@@ -39,8 +33,6 @@ def make_synthetic_scenario(n_instances: int = 500, n_algorithms: int = 3,
         raise DomainError(f"need at least {N_FOLDS * k} instances for stratified folds")
     if k < 2 or p < 1:
         raise DomainError("need k >= 2 algorithms and p >= 1 features")
-    if not 0.0 <= confusion <= 1.0:
-        raise DomainError(f"confusion must lie in [0, 1], got {confusion}")
 
     rng = np.random.default_rng(np.random.SeedSequence((_u64(seed), 0x53594E)))
     group = rng.integers(0, k, size=n)
@@ -51,14 +43,9 @@ def make_synthetic_scenario(n_instances: int = 500, n_algorithms: int = 3,
     features = rng.uniform(0.0, 1.0, size=(n, p))
     features[:, 0] = x0
 
-    cost_group = group.copy()
-    if confusion > 0.0:
-        confused = rng.random(n) < confusion
-        cost_group[confused] = rng.integers(0, k, size=int(confused.sum()))
-
     performances = np.empty((n, k), dtype=float)
     for rank in range(k):
-        algo = (cost_group + rank) % k
+        algo = (group + rank) % k
         base = 50.0 if rank == 0 else 300.0 * rank
         span = 20.0 if rank == 0 else 50.0
         performances[np.arange(n), algo] = base + span * rng.uniform(0.0, 1.0, size=n)

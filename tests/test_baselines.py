@@ -3,7 +3,7 @@ import pytest
 
 from harris.baselines import (ClusterSelector, HarrisSelector, OracleSelector,
                               PairwiseVotingSelector, RegressionForestSelector,
-                              SingleBestSelector, oracle_select)
+                              SingleBestSelector)
 from harris.errors import DomainError
 from harris.forest import ForestConfig, HybridForest, single_tree_config
 from harris.labels import NodeLabels
@@ -30,14 +30,22 @@ class TestRegressionForest:
         for i in range(0, 30, 5):
             assert selector.select(X[i]) == 0
 
-    def test_constant_features_predict_training_means(self):
+    def test_constant_features_predict_bootstrap_means(self):
+        # no split exists, so every tree is one leaf holding the mean of its
+        # bootstrap sample, drawn from the (seed, j, tree) stream
         X = np.ones((12, 3))
         rng = np.random.default_rng(4)
         Y = rng.uniform(size=(12, 2))
-        selector = RegressionForestSelector(
-            n_trees=3, max_depth=4, bootstrap=False, features_per_split="all", seed=0,
-        ).fit(X, Y)
-        assert selector.predicted_costs(np.ones(3)) == pytest.approx(Y.mean(axis=0))
+        selector = RegressionForestSelector(n_trees=3, max_depth=4, seed=0).fit(X, Y)
+        expected = []
+        for j in range(2):
+            sub_seed = int(np.random.SeedSequence((0, j)).generate_state(1, np.uint64)[0])
+            means = []
+            for tree in (1, 2, 3):
+                tree_rng = np.random.default_rng(np.random.SeedSequence((sub_seed, tree)))
+                means.append(Y[tree_rng.integers(0, 12, size=12), j].mean())
+            expected.append(np.mean(means))
+        assert selector.predicted_costs(np.ones(3)) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_oracle_on_separable_fixture(self):
         scn = make_synthetic_scenario(120, seed=3)
@@ -118,7 +126,6 @@ class TestClusterSelector:
     def test_nearest_centroid_tie_prefers_lowest_cluster(self):
         selector = ClusterSelector()
         selector.centroids = np.array([[-1.0], [1.0]])
-        selector.cluster_best = np.array([1, 0])
         selector.cluster_costs = np.array([[0.2, 0.1], [0.1, 0.2]])
         selector.feature_mean = np.zeros(1)
         selector.feature_std = np.ones(1)
@@ -159,19 +166,18 @@ class TestSingleBestAndOracle:
         assert selector.select(np.array([123.0])) == 1
         assert selector.predicted_costs(None) == pytest.approx([5.0, 2.0, 9.0])
 
-    def test_oracle_select(self):
-        assert oracle_select([3.0, 1.0, 2.0]) == 1
-
     def test_oracle_never_beaten(self):
         scn = make_synthetic_scenario(60, seed=11)
         selector = SingleBestSelector().fit(scn.features, scn.performances)
         for i in range(scn.n_instances):
-            oracle_cost = scn.performances[i, oracle_select(scn.performances[i])]
+            oracle_cost = scn.performances[i].min()
             assert oracle_cost <= scn.performances[i, selector.select(scn.features[i])]
 
     def test_oracle_refuses_feature_selection(self):
         with pytest.raises(DomainError):
             OracleSelector().select(np.zeros(2))
+        with pytest.raises(DomainError):
+            OracleSelector().predicted_costs(np.zeros(2))
 
 
 class TestHarrisSelector:
@@ -185,3 +191,18 @@ class TestHarrisSelector:
                    for i in range(scn.n_instances))
         assert hits == scn.n_instances
         assert selector.predicted_costs(scn.features[0]).shape == (3,)
+
+
+class TestSelectorContract:
+    def test_select_is_argmin_of_predicted_costs(self):
+        scn = make_synthetic_scenario(60, n_features=4, seed=2)
+        X, Y = scn.features, scn.performances / scn.performances.max()
+        fitted = [
+            HarrisSelector(ForestConfig(n_trees=3, seed=1)).fit(X, Y),
+            RegressionForestSelector(n_trees=3, max_depth=3, seed=1).fit(X, Y),
+            ClusterSelector(n_clusters=3, seed=1).fit(X, Y),
+            SingleBestSelector().fit(X, Y),
+        ]
+        for selector in fitted:
+            for x in X[::7]:
+                assert selector.select(x) == int(np.argmin(selector.predicted_costs(x)))

@@ -71,6 +71,14 @@ class TestEvaluate:
         result = runner.invoke(main, fast_eval_args(tmp_path / "x.csv", selectors="nope"))
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("selectors", [",", " , ", "harris,harris", "sbs,harris,sbs"])
+    def test_empty_or_repeated_selector_list(self, runner, tmp_path, selectors):
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, fast_eval_args(out, selectors=selectors))
+        assert result.exit_code == 2, result.output
+        assert f"--selectors {selectors!r}" in result.output
+        assert not out.exists()
+
     def test_threads_is_not_an_option(self, runner, tmp_path):
         result = runner.invoke(main, fast_eval_args(tmp_path / "x.csv", extra=["--threads", "2"]))
         assert result.exit_code != 0
@@ -212,6 +220,22 @@ class TestTrainPredict:
         assert result.exit_code != 0
         assert isinstance(result.exception, SystemExit)  # a clean exit, not a traceback
         assert f"f.csv:3: " in result.output and message in result.output
+
+    def test_bad_later_row_prints_nothing(self, runner, tmp_path):
+        model = tmp_path / "model.json"
+        assert runner.invoke(main, [
+            "train", "--synthetic", "--synthetic-n", "90", "--paper-tree",
+            "--depth", "1", "-o", str(model)]).exit_code == 0
+        feats = tmp_path / "f.csv"
+        feats.write_text("0.1,0.2,0.3\n0.4,0.5,0.6\n0.1,nan,0.3\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(harris.__file__).resolve().parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-m", "harris.cli", "predict", "-m", str(model),
+             "--features", str(feats)],
+            capture_output=True, text=True, env=env)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "f.csv:3: " in result.stderr
 
     def test_same_seed_identical_model_files(self, runner, tmp_path):
         args = ["train", "--synthetic", "--synthetic-n", "90", "--n-trees", "4",

@@ -27,9 +27,6 @@ class RecordingSelector(Selector):
         })
         return self
 
-    def select(self, x) -> int:
-        return 0
-
     def predicted_costs(self, x):
         return np.array([1.0, 1.0, 1.0])  # all tied: tau undefined everywhere
 
@@ -45,6 +42,23 @@ class TestCrossValidate:
         assert agg.par10_mean == pytest.approx(
             np.mean([r.par10 for r in folds]))
         assert agg.tau_mean == pytest.approx(1.0)
+
+    def test_selector_writing_only_fit_and_predicted_costs(self):
+        class CostsOnly(Selector):
+            name = "costs-only"
+
+            def fit(self, features, costs, *, scale=None, algorithm_names=None):
+                return self
+
+            def predicted_costs(self, x):
+                return np.array([0.5, 0.2, 0.2])
+
+        assert CostsOnly().select(np.zeros(3)) == 1  # the tie goes to the lowest index
+        scn = make_synthetic_scenario(60, seed=5)
+        costs = par10_matrix(scn)
+        folds, _ = cross_validate(scn, CostsOnly)
+        for record in folds:
+            assert record.par10 == pytest.approx(costs[scn.fold_of == record.fold, 1].mean())
 
     def test_constant_prediction_reports_missing_tau(self):
         scn = make_synthetic_scenario(60, seed=5)
