@@ -98,8 +98,8 @@ def fit_forest(features, labels, config: ForestConfig, *,
 
 def predict_costs(forest: HybridForest, x) -> np.ndarray:
     """Mean of the trees' regression leaf labels for one instance."""
-    rows = [predict_leaf(tree, x).regression for tree in forest.trees]
-    return np.mean(rows, axis=0)
+    row = np.asarray(x, dtype=float).tolist()
+    return np.mean([predict_leaf(tree, row).regression for tree in forest.trees], axis=0)
 
 
 def select_algorithm(forest: HybridForest, x) -> int:

@@ -14,15 +14,34 @@ Instances keep the order of their first appearance in feature_values.arff
 across every matrix. A missing (instance, algorithm) evaluation is treated
 like an unfinished run: run_ok is false and the stored runtime is clamped to
 the cutoff, so PAR10 labeling later maps it to 10 * cutoff.
+
+Only the first feature row of an instance and the first run row of an
+(instance, algorithm) pair are read; later repetitions and run rows of
+unknown instances are not converted, so a bad value there is no error. Every
+cv.arff row of a known instance is checked. Refused, with the file and, for
+data rows, the line: a cell that is not a number ('?' and an empty cell are
+missing), an infinite feature value (a 'nan' cell counts as missing and is
+imputed), a fold that is not an integer in 1..10 ('3.0' is fold 3, '1.7' and
+'inf' are errors), and an algorithm_cutoff_time that is not a positive
+finite number ('.inf', '.nan' and 'true' included).
+
+Speed: a data line without quotes is split with str.split and its fields are
+stripped only when it holds a space or an unprintable character, the only
+characters str.strip removes. The run table and the feature block are built
+with numpy from one comprehension each; a bad cell is then located by a
+per-row rescan, which runs only on that error path, so errors keep the
+file:line of the first offending row in file order.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import re
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 import yaml
@@ -217,50 +236,91 @@ def _read_arff(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """
     attributes: list[str] = []
     rows: list[tuple[int, list[str]]] = []
-    in_data = False
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        lines = enumerate(fh, start=1)
+        for lineno, raw in lines:
             line = raw.strip()
-            if not line or line.startswith("%"):
+            if not line or line[0] == "%":
                 continue
-            if not in_data:
-                lowered = line.lower()
-                if lowered.startswith("@attribute"):
-                    match = _ATTRIBUTE.match(line)
-                    if match is None:
-                        raise ParseError(f"{path.name}:{lineno}: malformed @attribute line")
-                    attributes.append(match.group(1).strip("'\""))
-                elif lowered.startswith("@data"):
-                    in_data = True
-                elif lowered.startswith("@relation"):
-                    continue
-                else:
-                    raise ParseError(f"{path.name}:{lineno}: unexpected header line {line!r}")
+            lowered = line.lower()
+            if lowered.startswith("@attribute"):
+                match = _ATTRIBUTE.match(line)
+                if match is None:
+                    raise ParseError(f"{path.name}:{lineno}: malformed @attribute line")
+                attributes.append(match.group(1).strip("'\""))
+            elif lowered.startswith("@data"):
+                break
+            elif not lowered.startswith("@relation"):
+                raise ParseError(f"{path.name}:{lineno}: unexpected header line {line!r}")
+        else:
+            raise ParseError(f"{path.name}: no @data section")
+        width = len(attributes)
+        for lineno, raw in lines:
+            line = raw.strip()
+            if not line or line[0] == "%":
+                continue
+            if "'" in line:
+                fields = [f.strip().strip("'\"") for f in _split_quoted(line)]
+            elif '"' in line:
+                fields = [f.strip().strip("'\"") for f in next(csv.reader([line]))]
             else:
-                if "'" in line:
-                    fields = _split_quoted(line)
-                else:
-                    fields = next(csv.reader([line]))
-                fields = [f.strip().strip("'\"") for f in fields]
-                if len(fields) != len(attributes):
-                    raise ParseError(
-                        f"{path.name}:{lineno}: expected {len(attributes)} fields, got {len(fields)}"
-                    )
-                rows.append((lineno, fields))
-    if not in_data:
-        raise ParseError(f"{path.name}: no @data section")
+                fields = line.split(",")
+                # every whitespace character but ' ' is unprintable
+                if " " in line or not line.isprintable():
+                    fields = [f.strip() for f in fields]
+            if len(fields) != width:
+                raise ParseError(f"{path.name}:{lineno}: expected {width} fields, got {len(fields)}")
+            rows.append((lineno, fields))
     if not attributes:
         raise ParseError(f"{path.name}: no @attribute declarations")
     return attributes, rows
 
 
+_NAN = float("nan")
+
+
+def _floats(values) -> list[float]:
+    """float() of each ARFF cell, '?' and '' (missing) as NaN; a bad cell
+    raises a bare ValueError, and the caller rescans for its file:line."""
+    return [float(v) if v != "?" and v else _NAN for v in values]
+
+
 def _float_or_nan(value: str, path: Path, lineno: int) -> float:
     if value == "?" or value == "":
-        return float("nan")
+        return _NAN
     try:
         return float(value)
     except ValueError:
         raise ParseError(f"{path.name}:{lineno}: not a number: {value!r}") from None
+
+
+def _raise_bad_feature(rows, cols: list[int], path: Path) -> NoReturn:
+    """Raise the error of the first feature cell, in file order, that is not
+    a number or is infinite."""
+    for lineno, fields in rows:
+        for c in cols:
+            if math.isinf(_float_or_nan(fields[c], path, lineno)):
+                raise ParseError(f"{path.name}:{lineno}: infinite feature value: {fields[c]!r}")
+    raise AssertionError("no bad feature cell")
+
+
+def _raise_bad_run(rows, cols: tuple[int, int, int], index_of: dict, algo_index: dict,
+                   path: Path) -> NoReturn:
+    """Raise the error of the first bad row of the runs file: an unknown
+    algorithm, or a runtime that is not a number in the first row of its
+    (instance, algorithm) pair. Rows of unknown instances are not read."""
+    r_inst, r_algo, r_perf = cols
+    seen = set()
+    for lineno, fields in rows:
+        if fields[r_inst] not in index_of:
+            continue
+        pair = (fields[r_inst], fields[r_algo])
+        if pair[1] not in algo_index:
+            raise ParseError(f"{path.name}:{lineno}: unknown algorithm {pair[1]!r}")
+        if pair not in seen:
+            seen.add(pair)
+            _float_or_nan(fields[r_perf], path, lineno)
+    raise AssertionError("no bad run row")
 
 
 def _require_column(attributes: list[str], name: str, path: Path) -> int:
@@ -318,12 +378,16 @@ def parse_scenario(directory) -> Scenario:
         raise ParseError(f"{DESCRIPTION_FILE}: algorithm_cutoff_time is not a number") from None
     if cutoff <= 0:
         raise ParseError(f"{DESCRIPTION_FILE}: algorithm_cutoff_time must be positive")
+    if isinstance(meta["algorithm_cutoff_time"], bool) or not math.isfinite(cutoff):
+        raise ParseError(
+            f"{DESCRIPTION_FILE}: algorithm_cutoff_time must be a positive finite number")
     perf_measure = meta.get("performance_measures", "runtime")
     if isinstance(perf_measure, list):
         perf_measure = perf_measure[0] if perf_measure else "runtime"
     perf_measure = str(perf_measure).strip().lower()
 
-    # Feature values: instance order is fixed here.
+    # Feature values: instance order is fixed here, and each instance keeps
+    # its first repetition only.
     fpath = paths[FEATURES_FILE]
     fattrs, frows = _read_arff(fpath)
     inst_col = _require_column(fattrs, "instance_id", fpath)
@@ -334,19 +398,20 @@ def parse_scenario(directory) -> Scenario:
         raise ParseError(f"{fpath.name}: no feature columns")
     feature_names = tuple(fattrs[i] for i in feature_cols)
 
-    instance_ids: list[str] = []
-    index_of: dict[str, int] = {}
-    feature_rows: list[list[float]] = []
-    for lineno, fields in frows:
-        inst = fields[inst_col]
-        if inst in index_of:
-            continue  # keep the first repetition only
-        index_of[inst] = len(instance_ids)
-        instance_ids.append(inst)
-        feature_rows.append([_float_or_nan(fields[c], fpath, lineno) for c in feature_cols])
-    if not instance_ids:
+    first_rows: dict[str, tuple[int, list[str]]] = {}
+    for row in frows:
+        first_rows.setdefault(row[1][inst_col], row)
+    if not first_rows:
         raise ParseError(f"{fpath.name}: no data rows")
-    features = np.asarray(feature_rows, dtype=float)
+    instance_ids = tuple(first_rows)
+    index_of = {inst: i for i, inst in enumerate(instance_ids)}
+    try:
+        features = np.array([_floats(map(fields.__getitem__, feature_cols))
+                             for _, fields in first_rows.values()], dtype=float)
+    except ValueError:
+        features = None
+    if features is None or np.isinf(features).any():
+        _raise_bad_feature(first_rows.values(), feature_cols, fpath)
     n = len(instance_ids)
 
     # Algorithm runs.
@@ -377,28 +442,31 @@ def parse_scenario(directory) -> Scenario:
     algo_index = {a: j for j, a in enumerate(algorithm_names)}
     k = len(algorithm_names)
 
-    performances = np.full((n, k), cutoff, dtype=float)
-    run_ok = np.zeros((n, k), dtype=bool)
-    filled = np.zeros((n, k), dtype=bool)
-    run_instances: set[str] = set()
-    for lineno, fields in rrows:
-        inst = fields[r_inst]
-        run_instances.add(inst)
-        if inst not in index_of:
-            continue  # reported below as a set mismatch
-        algo = fields[r_algo]
-        if algo not in algo_index:
-            raise ParseError(f"{rpath.name}:{lineno}: unknown algorithm {algo!r}")
-        i, j = index_of[inst], algo_index[algo]
-        if filled[i, j]:
-            continue  # first repetition wins
-        filled[i, j] = True
-        status_ok = fields[r_status].strip().lower() == "ok"
-        runtime = _float_or_nan(fields[r_perf], rpath, lineno)
-        if status_ok and np.isfinite(runtime) and runtime >= 0:
-            run_ok[i, j] = True
-            performances[i, j] = min(runtime, cutoff)
-        # otherwise keep the cutoff-clamped default (missing-evaluation policy)
+    # Rows of unknown instances are reported below as a set mismatch; the
+    # first row of each (instance, algorithm) pair wins.
+    run_inst = [fields[r_inst] for _, fields in rrows]
+    row_i = np.array([index_of.get(inst, -1) for inst in run_inst], dtype=np.int64)
+    row_j = np.array([algo_index.get(fields[r_algo], -1) for _, fields in rrows], dtype=np.int64)
+    known = row_i >= 0
+    if (row_j[known] < 0).any():
+        _raise_bad_run(rrows, (r_inst, r_algo, r_perf), index_of, algo_index, rpath)
+    pairs, first = np.unique(np.where(known, row_i * k + row_j, -1), return_index=True)
+    read = pairs >= 0  # key -1 gathers the rows of unknown instances
+    pairs, first = pairs[read], first[read].tolist()
+    try:
+        runtime = np.array(_floats(rrows[r][1][r_perf] for r in first), dtype=float)
+    except ValueError:
+        _raise_bad_run(rrows, (r_inst, r_algo, r_perf), index_of, algo_index, rpath)
+    ok = np.array([rrows[r][1][r_status].strip().lower() == "ok" for r in first], dtype=bool)
+    ok &= np.isfinite(runtime) & (runtime >= 0)
+    # a pair without a finished run keeps the cutoff (missing-evaluation policy)
+    performances = np.full(n * k, cutoff, dtype=float)
+    run_ok = np.zeros(n * k, dtype=bool)
+    done = pairs[ok]
+    performances[done] = np.minimum(runtime[ok], cutoff)
+    run_ok[done] = True
+    performances, run_ok = performances.reshape(n, k), run_ok.reshape(n, k)
+    run_instances = set(run_inst)
     if run_instances != set(instance_ids):
         raise ConsistencyError(
             f"{rpath.name}: instance set differs from {fpath.name} "
@@ -419,9 +487,12 @@ def parse_scenario(directory) -> Scenario:
         if inst not in index_of:
             continue
         try:
-            fold = int(float(fields[c_fold]))
+            fold = float(fields[c_fold])
         except ValueError:
-            raise ParseError(f"{cpath.name}:{lineno}: not a fold id: {fields[c_fold]!r}") from None
+            fold = None
+        if fold is None or not fold.is_integer():
+            raise ParseError(f"{cpath.name}:{lineno}: not a fold id: {fields[c_fold]!r}")
+        fold = int(fold)
         if not 1 <= fold <= N_FOLDS:
             raise ParseError(f"{cpath.name}:{lineno}: fold {fold} outside 1..{N_FOLDS}")
         i = index_of[inst]

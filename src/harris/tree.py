@@ -277,12 +277,18 @@ def build_tree(features, labels, config: TreeConfig, rng: np.random.Generator) -
     return grow(np.arange(X.shape[0]), 0)
 
 
-def predict_leaf(tree: TreeNode, x) -> NodeLabels:
-    """Route an instance down the tree (<= goes left) to its leaf labels."""
-    x = np.asarray(x, dtype=float)
+def predict_leaf(tree: TreeNode, row) -> NodeLabels:
+    """Route an instance down the tree (<= goes left) to its leaf labels.
+
+    A row that is not a list is first converted to a list of floats, which
+    index and compare faster than numpy scalars; to route one row down many
+    trees, convert it once and pass the list.
+    """
+    if not isinstance(row, list):
+        row = np.asarray(row, dtype=float).tolist()
     node = tree
     while isinstance(node, Internal):
-        node = node.left if x[node.feature_index] <= node.split_point else node.right
+        node = node.left if row[node.feature_index] <= node.split_point else node.right
     return node.labels
 
 

@@ -4,14 +4,23 @@ Everything here recomputes results from first principles (counting ranks,
 O(k^2) pair counts, plain exhaustive enumeration) rather than reusing the
 package's search or metric code, so tests compare two genuinely separate
 routes. The split enumerator reuses only the scalar loss primitives, which
-are themselves verified against the brute-force metrics in this module.
+are themselves verified against the brute-force metrics in this module. The
+reference scenario parser is the package's earlier per-row parser, kept to
+pin the vectorised one to the same arrays and the same errors.
 """
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
+import yaml
 
+from harris.errors import ConsistencyError, ParseError
 from harris.losses import mse_loss, rank_vector, spearman_loss
+from harris.scenario import (_ATTRIBUTE, CV_FILE, DESCRIPTION_FILE, FEATURES_FILE,
+                             N_FOLDS, RUNS_FILE, Scenario, _algorithms_from_description,
+                             _require_column, _split_quoted)
 
 # Two candidate split losses within this tolerance are treated as one
 # mathematical tie; resolved by lowest feature index, then lowest split point.
@@ -323,3 +332,223 @@ def random_split_dataset(rng, max_n=20, max_p=3, max_k=4):
     if rng.random() < 0.4:
         Y = np.round(Y, 1)  # inject rank ties
     return X, Y
+
+
+# --- reference ASLib parser ---------------------------------------------------
+# The per-row scenario parser as it stood before the run table and feature block
+# were vectorised, kept verbatim (renamed) so that a property test can compare
+# the two on generated directories: same arrays, ids and names, and the same
+# error type and message for the same bad input. It shares only the unchanged
+# quoting, column and algorithm-list helpers with the package.
+
+
+def _reference_read_arff(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Minimal ARFF reader: attribute names plus (line_number, fields) rows.
+
+    Only the subset ASLib uses is supported: @relation/@attribute headers and
+    comma-separated @data rows, with '%' comments and names or fields quoted
+    with ' or ".
+    """
+    attributes: list[str] = []
+    rows: list[tuple[int, list[str]]] = []
+    in_data = False
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("%"):
+                continue
+            if not in_data:
+                lowered = line.lower()
+                if lowered.startswith("@attribute"):
+                    match = _ATTRIBUTE.match(line)
+                    if match is None:
+                        raise ParseError(f"{path.name}:{lineno}: malformed @attribute line")
+                    attributes.append(match.group(1).strip("'\""))
+                elif lowered.startswith("@data"):
+                    in_data = True
+                elif lowered.startswith("@relation"):
+                    continue
+                else:
+                    raise ParseError(f"{path.name}:{lineno}: unexpected header line {line!r}")
+            else:
+                if "'" in line:
+                    fields = _split_quoted(line)
+                else:
+                    fields = next(csv.reader([line]))
+                fields = [f.strip().strip("'\"") for f in fields]
+                if len(fields) != len(attributes):
+                    raise ParseError(
+                        f"{path.name}:{lineno}: expected {len(attributes)} fields, got {len(fields)}"
+                    )
+                rows.append((lineno, fields))
+    if not in_data:
+        raise ParseError(f"{path.name}: no @data section")
+    if not attributes:
+        raise ParseError(f"{path.name}: no @attribute declarations")
+    return attributes, rows
+
+
+def _reference_float_or_nan(value: str, path: Path, lineno: int) -> float:
+    if value == "?" or value == "":
+        return float("nan")
+    try:
+        return float(value)
+    except ValueError:
+        raise ParseError(f"{path.name}:{lineno}: not a number: {value!r}") from None
+
+
+
+def reference_parse_scenario(directory) -> Scenario:
+    """Parse an ASLib-style scenario directory into a Scenario.
+
+    Raises ParseError for missing/malformed files and ConsistencyError when
+    the files disagree about the instance set.
+    """
+    root = Path(directory)
+    paths = {}
+    for fname in (DESCRIPTION_FILE, FEATURES_FILE, RUNS_FILE, CV_FILE):
+        p = root / fname
+        if not p.is_file():
+            raise ParseError(f"missing required file {fname} in {root}")
+        paths[fname] = p
+
+    try:
+        meta = yaml.safe_load(paths[DESCRIPTION_FILE].read_text(encoding="utf-8"))
+    except yaml.YAMLError as exc:
+        raise ParseError(f"{DESCRIPTION_FILE}: invalid YAML: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ParseError(f"{DESCRIPTION_FILE}: expected a YAML mapping")
+    if "algorithm_cutoff_time" not in meta:
+        raise ParseError(f"{DESCRIPTION_FILE}: missing algorithm_cutoff_time")
+    try:
+        cutoff = float(meta["algorithm_cutoff_time"])
+    except (TypeError, ValueError):
+        raise ParseError(f"{DESCRIPTION_FILE}: algorithm_cutoff_time is not a number") from None
+    if cutoff <= 0:
+        raise ParseError(f"{DESCRIPTION_FILE}: algorithm_cutoff_time must be positive")
+    perf_measure = meta.get("performance_measures", "runtime")
+    if isinstance(perf_measure, list):
+        perf_measure = perf_measure[0] if perf_measure else "runtime"
+    perf_measure = str(perf_measure).strip().lower()
+
+    # Feature values: instance order is fixed here.
+    fpath = paths[FEATURES_FILE]
+    fattrs, frows = _reference_read_arff(fpath)
+    inst_col = _require_column(fattrs, "instance_id", fpath)
+    rep_col = next((i for i, a in enumerate(fattrs) if a.lower() == "repetition"), None)
+    skip = {inst_col} | ({rep_col} if rep_col is not None else set())
+    feature_cols = [i for i in range(len(fattrs)) if i not in skip]
+    if not feature_cols:
+        raise ParseError(f"{fpath.name}: no feature columns")
+    feature_names = tuple(fattrs[i] for i in feature_cols)
+
+    instance_ids: list[str] = []
+    index_of: dict[str, int] = {}
+    feature_rows: list[list[float]] = []
+    for lineno, fields in frows:
+        inst = fields[inst_col]
+        if inst in index_of:
+            continue  # keep the first repetition only
+        index_of[inst] = len(instance_ids)
+        instance_ids.append(inst)
+        feature_rows.append([_reference_float_or_nan(fields[c], fpath, lineno) for c in feature_cols])
+    if not instance_ids:
+        raise ParseError(f"{fpath.name}: no data rows")
+    features = np.asarray(feature_rows, dtype=float)
+    n = len(instance_ids)
+
+    # Algorithm runs.
+    rpath = paths[RUNS_FILE]
+    rattrs, rrows = _reference_read_arff(rpath)
+    r_inst = _require_column(rattrs, "instance_id", rpath)
+    r_algo = _require_column(rattrs, "algorithm", rpath)
+    r_status = _require_column(rattrs, "runstatus", rpath)
+    lowered = [a.lower() for a in rattrs]
+    if perf_measure in lowered:
+        r_perf = lowered.index(perf_measure)
+    else:
+        reserved = {r_inst, r_algo, r_status}
+        reserved |= {i for i, a in enumerate(lowered) if a == "repetition"}
+        leftovers = [i for i in range(len(rattrs)) if i not in reserved]
+        if not leftovers:
+            raise ParseError(f"{rpath.name}: no performance column found")
+        r_perf = leftovers[0]
+
+    algorithm_names = _algorithms_from_description(meta)
+    if not algorithm_names:
+        seen: dict[str, None] = {}
+        for _, fields in rrows:
+            seen.setdefault(fields[r_algo], None)
+        algorithm_names = list(seen)
+    if len(algorithm_names) < 2:
+        raise ParseError(f"{rpath.name}: need at least two algorithms")
+    algo_index = {a: j for j, a in enumerate(algorithm_names)}
+    k = len(algorithm_names)
+
+    performances = np.full((n, k), cutoff, dtype=float)
+    run_ok = np.zeros((n, k), dtype=bool)
+    filled = np.zeros((n, k), dtype=bool)
+    run_instances: set[str] = set()
+    for lineno, fields in rrows:
+        inst = fields[r_inst]
+        run_instances.add(inst)
+        if inst not in index_of:
+            continue  # reported below as a set mismatch
+        algo = fields[r_algo]
+        if algo not in algo_index:
+            raise ParseError(f"{rpath.name}:{lineno}: unknown algorithm {algo!r}")
+        i, j = index_of[inst], algo_index[algo]
+        if filled[i, j]:
+            continue  # first repetition wins
+        filled[i, j] = True
+        status_ok = fields[r_status].strip().lower() == "ok"
+        runtime = _reference_float_or_nan(fields[r_perf], rpath, lineno)
+        if status_ok and np.isfinite(runtime) and runtime >= 0:
+            run_ok[i, j] = True
+            performances[i, j] = min(runtime, cutoff)
+        # otherwise keep the cutoff-clamped default (missing-evaluation policy)
+    if run_instances != set(instance_ids):
+        raise ConsistencyError(
+            f"{rpath.name}: instance set differs from {fpath.name} "
+            f"({len(run_instances)} vs {n} instances)"
+        )
+
+    # CV folds.
+    cpath = paths[CV_FILE]
+    cattrs, crows = _reference_read_arff(cpath)
+    c_inst = _require_column(cattrs, "instance_id", cpath)
+    c_fold = _require_column(cattrs, "fold", cpath)
+    fold_of = np.zeros(n, dtype=int)
+    have_fold = np.zeros(n, dtype=bool)
+    cv_instances: set[str] = set()
+    for lineno, fields in crows:
+        inst = fields[c_inst]
+        cv_instances.add(inst)
+        if inst not in index_of:
+            continue
+        try:
+            fold = int(float(fields[c_fold]))
+        except ValueError:
+            raise ParseError(f"{cpath.name}:{lineno}: not a fold id: {fields[c_fold]!r}") from None
+        if not 1 <= fold <= N_FOLDS:
+            raise ParseError(f"{cpath.name}:{lineno}: fold {fold} outside 1..{N_FOLDS}")
+        i = index_of[inst]
+        if not have_fold[i]:
+            fold_of[i] = fold
+            have_fold[i] = True
+    if cv_instances != set(instance_ids) or not have_fold.all():
+        raise ConsistencyError(
+            f"{cpath.name}: instance set differs from {fpath.name}"
+        )
+
+    return Scenario(
+        name=str(meta.get("scenario_id", root.name)),
+        algorithm_names=tuple(algorithm_names),
+        feature_names=feature_names,
+        features=features,
+        performances=performances,
+        run_ok=run_ok,
+        cutoff=cutoff,
+        fold_of=fold_of,
+        instance_ids=tuple(instance_ids),
+    )

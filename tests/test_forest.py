@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from harris.errors import DomainError, ModelFormatError
@@ -11,7 +13,7 @@ from harris.forest import (ForestConfig, HybridForest, fit_forest, forest_to_dic
 from harris.labels import NodeLabels
 from harris.scenario import ScaleParams
 from harris.synthetic import make_synthetic_scenario
-from harris.tree import Leaf, TreeConfig, build_tree
+from harris.tree import Internal, Leaf, TreeConfig, build_tree, predict_leaf
 
 PURE_X = np.array([[0.0], [1.0], [2.0], [3.0]])
 PURE_Y = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
@@ -112,6 +114,52 @@ class TestPrediction:
         for i in range(scn.n_instances):
             assert select_algorithm(forest, scn.features[i]) \
                 == int(np.argmin(scn.performances[i]))
+
+
+# split points and row values share one grid, so rows land on splits exactly
+GRID = [-1.0, -0.0, 0.0, 5e-324, 0.25, 0.5, 1.0, 1e300]
+
+
+@st.composite
+def forests_and_rows(draw):
+    """A random small forest and a row drawn from its split-point grid (NaN too)."""
+    p = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
+    labels = st.lists(st.floats(-1e6, 1e6), min_size=k, max_size=k)
+
+    def tree(depth):
+        if depth == 0 or draw(st.integers(0, 3)) == 0:
+            reg = np.array(draw(labels))
+            return Leaf(NodeLabels(regression=reg, ranking=reg.copy()), size=1)
+        return Internal(feature_index=draw(st.integers(0, p - 1)),
+                        split_point=draw(st.sampled_from(GRID)),
+                        left=tree(depth - 1), right=tree(depth - 1))
+
+    trees = tuple(tree(4) for _ in range(draw(st.integers(1, 7))))
+    forest = HybridForest(trees=trees, config=ForestConfig(n_trees=len(trees)),
+                          scale=ScaleParams(0.0, 1.0),
+                          algorithm_names=tuple(f"a{j}" for j in range(k)), n_features=p)
+    row = draw(st.lists(st.sampled_from(GRID + [float("nan")]), min_size=p, max_size=p))
+    return forest, row
+
+
+class TestRouting:
+    @settings(deadline=None, max_examples=100)
+    @given(forests_and_rows(), st.sampled_from([list, np.array]))
+    def test_predict_costs_is_mean_of_leaf_labels(self, forest_row, as_input):
+        forest, row = forest_row
+        x = as_input(row)
+        expected = np.mean([predict_leaf(t, np.array(row)).regression for t in forest.trees],
+                           axis=0)
+        assert predict_costs(forest, x).tobytes() == expected.tobytes()
+
+    def test_split_point_goes_left(self):
+        tree = Internal(feature_index=0, split_point=0.5,
+                        left=Leaf(NodeLabels(np.array([1.0]), np.array([1.0])), 1),
+                        right=Leaf(NodeLabels(np.array([2.0]), np.array([1.0])), 1))
+        assert [predict_leaf(tree, x).regression[0]
+                for x in ([0.5], np.array([0.5]), [np.nextafter(0.5, 1)], [np.nan])] == [
+                    1.0, 1.0, 2.0, 2.0]
 
 
 class TestScaleEquivariance:

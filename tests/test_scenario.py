@@ -1,8 +1,13 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from aslib_writer import Table, write_aslib
 from harris.errors import ConsistencyError, DomainError, EmptyScenarioError, ParseError
 from harris.losses import rank_vector
 from harris.scenario import (ScaleParams, Scenario, _read_arff, column_medians,
@@ -10,6 +15,13 @@ from harris.scenario import (ScaleParams, Scenario, _read_arff, column_medians,
                              parse_scenario, scale_performances)
 
 runtimes = st.floats(min_value=0, max_value=5000, allow_nan=False)
+
+# conftest's demo feature file; its last row is line 9
+DEMO_FEATURES = (
+    "@relation demo_features\n@attribute instance_id string\n"
+    "@attribute repetition numeric\n@attribute width numeric\n@attribute height numeric\n"
+    "@data\ninst1,1,1.0,10.0\ninst2,1,2.0,?\ninst3,1,3.0,30.0\n"
+)
 
 
 class TestPar10:
@@ -198,6 +210,43 @@ class TestParseScenario:
         with pytest.raises(ParseError, match="cv.arff:7"):
             parse_scenario(aslib_dir_factory(cv=cv))
 
+    @pytest.mark.parametrize("fold", ["inf", "-inf", "nan", "1.7"])
+    def test_non_integral_fold_value(self, aslib_dir_factory, fold):
+        cv = ("@relation c\n@attribute instance_id string\n@attribute repetition numeric\n"
+              f"@attribute fold numeric\n@data\ninst1,1,1\ninst2,1,{fold}\ninst3,1,3\n")
+        with pytest.raises(ParseError, match=f"cv.arff:7: not a fold id: '{fold}'"):
+            parse_scenario(aslib_dir_factory(cv=cv))
+
+    def test_integral_float_fold_value(self, aslib_dir_factory):
+        cv = ("@relation c\n@attribute instance_id string\n@attribute repetition numeric\n"
+              "@attribute fold numeric\n@data\ninst1,1,1\ninst2,1,3.0\ninst3,1,3\n")
+        assert parse_scenario(aslib_dir_factory(cv=cv)).fold_of.tolist() == [1, 3, 3]
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "1e999"])
+    def test_infinite_feature_value(self, aslib_dir_factory, value):
+        features = DEMO_FEATURES.replace("inst3,1,3.0,30.0", f"inst3,1,3.0,{value}")
+        with pytest.raises(ParseError,
+                           match=f"feature_values.arff:9: infinite feature value: '{value}'"):
+            parse_scenario(aslib_dir_factory(features=features))
+
+    def test_nan_feature_value_is_missing(self, aslib_dir_factory):
+        features = DEMO_FEATURES.replace("inst3,1,3.0,30.0", "inst3,1,3.0,nan")
+        assert np.isnan(parse_scenario(aslib_dir_factory(features=features)).features[2, 1])
+
+    def test_infinite_value_in_later_repetition_is_not_read(self, aslib_dir_factory):
+        features = DEMO_FEATURES + "inst3,2,inf,oops\n"
+        scn = parse_scenario(aslib_dir_factory(features=features))
+        assert scn.features[2].tolist() == [3.0, 30.0]
+
+    @pytest.mark.parametrize("cutoff", [".inf", ".nan", "true"])
+    def test_cutoff_not_a_positive_finite_number(self, aslib_dir_factory, cutoff):
+        description = ("scenario_id: demo\nalgorithms_deterministic: solver_a,solver_b\n"
+                       f"algorithm_cutoff_time: {cutoff}\n")
+        with pytest.raises(ParseError) as info:
+            parse_scenario(aslib_dir_factory(description=description))
+        assert str(info.value) == (
+            "description.txt: algorithm_cutoff_time must be a positive finite number")
+
     def test_missing_cutoff(self, aslib_dir_factory):
         with pytest.raises(ParseError, match="algorithm_cutoff_time"):
             parse_scenario(aslib_dir_factory(description="scenario_id: demo\n"))
@@ -231,3 +280,149 @@ class TestReadArff:
         _, rows = _read_arff(path)
         assert rows == [(5, ["a,b", "1"]), (6, ["c,d", "2"]), (7, ["plain", "3"]),
                         (8, ["c,d", "a,b"])]
+
+
+# --- parser equivalence --------------------------------------------------------
+
+PADS = st.sampled_from(["", "", "", " ", "  ", "\t", "\xa0", " \t"])
+QUOTES = st.sampled_from(["", "", "", "'", '"'])
+NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-3, 3000).map(str),
+    st.sampled_from(["?", "", "nan", "-0.0", "+2.5", "1e3", "1_0", " 7 "]),
+)
+# cells the parser never converts: later repetitions, rows of unknown instances
+UNREAD_CELLS = st.one_of(NUMBER_CELLS, st.sampled_from(["oops", "inf", "-inf", "1e999"]))
+NAMES = ["i0", "i1", "inst 2", "x_3", "i4", "I5", "n6"]
+
+
+@st.composite
+def decorated(draw, relation, attributes, rows):
+    """A Table of these rows with drawn quotes, padding and comment lines."""
+    table = Table(relation, attributes, rows)
+    for r, row in enumerate(rows):
+        if draw(st.integers(0, 5)) == 0:
+            table.extras[r] = draw(st.lists(
+                st.sampled_from(["", "   ", "\t", "% note", "  % x, 'y'", "%"]),
+                min_size=1, max_size=2))
+        if draw(st.booleans()):
+            for c in range(len(row)):
+                table.styles[r, c] = (draw(PADS), draw(QUOTES), draw(PADS))
+    return table
+
+
+@st.composite
+def scenario_dirs(draw, broken: bool):
+    """Text of an ASLib directory: repeated instances in all three files,
+    missing and repeated runs, shuffled rows and run columns. With `broken`,
+    the draw may also add a non-numeric cell, a wrong field count, an unknown
+    algorithm, or rows of unknown instances."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(2, 4))
+    p = draw(st.integers(1, 3))
+    insts = NAMES[:n]
+    algos = [f"a{j}" for j in range(k)]
+
+    frows = draw(st.permutations([[inst, str(rep + 1)] for inst in insts
+                                  for rep in range(draw(st.integers(1, 2)))]))
+    seen = set()
+    for row in frows:  # the first row of an instance in file order is the one read
+        cells = UNREAD_CELLS if row[0] in seen else NUMBER_CELLS
+        seen.add(row[0])
+        row += [draw(cells) for _ in range(p)]
+    fattrs = ["instance_id", "repetition"] + [f"f{c}" for c in range(p)]
+
+    run_cols = draw(st.permutations(["instance_id", "repetition", "algorithm", "runtime",
+                                     "runstatus"]))
+    status = st.sampled_from(["ok", "ok", "OK", " ok", "Ok\t", "timeout", "memout", "crash"])
+    listed = draw(st.booleans())
+    runs = []
+    for i, inst in enumerate(insts):
+        for j, algo in enumerate(algos):
+            # every instance has a run, and every algorithm one unless listed
+            fewest = 1 if j == 0 or (i == 0 and not listed) else 0
+            runs += [(inst, algo, rep) for rep in range(draw(st.integers(fewest, 2)))]
+    rrows = []
+    seen = set()
+    for inst, algo, rep in draw(st.permutations(runs)):
+        cell = {"instance_id": inst, "repetition": str(rep + 1), "algorithm": algo,
+                "runtime": draw(UNREAD_CELLS if (inst, algo) in seen else NUMBER_CELLS),
+                "runstatus": draw(status)}
+        seen.add((inst, algo))
+        rrows.append([cell[c] for c in run_cols])
+
+    crows = []
+    for inst in insts:
+        for rep in range(draw(st.integers(1, 2))):
+            fold = draw(st.integers(1, 10))
+            crows.append([inst, str(rep + 1), draw(st.sampled_from([str(fold), f"{fold}.0"]))])
+    crows = draw(st.permutations(crows))
+
+    description = "scenario_id: gen\nperformance_measures: runtime\n"
+    description += f"algorithm_cutoff_time: {draw(st.sampled_from(['100', '7.5', '1e3']))}\n"
+    if listed:
+        description += f"algorithms_deterministic: {','.join(algos)}\n"
+
+    cv_cols = ["instance_id", "repetition", "fold"]
+    if broken:  # every table has a row for each instance, so none is empty
+        kinds = draw(st.lists(st.sampled_from(["cell", "width", "algorithm", "ghost", "fold"]),
+                              min_size=1, max_size=2))
+        for kind in sorted(kinds, key=lambda kind: kind == "width"):  # widths last
+            if kind == "cell":
+                rows, col = draw(st.sampled_from([(frows, 2 + draw(st.integers(0, p - 1))),
+                                                  (rrows, run_cols.index("runtime"))]))
+                draw(st.sampled_from(rows))[col] = draw(st.sampled_from(["oops", "1.2.3", "--1"]))
+            elif kind == "width":
+                row = draw(st.sampled_from(draw(st.sampled_from([frows, rrows, crows]))))
+                if draw(st.booleans()):
+                    row.append("1")
+                else:
+                    row.pop()
+            elif kind == "algorithm":
+                draw(st.sampled_from(rrows))[run_cols.index("algorithm")] = "zz"
+            elif kind == "ghost":
+                rows, cols = draw(st.sampled_from([(rrows, run_cols), (crows, cv_cols)]))
+                ghost = {"instance_id": "ghost", "repetition": "1", "algorithm": "zz",
+                         "runtime": "oops", "runstatus": "ok", "fold": "99"}
+                rows.insert(draw(st.integers(0, len(rows))), [ghost[c] for c in cols])
+            else:
+                draw(st.sampled_from(crows))[2] = draw(st.sampled_from(["0", "11", "x"]))
+
+    return (description,
+            draw(decorated("features", fattrs, frows)),
+            draw(decorated("runs", run_cols, rrows)),
+            draw(decorated("cv", cv_cols, crows)))
+
+
+def parse_outcome(parse, root):
+    """Everything a parse yields, as comparable values: the scenario's names,
+    ids and array bytes (NaN positions included), or the error raised."""
+    try:
+        scn = parse(root)
+    except Exception as exc:
+        return type(exc), str(exc)
+    arrays = (scn.features, scn.performances, scn.run_ok, scn.fold_of)
+    return (scn.name, scn.algorithm_names, scn.feature_names, scn.instance_ids, scn.cutoff,
+            [(a.dtype.str, a.shape, a.tobytes()) for a in arrays])
+
+
+class TestParserEquivalence:
+    """parse_scenario against the per-row reference parser of tests/oracles.py."""
+
+    def check(self, texts):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = write_aslib(Path(tmp) / "scn", *texts)
+            ours = parse_outcome(parse_scenario, root)
+            assert ours == parse_outcome(oracles.reference_parse_scenario, root)
+        return ours
+
+    @settings(deadline=None, max_examples=100)
+    @given(scenario_dirs(broken=False))
+    def test_same_scenario_on_valid_directories(self, texts):
+        outcome = self.check(texts)
+        assert not isinstance(outcome[0], type), outcome
+
+    @settings(deadline=None, max_examples=100)
+    @given(scenario_dirs(broken=True))
+    def test_same_error_on_broken_directories(self, texts):
+        self.check(texts)
