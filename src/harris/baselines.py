@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import DomainError
-from .forest import ForestConfig, fit_forest, predict_costs
+from .forest import ForestConfig, fit_forest, fit_forests, predict_costs
 from .scenario import ScaleParams
 from .tree import TreeConfig
 
@@ -79,10 +79,12 @@ class _SubForestSelector(Selector):
             tree=TreeConfig(lam=0.0, max_depth=max_depth, features_per_split="sqrt"),
         )
 
-    def _fit_sub_forest(self, X, target, index: int):
-        """Sub-forest number `index` on one target column, seeded from (seed, index)."""
-        config = replace(self.config, seed=_derived_seed(self.config.seed, index))
-        return fit_forest(X, target[:, None], config)
+    def _fit_sub_forests(self, X, targets):
+        """One sub-forest per column j of targets, seeded from (seed, j); all
+        their trees grow together."""
+        configs = [replace(self.config, seed=_derived_seed(self.config.seed, j))
+                   for j in range(targets.shape[1])]
+        return fit_forests(X, [targets[:, j:j + 1] for j in range(targets.shape[1])], configs)
 
 
 class RegressionForestSelector(_SubForestSelector):
@@ -93,11 +95,12 @@ class RegressionForestSelector(_SubForestSelector):
 
     def fit(self, features, costs, *, scale=None, algorithm_names=None):
         X, Y = _checked_training_data(features, costs)
-        self.forests = [self._fit_sub_forest(X, Y[:, j], j) for j in range(Y.shape[1])]
+        self.forests = self._fit_sub_forests(X, Y)
         return self
 
     def predicted_costs(self, x):
-        return np.array([float(predict_costs(f, x)[0]) for f in self.forests])
+        row = np.asarray(x, dtype=float).tolist()
+        return np.array([float(predict_costs(f, row)[0]) for f in self.forests])
 
 
 class PairwiseVotingSelector(_SubForestSelector):
@@ -119,15 +122,17 @@ class PairwiseVotingSelector(_SubForestSelector):
         if k < 2:
             raise DomainError("pairwise voting needs at least two algorithms")
         self.n_algorithms = k
-        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-        self.models = [(i, j, self._fit_sub_forest(X, Y[:, i] - Y[:, j], pair_index))
-                       for pair_index, (i, j) in enumerate(pairs)]
+        first, second = np.triu_indices(k, 1)  # pairs (i, j), i < j, row by row
+        forests = self._fit_sub_forests(X, Y[:, first] - Y[:, second])
+        self.models = [(int(i), int(j), forest)
+                       for i, j, forest in zip(first, second, forests)]
         return self
 
     def select(self, x) -> int:
         votes = np.zeros(self.n_algorithms, dtype=int)
+        row = np.asarray(x, dtype=float).tolist()
         for i, j, forest in self.models:
-            diff = float(predict_costs(forest, x)[0])
+            diff = float(predict_costs(forest, row)[0])
             if diff < 0.0:
                 votes[i] += 1
             elif diff > 0.0:
@@ -203,18 +208,20 @@ def _kmeans(Z, k, rng):
     best = None
     for _ in range(KMEANS_RESTARTS):
         centroids = Z[rng.choice(n, size=k, replace=False)].copy()
-        assignment = np.zeros(n, dtype=int)
         for _ in range(KMEANS_MAX_ITER):
             d2 = ((Z[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
             assignment = d2.argmin(axis=1)
+            # each cluster's rows, in row order, as one contiguous slice
+            members = Z[np.argsort(assignment, kind="stable")]
+            counts = np.bincount(assignment, minlength=k)
+            ends = np.cumsum(counts)
             moved = False
             for c in range(k):
-                members = assignment == c
-                if members.any():
-                    center = Z[members].mean(axis=0)
+                if counts[c]:
+                    center = members[ends[c] - counts[c]:ends[c]].mean(axis=0)
                 else:
                     center = Z[rng.integers(0, n)]  # re-seed an empty cluster
-                if not np.array_equal(center, centroids[c]):
+                if (center != centroids[c]).any():
                     centroids[c] = center
                     moved = True
             if not moved:

@@ -1,9 +1,11 @@
 """Bagged ensembles of hybrid trees.
 
 Each tree draws its RNG stream from (seed, tree_number), so forests are
-reproducible no matter in which order the trees are built. Prediction
-averages the trees' regression leaf labels; the Borda leaf rankings stay
-available per tree for diagnostics.
+reproducible no matter in which order the trees are built. fit_forests grows
+every tree of several forests on one feature matrix in one tree.build_trees
+lockstep; each tree keeps only its bootstrap row indices. Prediction averages
+the trees' regression leaf labels; the Borda leaf rankings stay available per
+tree for diagnostics.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .errors import DomainError, ModelFormatError
 from .labels import NodeLabels
 from .scenario import ScaleParams
-from .tree import Internal, Leaf, TreeConfig, TreeNode, build_tree, predict_leaf
+from .tree import Internal, Leaf, TreeConfig, TreeNode, build_trees, predict_leaf
 
 MODEL_FORMAT = "harris-forest"
 MODEL_VERSION = 1
@@ -70,35 +72,52 @@ def fit_forest(features, labels, config: ForestConfig, *,
     and trees differ only through feature subsampling. scale and
     algorithm_names are bookkeeping for reporting in original units.
     """
+    return fit_forests(features, [labels], [config], scale=scale,
+                       algorithm_names=algorithm_names)[0]
+
+
+def fit_forests(features, targets, configs, *, scale: ScaleParams | None = None,
+                algorithm_names=None) -> list[HybridForest]:
+    """fit_forest(features, targets[i], configs[i]) for every i, with all trees
+    of all forests grown together. The configs may differ in everything but
+    their tree config; the targets must have equal widths."""
     X = np.asarray(features, dtype=float)
-    Y = np.atleast_2d(np.asarray(labels, dtype=float))
+    labels = [np.atleast_2d(np.asarray(Y, dtype=float)) for Y in targets]
     n = X.shape[0]
     if n == 0:
         raise DomainError("cannot fit a forest on an empty dataset")
+    if len(labels) != len(configs) or any(c.tree != configs[0].tree for c in configs):
+        raise DomainError("forests fitted together need one target each and one tree config")
     if scale is None:
         scale = ScaleParams(min=0.0, max=1.0)
-    if algorithm_names is None:
-        algorithm_names = tuple(f"algo_{j}" for j in range(Y.shape[1]))
 
-    def build_one(tree_number: int) -> TreeNode:
-        rng = _tree_rng(config.seed, tree_number)
-        if config.bootstrap:
-            idx = rng.integers(0, n, size=n)
-            return build_tree(X[idx], Y[idx], config.tree, rng)
-        return build_tree(X, Y, config.tree, rng)
-
-    return HybridForest(
-        trees=tuple(build_one(t) for t in range(1, config.n_trees + 1)),
-        config=config,
-        scale=scale,
-        algorithm_names=tuple(algorithm_names),
-        n_features=X.shape[1],
-    )
+    jobs = []
+    for target, config in enumerate(configs):
+        for tree_number in range(1, config.n_trees + 1):
+            rng = _tree_rng(config.seed, tree_number)
+            rows = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
+            jobs.append((target, rows, rng))
+    trees = iter(build_trees(X, labels, jobs, configs[0].tree))
+    return [
+        HybridForest(
+            trees=tuple(next(trees) for _ in range(config.n_trees)),
+            config=config,
+            scale=scale,
+            algorithm_names=tuple(algorithm_names if algorithm_names is not None
+                                  else (f"algo_{j}" for j in range(Y.shape[1]))),
+            n_features=X.shape[1],
+        )
+        for Y, config in zip(labels, configs)
+    ]
 
 
 def predict_costs(forest: HybridForest, x) -> np.ndarray:
-    """Mean of the trees' regression leaf labels for one instance."""
-    row = np.asarray(x, dtype=float).tolist()
+    """Mean of the trees' regression leaf labels for one instance.
+
+    A row that is not a list is first converted to a list of floats; to ask
+    many forests about one row, convert it once and pass the list.
+    """
+    row = x if isinstance(x, list) else np.asarray(x, dtype=float).tolist()
     return np.mean([predict_leaf(tree, row).regression for tree in forest.trees], axis=0)
 
 

@@ -262,7 +262,10 @@ def _read_arff(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
             if "'" in line:
                 fields = [f.strip().strip("'\"") for f in _split_quoted(line)]
             elif '"' in line:
-                fields = [f.strip().strip("'\"") for f in next(csv.reader([line]))]
+                try:
+                    fields = [f.strip().strip("'\"") for f in next(csv.reader([line]))]
+                except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+                    raise ParseError(f"{path.name}:{lineno}: unreadable data line: {exc}") from None
             else:
                 fields = line.split(",")
                 # every whitespace character but ' ' is unprintable

@@ -1,20 +1,26 @@
 """Hybrid ranking-and-regression decision trees.
 
-A tree is grown by recursive binary splitting. Split search enumerates every
-candidate feature and every midpoint between consecutive distinct feature
-values, scoring each candidate by the size-weighted hybrid loss of the two
-children with both children's labels (mean vector and Borda consensus)
-recomputed on that side. Rows with feature value <= split point go left.
-A node's candidate columns are scored in one pass: one column-wise sort,
-prefix sums over the sorted rows, and the losses of every real split point
-of every column at once (in blocks of BLOCK_CELLS label cells).
+A tree is grown by binary splitting. Split search enumerates every candidate
+feature and every midpoint between consecutive distinct feature values,
+scoring each candidate by the size-weighted hybrid loss of the two children
+with both children's labels (mean vector and Borda consensus) recomputed on
+that side. Rows with feature value <= split point go left.
+
+build_trees grows many trees in lockstep. Each tree settles its nodes depth
+first, left before right, and draws each split's feature sample from its own
+generator, so every tree is the one a recursive build on its own data would
+grow. Each step takes the next node to split from every unfinished tree and
+scores all of their candidate columns in one pass: one column-wise sort,
+prefix sums over the sorted rows, and the losses of every real split point of
+every column at once (in blocks of BLOCK_CELLS label cells). best_split and
+build_tree are its one-node and one-tree cases.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -28,9 +34,11 @@ from .losses import rank_vector
 # this gap, so only mathematical ties are merged.
 SPLIT_TIE_TOL = 1e-10
 
-# Split search scores a node's candidate columns in blocks of at most this
-# many n x columns x k label cells, which bounds its scratch memory.
-BLOCK_CELLS = 1 << 16
+# Split search scores candidate columns in blocks of at most this many
+# rows x columns x k label cells, which bounds its scratch memory. Blocks of
+# 2**14 to 2**16 cells ran equally fast; the smaller bound keeps a fit of
+# many trees in lockstep near the memory of growing them one at a time.
+BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -87,7 +95,8 @@ class _LabelStats:
     rank_rows holds each instance's average-rank vector; unit_ranks the
     centered, unit-norm version (zero rows for all-tied instances, which
     contribute the neutral 0.5 ranking loss); sq_sums the per-row sum of
-    squared costs for the regression term.
+    squared costs for the regression term. Every quantity is computed row by
+    row, so the stats of stacked label matrices are the stacked stats.
     """
 
     def __init__(self, labels: np.ndarray):
@@ -100,14 +109,6 @@ class _LabelStats:
         unit[nonzero] = centered[nonzero] / norms[nonzero, None]
         self.unit_ranks = unit
         self.sq_sums = (labels ** 2).sum(axis=1)
-
-    def subset(self, idx: np.ndarray) -> "_LabelStats":
-        sub = _LabelStats.__new__(_LabelStats)
-        sub.labels = self.labels[idx]
-        sub.rank_rows = self.rank_rows[idx]
-        sub.unit_ranks = self.unit_ranks[idx]
-        sub.sq_sums = self.sq_sums[idx]
-        return sub
 
 
 def _ranking_means(rank_sums, unit_sums, sizes, k):
@@ -127,54 +128,131 @@ def _ranking_means(rank_sums, unit_sums, sizes, k):
     return np.where(norms == 0.0, 0.5, means)
 
 
-def _candidate_losses(columns, stats: _LabelStats, lam: float):
-    """All candidate splits of an n x m block of feature columns.
+def _candidate_losses(columns, sizes, rows, stats: _LabelStats, lam: float):
+    """All candidate splits of an N x m block of feature columns.
 
-    Returns (column positions, split points, losses), ordered by column, then
-    by split point; empty when every column is constant. Each column is
-    sorted once and losses come from prefix sums over its sorted rows, read
-    only at real split points; children's labels are implicit (mean vector
-    for the regression term, Borda consensus for the ranking term).
+    Column c holds its node's sizes[c] feature values on top, padded with NaN
+    to N rows; rows[:, c] gives the stats row of each of its entries. Returns
+    (column positions, split points, losses), ordered by column, then by
+    split point. Each column is sorted once (NaN padding sorts last and, as
+    no value is > NaN, never bounds a split) and losses come from prefix sums
+    over its sorted rows, read only at real split points, with the node's
+    totals read at its own last row; children's labels are implicit (mean
+    vector for the regression term, Borda consensus for the ranking term).
     """
-    order = np.argsort(columns, axis=0, kind="stable")
-    xs = np.take_along_axis(columns, order, axis=0)
-    feat, sel = np.nonzero((xs[1:] > xs[:-1]).T)  # sel + 1 rows go left
+    m = columns.shape[1]
+    order = columns.argsort(axis=0, kind="stable")
+    order *= m
+    order += np.arange(m)                     # flat positions, column by column
+    xs = columns.ravel()[order]
+    rows = rows.ravel()[order]
+    feat, sel = (xs[1:] > xs[:-1]).T.nonzero()  # sel + 1 rows go left
     splits = (xs[sel, feat] + xs[sel + 1, feat]) / 2.0
 
-    n = columns.shape[0]
-    k = stats.labels.shape[1]
+    # each candidate's left prefix sums, then the node's totals at its own
+    # last row, turned in place into the right side's sums
+    c = sel.size
+    last = sizes[feat] - 1
+    at_row = np.concatenate((sel, last))
+    at_col = np.concatenate((feat, feat))
+    n = (last + 1).astype(float)
     nl = (sel + 1).astype(float)
     nr = n - nl
+    sides = np.concatenate((nl, nr))
 
-    reg_left = reg_right = 0.0
+    def side_sums(values):
+        sums = values[rows].cumsum(axis=0)[at_row, at_col]
+        sums[c:] -= sums[:c]
+        return sums
+
+    k = stats.labels.shape[1]
+    reg = 0.0
     if lam != 1.0:
-        col_cum = np.cumsum(stats.labels[order], axis=0)
-        sq_cum = np.cumsum(stats.sq_sums[order], axis=0)
-        sums_left = col_cum[sel, feat]
-        sums_right = col_cum[-1, feat] - sums_left
-        sq_left = sq_cum[sel, feat]
-        sq_right = sq_cum[-1, feat] - sq_left
+        sums, sq = side_sums(stats.labels), side_sums(stats.sq_sums)
         # mean over side of per-row MSE against the side mean; clamp the
         # cancellation residue of mathematically zero losses
-        reg_left = np.maximum(sq_left - (sums_left ** 2).sum(axis=1) / nl, 0.0) / (nl * k)
-        reg_right = np.maximum(sq_right - (sums_right ** 2).sum(axis=1) / nr, 0.0) / (nr * k)
-
-    rank_left = rank_right = 0.0
+        reg = np.maximum(sq - (sums ** 2).sum(axis=1) / sides, 0.0) / (sides * k)
+    rank = 0.0
     if lam != 0.0:
-        rank_cum = np.cumsum(stats.rank_rows[order], axis=0)
-        unit_cum = np.cumsum(stats.unit_ranks[order], axis=0)
-        rank_sel, unit_sel = rank_cum[sel, feat], unit_cum[sel, feat]
-        rank_left = _ranking_means(rank_sel, unit_sel, nl, k)
-        rank_right = _ranking_means(rank_cum[-1, feat] - rank_sel,
-                                    unit_cum[-1, feat] - unit_sel, nr, k)
-
-    left_loss = lam * rank_left + (1.0 - lam) * reg_left
-    right_loss = lam * rank_right + (1.0 - lam) * reg_right
-    return feat, splits, (nl / n) * left_loss + (nr / n) * right_loss
+        rank = _ranking_means(side_sums(stats.rank_rows), side_sums(stats.unit_ranks), sides, k)
+    loss = lam * rank + (1.0 - lam) * reg
+    return feat, splits, (nl / n) * loss[:c] + (nr / n) * loss[c:]
 
 
-def best_split(features, labels, lam: float, candidate_features=None,
-               _stats: Optional[_LabelStats] = None):
+def _best_splits(X, stats: _LabelStats, nodes, lam: float):
+    """The lowest-loss split of each node, all nodes scored together.
+
+    Each node is (rows, stats_rows, features): its rows of X, the matching
+    rows of stats and its sorted candidate features. Returns, per node,
+    (feature_index, split_point, weighted_loss), or None when no candidate
+    feature has two distinct values there. Columns go largest node first, in
+    blocks of BLOCK_CELLS label cells, so that a block pads little. A block
+    holds whole nodes, or part of one node too wide for a block, and the
+    candidates are reduced to one per node as each node completes.
+    """
+    n_features = X.shape[1]
+    flat_x = X.ravel()
+    k = stats.labels.shape[1]
+    by_size = sorted(range(len(nodes)), key=lambda j: nodes[j][0].size, reverse=True)
+    nodes = [nodes[j] for j in by_size]
+    # one flat store of every node's rows; a column reads its node's stretch
+    x_rows = np.concatenate([rows for rows, _, _ in nodes])
+    stats_rows = np.concatenate([srows for _, srows, _ in nodes])
+    node_size = np.array([rows.size for rows, _, _ in nodes])
+    node_width = np.array([feats.size for _, _, feats in nodes])
+    node_first_col = node_width.cumsum() - node_width
+    col_node = np.arange(len(nodes)).repeat(node_width)
+    col_feat = np.concatenate([feats for _, _, feats in nodes])
+    col_size = node_size[col_node]
+    col_start = (node_size.cumsum() - node_size)[col_node]
+    n_cols = col_node.size
+
+    found = [None] * len(nodes)
+    parts = []  # candidates of the nodes not yet reduced
+    c0 = 0
+    while c0 < n_cols:
+        height = int(col_size[c0])
+        c1 = min(n_cols, c0 + max(1, BLOCK_CELLS // (height * k)))
+        if c1 < n_cols and col_node[c1] == col_node[c1 - 1] != col_node[c0]:
+            c1 = int(node_first_col[col_node[c1]])  # that node starts the next block
+        at = np.arange(height)[:, None] + col_start[c0:c1]
+        columns = flat_x[x_rows.take(at, mode="clip") * n_features + col_feat[c0:c1]]
+        size = col_size[c0:c1]
+        if size[-1] < height:
+            columns[at >= col_start[c0:c1] + size] = np.nan
+        pos, points, loss = _candidate_losses(columns, size, stats_rows.take(at, mode="clip"),
+                                              stats, lam)
+        parts.append((pos + c0, points, loss))
+        if c1 == n_cols or col_node[c1] != col_node[c1 - 1]:
+            cand_cols, splits, losses = (np.concatenate(part) for part in zip(*parts))
+            for node, i in _first_ties(col_node[cand_cols], losses):
+                found[by_size[node]] = (int(col_feat[cand_cols[i]]), float(splits[i]),
+                                        float(losses[i]))
+            parts = []
+        c0 = c1
+    return found
+
+
+def _first_ties(cand_node, losses):
+    """(node, candidate index) of each node's winner among candidates run by
+    node, then feature, then split point: the first candidate within the tie
+    tolerance of its node's minimum."""
+    if losses.size == 0:
+        return []
+    none = losses.size
+    starts = np.empty(none, dtype=bool)
+    starts[0] = True
+    np.not_equal(cand_node[1:], cand_node[:-1], out=starts[1:])
+    first = starts.nonzero()[0]
+    minimum = np.minimum.reduceat(losses, first)
+    threshold = minimum + SPLIT_TIE_TOL * np.maximum(1.0, np.abs(minimum))
+    tied = np.where(losses <= threshold[starts.cumsum() - 1], np.arange(none), none)
+    winners = np.minimum.reduceat(tied, first)
+    winners[winners == none] = first[winners == none]  # a NaN minimum ties nothing
+    return zip(cand_node[first].tolist(), winners.tolist())
+
+
+def best_split(features, labels, lam: float, candidate_features=None):
     """Minimize the size-weighted hybrid child loss over all candidate splits.
 
     Returns (feature_index, split_point, weighted_loss), or None when no
@@ -189,24 +267,11 @@ def best_split(features, labels, lam: float, candidate_features=None,
         raise DomainError("need at least two rows to split")
     if candidate_features is None:
         candidate_features = range(X.shape[1])
-    stats = _stats if _stats is not None else _LabelStats(Y)
-
     feats = np.array(sorted(int(f) for f in candidate_features), dtype=np.intp)
-    width = max(1, BLOCK_CELLS // (Y.shape[0] * Y.shape[1]))
-    owners, splits, losses = [], [], []
-    for start in range(0, feats.size, width):
-        pos, points, loss = _candidate_losses(X[:, feats[start:start + width]], stats, lam)
-        owners.append(feats[start + pos])
-        splits.append(points)
-        losses.append(loss)
-    if not any(loss.size for loss in losses):
-        return None
-
-    losses = np.concatenate(losses)
-    minimum = float(losses.min())
-    # candidates run by feature, then split point: the first tie is the lowest
-    i = int(np.argmax(losses <= minimum + SPLIT_TIE_TOL * max(1.0, abs(minimum))))
-    return int(np.concatenate(owners)[i]), float(np.concatenate(splits)[i]), float(losses[i])
+    if feats.size and not 0 <= feats[0] <= feats[-1] < X.shape[1]:
+        raise DomainError(f"candidate features must lie in 0..{X.shape[1] - 1}")
+    rows = np.arange(X.shape[0])
+    return _best_splits(X, _LabelStats(Y), [(rows, rows, feats)], lam)[0]
 
 
 def _hybrid_loss_is_zero(labels: np.ndarray, rank_rows: np.ndarray, lam: float) -> bool:
@@ -228,6 +293,92 @@ def _hybrid_loss_is_zero(labels: np.ndarray, rank_rows: np.ndarray, lam: float) 
     return True
 
 
+def build_trees(features, targets, jobs, config: TreeConfig) -> list[TreeNode]:
+    """Grow one hybrid tree per job, all in lockstep.
+
+    features is n x p and targets a sequence of n x k label matrices of equal
+    width k. Job (t, rows, rng) grows a tree on features[rows] and
+    targets[t][rows] (rows may repeat, as in a bootstrap sample), drawing its
+    feature samples from rng; the tree equals build_tree on that data with
+    that generator. Only row indices are kept per tree and per node.
+    """
+    X = np.ascontiguousarray(features, dtype=float)
+    if X.ndim != 2:
+        raise DomainError("features must be a 2-D matrix")
+    n, n_features = X.shape
+    matrices = [np.atleast_2d(np.asarray(Y, dtype=float)) for Y in targets]
+    if any(Y.shape[0] != n for Y in matrices) or len({Y.shape[1] for Y in matrices}) > 1:
+        raise DomainError("every target needs one row per feature row and the same width")
+    jobs = [(t, np.asarray(rows, dtype=np.intp), rng) for t, rows, rng in jobs]
+    if any(rows.size == 0 for _, rows, _ in jobs):
+        raise DomainError("cannot build a tree from an empty dataset")
+    if any(rows.min() < 0 or rows.max() >= n for _, rows, _ in jobs):
+        raise DomainError(f"a job's rows must lie in 0..{n - 1}")
+    if any(not 0 <= t < len(matrices) for t, _, _ in jobs):
+        raise DomainError(f"a job's target index must lie in 0..{len(matrices) - 1}")
+    if not jobs:
+        return []
+    stats = _LabelStats(np.concatenate(matrices))
+    mtry = config.resolve_features_per_split(n_features)
+    every_feature = np.arange(n_features)
+
+    def leaf(labels: np.ndarray, rank_rows: np.ndarray) -> Leaf:
+        # same floats as labels.node_labels(labels), reusing cached ranks
+        return Leaf(NodeLabels(regression=labels.mean(axis=0),
+                               ranking=rank_vector(rank_rows.sum(axis=0))), labels.shape[0])
+
+    def next_split(tree):
+        """Settle the tree's nodes in preorder up to the next one to split."""
+        stack, preorder, offset, rng = tree
+        while stack:
+            rows, depth = stack.pop()
+            srows = rows + offset
+            labels, rank_rows = stats.labels[srows], stats.rank_rows[srows]
+            if depth >= config.max_depth or rows.size < config.min_samples_split \
+                    or _hybrid_loss_is_zero(labels, rank_rows, config.lam):
+                preorder.append(leaf(labels, rank_rows))
+                continue
+            if mtry < n_features:
+                candidates = np.sort(rng.choice(n_features, size=mtry, replace=False))
+            else:
+                candidates = every_feature
+            return rows, srows, depth, candidates
+        return None
+
+    trees = [([(rows, 0)], [], t * n, rng) for t, rows, rng in jobs]
+    open_nodes = [(tree, node) for tree in trees if (node := next_split(tree)) is not None]
+    while open_nodes:
+        found = _best_splits(X, stats, [(rows, srows, feats) for _, (rows, srows, _, feats)
+                                        in open_nodes], config.lam)
+        for (tree, (rows, srows, depth, _)), split in zip(open_nodes, found):
+            stack, preorder = tree[0], tree[1]
+            if split is None:
+                preorder.append(leaf(stats.labels[srows], stats.rank_rows[srows]))
+                continue
+            f, point, _ = split
+            preorder.append((f, point))
+            left = X[rows, f] <= point
+            stack.append((rows[~left], depth + 1))
+            stack.append((rows[left], depth + 1))
+        open_nodes = [(tree, node) for tree, _ in open_nodes
+                      if (node := next_split(tree)) is not None]
+    return [_from_preorder(tree[1]) for tree in trees]
+
+
+def _from_preorder(preorder: list) -> TreeNode:
+    """Assemble a tree from its nodes in preorder, a Leaf or (feature, point)
+    each, emptying the list."""
+    built: list[TreeNode] = []
+    while preorder:
+        node = preorder.pop()  # last first: both subtrees are built before their parent
+        if isinstance(node, Leaf):
+            built.append(node)
+        else:
+            built.append(Internal(feature_index=node[0], split_point=node[1],
+                                  left=built.pop(), right=built.pop()))
+    return built[0]
+
+
 def build_tree(features, labels, config: TreeConfig, rng: np.random.Generator) -> TreeNode:
     """Grow one hybrid tree.
 
@@ -237,44 +388,7 @@ def build_tree(features, labels, config: TreeConfig, rng: np.random.Generator) -
     (without replacement) of features_per_split features.
     """
     X = np.asarray(features, dtype=float)
-    Y = np.atleast_2d(np.asarray(labels, dtype=float))
-    if X.shape[0] == 0:
-        raise DomainError("cannot build a tree from an empty dataset")
-    stats = _LabelStats(Y)
-    n_features = X.shape[1]
-    mtry = config.resolve_features_per_split(n_features)
-
-    def grow(idx: np.ndarray, depth: int) -> TreeNode:
-        sub_labels = Y[idx]
-        sub_ranks = stats.rank_rows[idx]
-
-        def leaf() -> Leaf:
-            # same floats as labels.node_labels(sub_labels), reusing cached ranks
-            return Leaf(NodeLabels(regression=sub_labels.mean(axis=0),
-                                   ranking=rank_vector(sub_ranks.sum(axis=0))), idx.size)
-
-        if depth >= config.max_depth or idx.size < config.min_samples_split:
-            return leaf()
-        if _hybrid_loss_is_zero(sub_labels, sub_ranks, config.lam):
-            return leaf()
-        if mtry < n_features:
-            candidates = rng.choice(n_features, size=mtry, replace=False)
-        else:
-            candidates = np.arange(n_features)
-        found = best_split(X[idx], sub_labels, config.lam, candidates,
-                           _stats=stats.subset(idx))
-        if found is None:
-            return leaf()
-        f, point, _ = found
-        mask = X[idx, f] <= point
-        return Internal(
-            feature_index=f,
-            split_point=point,
-            left=grow(idx[mask], depth + 1),
-            right=grow(idx[~mask], depth + 1),
-        )
-
-    return grow(np.arange(X.shape[0]), 0)
+    return build_trees(X, [labels], [(0, np.arange(X.shape[0]), rng)], config)[0]
 
 
 def predict_leaf(tree: TreeNode, row) -> NodeLabels:

@@ -6,7 +6,9 @@ package's search or metric code, so tests compare two genuinely separate
 routes. The split enumerator reuses only the scalar loss primitives, which
 are themselves verified against the brute-force metrics in this module. The
 reference scenario parser is the package's earlier per-row parser, kept to
-pin the vectorised one to the same arrays and the same errors.
+pin the vectorised one to the same arrays and the same errors; likewise the
+recursive tree growth and the per-cluster-mask k-means pin the lockstep
+growth and the sorted-slice k-means to the same bytes.
 """
 
 import csv
@@ -242,6 +244,108 @@ def per_feature_best_split(X, Y, lam, candidate_features=None):
         if tied.size:
             return f, float(splits[tied[0]]), float(losses[tied[0]])
     raise AssertionError("minimum not found among candidates")
+
+
+# --- recursive tree growth ------------------------------------------------------
+# The package grew each tree by recursion, one node and one split search at a
+# time, before it grew many trees in lockstep. Kept here with its recursion and
+# stopping rules as they were, and with the column-at-a-time search above (bit
+# for bit the package's split search), so that every lockstep tree can be
+# compared with the tree grown alone.
+
+def recursive_build_tree(features, labels, config, rng):
+    """One hybrid tree grown depth first by recursion (a Leaf/Internal tree)."""
+    from harris.errors import DomainError
+    from harris.labels import NodeLabels
+    from harris.tree import Internal, Leaf, _hybrid_loss_is_zero
+
+    X = np.asarray(features, dtype=float)
+    Y = np.atleast_2d(np.asarray(labels, dtype=float))
+    if X.shape[0] == 0:
+        raise DomainError("cannot build a tree from an empty dataset")
+    rank_rows = rank_vector(Y)
+    n_features = X.shape[1]
+    mtry = config.resolve_features_per_split(n_features)
+
+    def grow(idx: np.ndarray, depth: int):
+        sub_labels = Y[idx]
+        sub_ranks = rank_rows[idx]
+
+        def leaf():
+            return Leaf(NodeLabels(regression=sub_labels.mean(axis=0),
+                                   ranking=rank_vector(sub_ranks.sum(axis=0))), idx.size)
+
+        if depth >= config.max_depth or idx.size < config.min_samples_split:
+            return leaf()
+        if _hybrid_loss_is_zero(sub_labels, sub_ranks, config.lam):
+            return leaf()
+        if mtry < n_features:
+            candidates = rng.choice(n_features, size=mtry, replace=False)
+        else:
+            candidates = np.arange(n_features)
+        found = per_feature_best_split(X[idx], sub_labels, config.lam, candidates)
+        if found is None:
+            return leaf()
+        f, point, _ = found
+        mask = X[idx, f] <= point
+        return Internal(
+            feature_index=f,
+            split_point=point,
+            left=grow(idx[mask], depth + 1),
+            right=grow(idx[~mask], depth + 1),
+        )
+
+    return grow(np.arange(X.shape[0]), 0)
+
+
+def tree_bytes(node):
+    """Skeleton, split points and leaf-label bytes of a Leaf/Internal tree."""
+    from harris.tree import Leaf
+
+    if isinstance(node, Leaf):
+        return ("leaf", node.size, node.labels.regression.tobytes(),
+                node.labels.ranking.tobytes())
+    return ("node", node.feature_index, node.split_point,
+            tree_bytes(node.left), tree_bytes(node.right))
+
+
+# --- reference k-means ------------------------------------------------------------
+# isac's Lloyd iterations as they stood with one boolean mask per cluster and
+# step, kept verbatim (renamed) to pin the sorted-slice update to the same
+# centroids, assignments and random draws.
+
+def reference_kmeans(Z, k, rng):
+    """Plain Lloyd iterations with seeded restarts; lowest inertia wins."""
+    from harris.baselines import KMEANS_MAX_ITER, KMEANS_RESTARTS
+
+    n = Z.shape[0]
+    best_inertia = np.inf
+    best = None
+    for _ in range(KMEANS_RESTARTS):
+        centroids = Z[rng.choice(n, size=k, replace=False)].copy()
+        assignment = np.zeros(n, dtype=int)
+        for _ in range(KMEANS_MAX_ITER):
+            d2 = ((Z[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+            assignment = d2.argmin(axis=1)
+            moved = False
+            for c in range(k):
+                members = assignment == c
+                if members.any():
+                    center = Z[members].mean(axis=0)
+                else:
+                    center = Z[rng.integers(0, n)]  # re-seed an empty cluster
+                if not np.array_equal(center, centroids[c]):
+                    centroids[c] = center
+                    moved = True
+            if not moved:
+                break
+        d2 = ((Z[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        assignment = d2.argmin(axis=1)
+        inertia = float(d2[np.arange(n), assignment].sum())
+        if inertia < best_inertia:
+            best_inertia = inertia
+            best = (centroids.copy(), assignment.copy())
+    return best
 
 
 # --- single-loss reference trees ----------------------------------------------

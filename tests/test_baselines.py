@@ -1,11 +1,18 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from harris.baselines import (ClusterSelector, HarrisSelector, OracleSelector,
                               PairwiseVotingSelector, RegressionForestSelector,
-                              SingleBestSelector)
+                              SingleBestSelector, _derived_seed, _kmeans)
 from harris.errors import DomainError
-from harris.forest import ForestConfig, HybridForest, single_tree_config
+from harris.forest import (ForestConfig, HybridForest, fit_forest, forest_to_dict,
+                           single_tree_config)
 from harris.labels import NodeLabels
 from harris.scenario import ScaleParams
 from harris.synthetic import make_synthetic_scenario
@@ -19,6 +26,38 @@ def constant_forest(value):
     return HybridForest(trees=(leaf,), config=ForestConfig(n_trees=1),
                         scale=ScaleParams(0.0, 1.0), algorithm_names=("d",),
                         n_features=1)
+
+
+def model_json(forest):
+    return json.dumps(forest_to_dict(forest), sort_keys=True)
+
+
+class TestSubForestsInLockstep:
+    """rfr and satzilla grow all their sub-forests together; each must equal
+    the sub-forest fitted alone from its derived seed."""
+
+    def data(self):
+        rng = np.random.default_rng(4)
+        return rng.uniform(size=(30, 5)), np.round(rng.uniform(size=(30, 4)), 1)
+
+    def test_rfr_matches_separate_fits(self):
+        X, Y = self.data()
+        selector = RegressionForestSelector(n_trees=3, max_depth=4, seed=9).fit(X, Y)
+        assert len(selector.forests) == 4
+        for j, forest in enumerate(selector.forests):
+            alone = fit_forest(X, Y[:, j][:, None],
+                               replace(selector.config, seed=_derived_seed(9, j)))
+            assert model_json(forest) == model_json(alone)
+
+    def test_satzilla_matches_separate_fits(self):
+        X, Y = self.data()
+        selector = PairwiseVotingSelector(n_trees=2, max_depth=3, seed=5).fit(X, Y)
+        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        assert [(i, j) for i, j, _ in selector.models] == pairs
+        for index, (i, j, forest) in enumerate(selector.models):
+            alone = fit_forest(X, (Y[:, i] - Y[:, j])[:, None],
+                               replace(selector.config, seed=_derived_seed(5, index)))
+            assert model_json(forest) == model_json(alone)
 
 
 class TestRegressionForest:
@@ -150,6 +189,21 @@ class TestClusterSelector:
             q_rescaled = q.copy()
             q_rescaled[0] = 64.0 * q_rescaled[0]
             assert a.select(q) == b.select(q_rescaled)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans())
+    def test_kmeans_matches_per_cluster_masks(self, seed, k, few_points):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(k, 40))
+        if few_points:  # fewer distinct points than clusters: some cluster goes empty
+            distinct = max(1, k - 1)
+            Z = rng.normal(size=(distinct, 3))[rng.integers(0, distinct, size=n)]
+        else:
+            Z = rng.normal(size=(n, 3))
+        got = _kmeans(Z, k, np.random.default_rng(seed))
+        expected = oracles.reference_kmeans(Z, k, np.random.default_rng(seed))
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tobytes() == expected[1].tobytes()
 
     def test_predicted_costs_are_cluster_means(self):
         X, Y = self.blobs()

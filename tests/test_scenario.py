@@ -281,6 +281,13 @@ class TestReadArff:
         assert rows == [(5, ["a,b", "1"]), (6, ["c,d", "2"]), (7, ["plain", "3"]),
                         (8, ["c,d", "a,b"])]
 
+    def test_overlong_double_quoted_field_names_its_line(self, tmp_path):
+        path = tmp_path / "x.arff"
+        path.write_text("@relation x\n@attribute id string\n@attribute v numeric\n@data\n"
+                        "plain,1\n\"" + "a" * 140_000 + "\",2\n")
+        with pytest.raises(ParseError, match=r"^x\.arff:6: "):
+            _read_arff(path)
+
 
 # --- parser equivalence --------------------------------------------------------
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import oracles
 import harris.tree
 from harris.errors import DomainError
-from harris.tree import (Internal, Leaf, TreeConfig, best_split, build_tree,
+from harris.tree import (Internal, Leaf, TreeConfig, best_split, build_tree, build_trees,
                          predict_leaf, tree_depth)
 
 # Four rows, one feature; labels flip between the halves, so the midpoint at
@@ -33,6 +33,11 @@ class TestBestSplit:
     def test_single_row_is_an_error(self):
         with pytest.raises(DomainError):
             best_split(PURE_X[:1], PURE_Y[:1], 0.5)
+
+    def test_candidate_features_out_of_range(self):
+        for candidates in ([1], [-1], [0, 2]):
+            with pytest.raises(DomainError):
+                best_split(PURE_X, PURE_Y, 0.5, candidate_features=candidates)
 
     def test_candidate_feature_restriction(self):
         X = np.hstack([PURE_X, np.ones((4, 1))])
@@ -119,6 +124,75 @@ class TestBatchedSplitSearch:
             assert best_split(X, Y, lam, candidates) == expected
         finally:
             harris.tree.BLOCK_CELLS = saved
+
+
+@st.composite
+def lockstep_cases(draw):
+    """A feature matrix with continuous, constant, discrete and copied columns,
+    one to three target matrices of one width, and one to five jobs, each on
+    a bootstrap sample or on every row."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, k = draw(st.integers(1, 24)), draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from(["continuous", "constant", "discrete", "copy"]),
+                          min_size=1, max_size=5))
+    X = np.empty((n, len(kinds)))
+    for f, kind in enumerate(kinds):
+        if kind == "copy" and f > 0:
+            X[:, f] = X[:, int(rng.integers(0, f))]
+        elif kind == "constant":
+            X[:, f] = rng.normal()
+        elif kind == "discrete":
+            X[:, f] = rng.choice(rng.normal(size=int(rng.integers(2, 4))), size=n)
+        else:
+            X[:, f] = rng.normal(size=n)
+    targets = [rng.uniform(size=(n, k)) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        targets = [np.round(Y, 1) for Y in targets]  # tied costs and repeated rows
+    fps = draw(st.one_of(st.sampled_from(["all", "sqrt"]), st.integers(1, len(kinds))))
+    config = TreeConfig(lam=draw(st.sampled_from([0.0, 0.3, 1.0])),
+                        max_depth=draw(st.integers(0, 6)),
+                        min_samples_split=draw(st.integers(2, 5)), features_per_split=fps)
+    jobs = draw(st.lists(st.tuples(st.integers(0, len(targets) - 1), st.booleans(),
+                                   st.integers(0, 2**32 - 1)), min_size=1, max_size=5))
+    return X, targets, jobs, config
+
+
+def job_rows(n, bootstrap, seed):
+    """A job's generator and rows, drawn as fit_forest draws them."""
+    rng = np.random.default_rng(seed)
+    return (rng.integers(0, n, size=n) if bootstrap else np.arange(n)), rng
+
+
+class TestLockstep:
+    @settings(deadline=None, max_examples=150)
+    @given(lockstep_cases(), st.sampled_from([1, harris.tree.BLOCK_CELLS]))
+    def test_each_tree_equals_its_recursive_build(self, case, block_cells):
+        X, targets, jobs, config = case
+        n = X.shape[0]
+        saved = harris.tree.BLOCK_CELLS
+        harris.tree.BLOCK_CELLS = block_cells
+        try:
+            trees = build_trees(X, targets, [(t, *job_rows(n, b, seed)) for t, b, seed in jobs],
+                                config)
+        finally:
+            harris.tree.BLOCK_CELLS = saved
+        assert len(trees) == len(jobs)
+        for tree, (t, bootstrap, seed) in zip(trees, jobs):
+            rows, rng = job_rows(n, bootstrap, seed)
+            expected = oracles.recursive_build_tree(X[rows], targets[t][rows], config, rng)
+            assert oracles.tree_bytes(tree) == oracles.tree_bytes(expected)
+
+    def test_bad_jobs(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(DomainError):
+            build_trees(PURE_X, [PURE_Y], [(1, np.arange(4), rng)], TreeConfig())
+        with pytest.raises(DomainError):
+            build_trees(PURE_X, [PURE_Y], [(0, np.arange(0), rng)], TreeConfig())
+        with pytest.raises(DomainError):
+            build_trees(PURE_X, [PURE_Y], [(0, np.arange(5), rng)], TreeConfig())
+        with pytest.raises(DomainError):
+            build_trees(PURE_X, [PURE_Y, PURE_Y[:, :1]], [(0, np.arange(4), rng)], TreeConfig())
+        assert build_trees(PURE_X, [PURE_Y], [], TreeConfig()) == []
 
 
 class TestBuildTree:
