@@ -12,13 +12,11 @@ from .evaluation import (AggregateRecord, FoldRecord, average_rank, cross_valida
 from .forest import (ForestConfig, HybridForest, fit_forest, load_forest,
                      predict_costs, save_forest, select_algorithm,
                      single_tree_config)
-from .labels import NodeLabels, borda_consensus, mean_label, node_labels
-from .losses import (Ranking, kendall_tau_b, mse_loss, node_loss, rank_vector,
-                     spearman_loss)
+from .losses import Ranking, kendall_tau_b, rank_vector
 from .scenario import (ScaleParams, Scenario, column_medians, filter_unsolved,
                        impute_features, par10, par10_matrix, parse_scenario,
                        scale_performances)
 from .synthetic import make_synthetic_scenario
-from .tree import Internal, Leaf, TreeConfig, TreeNode, best_split, build_tree, predict_leaf
+from .tree import Tree, TreeConfig, best_split, build_tree
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -5,24 +5,25 @@ reproducible no matter in which order the trees are built. fit_forests grows
 every tree of several forests on one feature matrix in one tree.build_trees
 lockstep; each tree keeps only its bootstrap row indices. Prediction averages
 the trees' regression leaf labels; the Borda leaf rankings stay available per
-tree for diagnostics.
+tree for diagnostics. A model file holds each tree.Tree as the plain dump of
+its lists, checked on load without recursion.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError, ModelFormatError
-from .labels import NodeLabels
 from .scenario import ScaleParams
-from .tree import Internal, Leaf, TreeConfig, TreeNode, build_trees, predict_leaf
+from .tree import Tree, TreeConfig, build_trees
 
 MODEL_FORMAT = "harris-forest"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ def single_tree_config(lam: float, max_depth: int, seed: int = 0) -> ForestConfi
 
 @dataclass(frozen=True)
 class HybridForest:
-    trees: tuple[TreeNode, ...]
+    trees: tuple[Tree, ...]
     config: ForestConfig
     scale: ScaleParams
     algorithm_names: tuple[str, ...]
@@ -118,7 +119,14 @@ def predict_costs(forest: HybridForest, x) -> np.ndarray:
     many forests about one row, convert it once and pass the list.
     """
     row = x if isinstance(x, list) else np.asarray(x, dtype=float).tolist()
-    return np.mean([predict_leaf(tree, row).regression for tree in forest.trees], axis=0)
+    leaves = []
+    for tree in forest.trees:
+        feature, split, left, right = tree.feature, tree.split, tree.left, tree.right
+        i = 0 if feature else -1
+        while i >= 0:
+            i = left[i] if row[feature[i]] <= split[i] else right[i]
+        leaves.append(tree.regression[~i])
+    return np.mean(leaves, axis=0)
 
 
 def select_algorithm(forest: HybridForest, x) -> int:
@@ -128,56 +136,41 @@ def select_algorithm(forest: HybridForest, x) -> int:
 
 # --- model serialization ------------------------------------------------------
 
-def _node_list(tree: TreeNode) -> list[dict]:
-    nodes: list[dict] = []
-
-    def add(node: TreeNode) -> int:
-        my_id = len(nodes)
-        nodes.append({})
-        if isinstance(node, Leaf):
-            nodes[my_id] = {
-                "regression": [float(v) for v in node.labels.regression],
-                "ranking": [float(v) for v in node.labels.ranking],
-                "size": node.size,
-            }
-        else:
-            left = add(node.left)
-            right = add(node.right)
-            nodes[my_id] = {
-                "feature": node.feature_index,
-                "split": node.split_point,
-                "left": left,
-                "right": right,
-            }
-        return my_id
-
-    add(tree)
-    return nodes
-
-
-def _node_from_list(nodes: list[dict], index: int) -> TreeNode:
-    record = nodes[index]
-    if "feature" in record:
-        left, right = int(record["left"]), int(record["right"])
-        # _node_list numbers nodes in preorder, so children follow their parent;
-        # this also rules out cycles.
-        if not (index < left < len(nodes) and index < right < len(nodes)):
-            raise ModelFormatError(
-                f"node {index}: child ids must lie in {index + 1}..{len(nodes) - 1}"
-            )
-        return Internal(
-            feature_index=int(record["feature"]),
-            split_point=float(record["split"]),
-            left=_node_from_list(nodes, left),
-            right=_node_from_list(nodes, right),
-        )
-    return Leaf(
-        labels=NodeLabels(
-            regression=np.asarray(record["regression"], dtype=float),
-            ranking=np.asarray(record["ranking"], dtype=float),
-        ),
-        size=int(record["size"]),
-    )
+def _tree_from_dict(record: dict, n_features: int, k: int) -> Tree:
+    """The Tree a model file stores, checked so that routing any row ends at
+    a leaf with k labels."""
+    feature, split, left, right, size = (record[key] for key in
+                                         ("feature", "split", "left", "right", "size"))
+    if not all(isinstance(v, list) and all(type(i) is int for i in v)
+               for v in (feature, left, right, size)):
+        raise ModelFormatError("feature, left, right and size must be lists of integers")
+    s, leaves = len(feature), len(size)
+    if not len(split) == len(left) == len(right) == s or leaves != s + 1:
+        raise ModelFormatError(f"feature, split, left and right need one entry per split node "
+                               f"and size one more, got {s}, {len(split)}, {len(left)}, "
+                               f"{len(right)} and {leaves}")
+    split = [float(v) for v in split]
+    labels = [record["regression"], record["ranking"]]
+    if not all(isinstance(rows, list) and len(rows) == leaves
+               and all(isinstance(r, list) and len(r) == k for r in rows) for rows in labels):
+        raise ModelFormatError(f"regression and ranking must be {leaves} x {k}: "
+                               f"a row per leaf, a column per algorithm name")
+    if any(not 0 <= f < n_features for f in feature):
+        raise ModelFormatError(f"feature ids must lie in 0..{n_features - 1}")
+    if not all(map(math.isfinite, split)):
+        raise ModelFormatError("split points must be finite")
+    if min(size) < 1:
+        raise ModelFormatError("leaf sizes must be >= 1")
+    # every node but the root is a child once, and a split node's children
+    # come after it; so the ids form one tree, with no cycle
+    if sorted(left + right) != [*range(-leaves, 0 if s else -1), *range(1, s)] \
+            or any(0 <= c <= i for i, pair in enumerate(zip(left, right)) for c in pair):
+        raise ModelFormatError("child ids must name every other node once, "
+                               "split nodes after their parent")
+    regression, ranking = (np.array(rows, dtype=float) for rows in labels)
+    if not (np.isfinite(regression).all() and np.isfinite(ranking).all()):
+        raise ModelFormatError("leaf labels must be finite")
+    return Tree(feature, split, left, right, regression, ranking, size)
 
 
 def forest_to_dict(forest: HybridForest) -> dict:
@@ -197,7 +190,11 @@ def forest_to_dict(forest: HybridForest) -> dict:
         "scale": {"min": forest.scale.min, "max": forest.scale.max},
         "algorithm_names": list(forest.algorithm_names),
         "n_features": forest.n_features,
-        "trees": [_node_list(tree) for tree in forest.trees],
+        "trees": [{"feature": list(tree.feature), "split": list(tree.split),
+                   "left": list(tree.left), "right": list(tree.right),
+                   "regression": tree.regression.tolist(),
+                   "ranking": tree.ranking.tolist(), "size": list(tree.size)}
+                  for tree in forest.trees],
     }
 
 
@@ -222,16 +219,32 @@ def forest_from_dict(data: dict) -> HybridForest:
                 features_per_split=fps if isinstance(fps, str) else int(fps),
             ),
         )
+        names, n_features, trees = data["algorithm_names"], data["n_features"], data["trees"]
+        if not isinstance(names, list) or not names or not all(isinstance(a, str) for a in names):
+            raise ModelFormatError("algorithm_names must be a non-empty list of names")
+        if type(n_features) is not int or n_features < 1:
+            raise ModelFormatError("n_features must be an integer >= 1")
+        if not isinstance(trees, list) or len(trees) != config.n_trees:
+            raise ModelFormatError(f"trees must be a list of n_trees = {config.n_trees} trees")
+        checked = []
+        for t, record in enumerate(trees):
+            try:
+                checked.append(_tree_from_dict(record, n_features, len(names)))
+            except ModelFormatError as exc:
+                raise ModelFormatError(f"tree {t}: {exc}") from None
+        scale = ScaleParams(min=float(data["scale"]["min"]), max=float(data["scale"]["max"]))
+        if not (math.isfinite(scale.min) and math.isfinite(scale.max)):
+            raise ModelFormatError("scale min and max must be finite")
         return HybridForest(
-            trees=tuple(_node_from_list(nodes, 0) for nodes in data["trees"]),
+            trees=tuple(checked),
             config=config,
-            scale=ScaleParams(min=float(data["scale"]["min"]), max=float(data["scale"]["max"])),
-            algorithm_names=tuple(data["algorithm_names"]),
-            n_features=int(data["n_features"]),
+            scale=scale,
+            algorithm_names=tuple(names),
+            n_features=n_features,
         )
     except KeyError as exc:
         raise ModelFormatError(f"model file lacks the key {exc}") from None
-    except (IndexError, TypeError, ValueError, RecursionError) as exc:
+    except (IndexError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model file: {exc}") from None
 
 

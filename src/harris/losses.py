@@ -1,4 +1,4 @@
-"""Ranking and regression loss primitives, plus the Kendall tau-b metric.
+"""The average-rank transform and the Kendall tau-b metric.
 
 Cost vectors are "smaller is better" throughout: the cheapest algorithm gets
 rank 1. Rankings are k-vectors of average ranks, so tied costs share the mean
@@ -6,8 +6,6 @@ of the rank positions they span and every ranking sums to k(k+1)/2.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -31,62 +29,6 @@ def rank_vector(costs) -> Ranking:
     smaller = (other < row).sum(axis=-1)
     equal = (other == row).sum(axis=-1)
     return 1.0 + smaller + (equal - 1) / 2.0
-
-
-def spearman_loss(r1: Ranking, r2: Ranking) -> float:
-    """Spearman correlation of two rankings turned into a loss on [0, 1].
-
-    Computed as (1 - rho) / 2 with rho the Pearson correlation of the rank
-    vectors, which stays valid under ties. A constant rank vector (every
-    algorithm tied) carries no ordering information, so the loss falls back
-    to 0.5, the value of an uninformative ranking.
-    """
-    a = np.asarray(r1, dtype=float)
-    b = np.asarray(r2, dtype=float)
-    if a.shape != b.shape:
-        raise DomainError(f"rank vectors differ in length: {a.size} vs {b.size}")
-    if a.size < 2:
-        raise DomainError("need at least two algorithms to compare rankings")
-    a = a - a.mean()
-    b = b - b.mean()
-    ssa = float(a @ a)
-    ssb = float(b @ b)
-    if ssa == 0.0 or ssb == 0.0:
-        return 0.5
-    rho = float(a @ b) / math.sqrt(ssa * ssb)
-    return (1.0 - rho) / 2.0
-
-
-def mse_loss(y, y_hat) -> float:
-    """Mean squared error between two cost vectors, averaged over algorithms."""
-    a = np.asarray(y, dtype=float)
-    b = np.asarray(y_hat, dtype=float)
-    if a.shape != b.shape:
-        raise DomainError(f"cost vectors differ in length: {a.size} vs {b.size}")
-    d = a - b
-    return float(d @ d) / a.size
-
-
-def node_loss(labels, reg_label, rank_label: Ranking, lam: float) -> float:
-    """Hybrid homogeneity loss of a set of cost vectors against node labels.
-
-    lam weighs the ranking component (mean spearman_loss of each instance's
-    ranking against rank_label), 1 - lam the regression component (mean
-    mse_loss against reg_label). Endpoint values of lam skip the unused
-    component entirely.
-    """
-    Y = np.atleast_2d(np.asarray(labels, dtype=float))
-    if Y.shape[0] == 0:
-        raise DomainError("node loss of an empty dataset is undefined")
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError(f"lambda must lie in [0, 1], got {lam}")
-    rank_term = 0.0
-    if lam != 0.0:
-        rank_term = float(np.mean([spearman_loss(r, rank_label) for r in rank_vector(Y)]))
-    reg_term = 0.0
-    if lam != 1.0:
-        reg_term = float(np.mean([mse_loss(y, reg_label) for y in Y]))
-    return lam * rank_term + (1.0 - lam) * reg_term
 
 
 def _pair_signs(v: np.ndarray) -> np.ndarray:

@@ -25,7 +25,6 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError
-from .labels import NodeLabels
 from .losses import rank_vector
 
 # Candidate losses within this (relative above 1) tolerance of the minimum
@@ -72,21 +71,24 @@ class TreeConfig:
         return m
 
 
-@dataclass(frozen=True)
-class Leaf:
-    labels: NodeLabels
-    size: int
+@dataclass(frozen=True, eq=False)
+class Tree:
+    """A fitted tree as parallel lists over its split nodes and its leaves,
+    each in preorder.
 
-
-@dataclass(frozen=True)
-class Internal:
-    feature_index: int
-    split_point: float
-    left: "TreeNode"
-    right: "TreeNode"
-
-
-TreeNode = Union[Leaf, Internal]
+    Split node i sends a row left when row[feature[i]] <= split[i]. A child
+    id c >= 0 (in left[i] or right[i]) is split node c; c < 0 is leaf ~c. The
+    root is split node 0, or leaf 0 (id -1) in a tree without splits. Leaf j
+    holds the mean cost vector regression[j], the Borda consensus ranking
+    ranking[j] (both leaves x k) and its training size size[j].
+    """
+    feature: list[int]
+    split: list[float]
+    left: list[int]
+    right: list[int]
+    regression: np.ndarray
+    ranking: np.ndarray
+    size: list[int]
 
 
 class _LabelStats:
@@ -293,7 +295,7 @@ def _hybrid_loss_is_zero(labels: np.ndarray, rank_rows: np.ndarray, lam: float) 
     return True
 
 
-def build_trees(features, targets, jobs, config: TreeConfig) -> list[TreeNode]:
+def build_trees(features, targets, jobs, config: TreeConfig) -> list[Tree]:
     """Grow one hybrid tree per job, all in lockstep.
 
     features is n x p and targets a sequence of n x k label matrices of equal
@@ -322,64 +324,69 @@ def build_trees(features, targets, jobs, config: TreeConfig) -> list[TreeNode]:
     mtry = config.resolve_features_per_split(n_features)
     every_feature = np.arange(n_features)
 
-    def leaf(labels: np.ndarray, rank_rows: np.ndarray) -> Leaf:
-        # same floats as labels.node_labels(labels), reusing cached ranks
-        return Leaf(NodeLabels(regression=labels.mean(axis=0),
-                               ranking=rank_vector(rank_rows.sum(axis=0))), labels.shape[0])
+    def settle(slot, node: int):
+        # slot: the parent's left or right list and its index (a dummy at the root)
+        links, parent = slot
+        links[parent] = node
 
-    def next_split(tree):
+    def add_leaf(leaves, slot, labels: np.ndarray, rank_rows: np.ndarray):
+        # the mean label and Borda consensus of the leaf, from the cached ranks
+        regression, ranking, size = leaves
+        settle(slot, ~len(size))
+        regression.append(labels.mean(axis=0))
+        ranking.append(rank_vector(rank_rows.sum(axis=0)))
+        size.append(labels.shape[0])
+
+    def next_split(growth):
         """Settle the tree's nodes in preorder up to the next one to split."""
-        stack, preorder, offset, rng = tree
+        stack, _, leaves, offset, rng = growth
         while stack:
-            rows, depth = stack.pop()
+            rows, depth, slot = stack.pop()
             srows = rows + offset
             labels, rank_rows = stats.labels[srows], stats.rank_rows[srows]
             if depth >= config.max_depth or rows.size < config.min_samples_split \
                     or _hybrid_loss_is_zero(labels, rank_rows, config.lam):
-                preorder.append(leaf(labels, rank_rows))
+                add_leaf(leaves, slot, labels, rank_rows)
                 continue
             if mtry < n_features:
                 candidates = np.sort(rng.choice(n_features, size=mtry, replace=False))
             else:
                 candidates = every_feature
-            return rows, srows, depth, candidates
+            return rows, srows, depth, slot, candidates
         return None
 
-    trees = [([(rows, 0)], [], t * n, rng) for t, rows, rng in jobs]
-    open_nodes = [(tree, node) for tree in trees if (node := next_split(tree)) is not None]
+    # per tree: open nodes (rows, depth, slot), split node lists, leaf lists,
+    # stats row offset and rng
+    growths = [([(rows, 0, ([0], 0))], ([], [], [], []), ([], [], []), t * n, rng)
+               for t, rows, rng in jobs]
+    open_nodes = [(growth, node) for growth in growths
+                  if (node := next_split(growth)) is not None]
     while open_nodes:
-        found = _best_splits(X, stats, [(rows, srows, feats) for _, (rows, srows, _, feats)
+        found = _best_splits(X, stats, [(rows, srows, feats) for _, (rows, srows, _, _, feats)
                                         in open_nodes], config.lam)
-        for (tree, (rows, srows, depth, _)), split in zip(open_nodes, found):
-            stack, preorder = tree[0], tree[1]
+        for ((stack, splits, leaves, _, _), (rows, srows, depth, slot, _)), split \
+                in zip(open_nodes, found):
             if split is None:
-                preorder.append(leaf(stats.labels[srows], stats.rank_rows[srows]))
+                add_leaf(leaves, slot, stats.labels[srows], stats.rank_rows[srows])
                 continue
             f, point, _ = split
-            preorder.append((f, point))
+            feature, points, left_ids, right_ids = splits
+            node = len(feature)
+            settle(slot, node)
+            feature.append(f)
+            points.append(point)
+            left_ids.append(0)   # both children are settled, and patched in, later
+            right_ids.append(0)
             left = X[rows, f] <= point
-            stack.append((rows[~left], depth + 1))
-            stack.append((rows[left], depth + 1))
-        open_nodes = [(tree, node) for tree, _ in open_nodes
-                      if (node := next_split(tree)) is not None]
-    return [_from_preorder(tree[1]) for tree in trees]
+            stack.append((rows[~left], depth + 1, (right_ids, node)))
+            stack.append((rows[left], depth + 1, (left_ids, node)))
+        open_nodes = [(growth, node) for growth, _ in open_nodes
+                      if (node := next_split(growth)) is not None]
+    return [Tree(*splits, np.array(regression), np.array(ranking), size)
+            for _, splits, (regression, ranking, size), _, _ in growths]
 
 
-def _from_preorder(preorder: list) -> TreeNode:
-    """Assemble a tree from its nodes in preorder, a Leaf or (feature, point)
-    each, emptying the list."""
-    built: list[TreeNode] = []
-    while preorder:
-        node = preorder.pop()  # last first: both subtrees are built before their parent
-        if isinstance(node, Leaf):
-            built.append(node)
-        else:
-            built.append(Internal(feature_index=node[0], split_point=node[1],
-                                  left=built.pop(), right=built.pop()))
-    return built[0]
-
-
-def build_tree(features, labels, config: TreeConfig, rng: np.random.Generator) -> TreeNode:
+def build_tree(features, labels, config: TreeConfig, rng: np.random.Generator) -> Tree:
     """Grow one hybrid tree.
 
     A node becomes a leaf when it reaches max_depth, holds fewer than
@@ -389,24 +396,3 @@ def build_tree(features, labels, config: TreeConfig, rng: np.random.Generator) -
     """
     X = np.asarray(features, dtype=float)
     return build_trees(X, [labels], [(0, np.arange(X.shape[0]), rng)], config)[0]
-
-
-def predict_leaf(tree: TreeNode, row) -> NodeLabels:
-    """Route an instance down the tree (<= goes left) to its leaf labels.
-
-    A row that is not a list is first converted to a list of floats, which
-    index and compare faster than numpy scalars; to route one row down many
-    trees, convert it once and pass the list.
-    """
-    if not isinstance(row, list):
-        row = np.asarray(row, dtype=float).tolist()
-    node = tree
-    while isinstance(node, Internal):
-        node = node.left if row[node.feature_index] <= node.split_point else node.right
-    return node.labels
-
-
-def tree_depth(tree: TreeNode) -> int:
-    if isinstance(tree, Leaf):
-        return 0
-    return 1 + max(tree_depth(tree.left), tree_depth(tree.right))

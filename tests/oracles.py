@@ -3,12 +3,15 @@
 Everything here recomputes results from first principles (counting ranks,
 O(k^2) pair counts, plain exhaustive enumeration) rather than reusing the
 package's search or metric code, so tests compare two genuinely separate
-routes. The split enumerator reuses only the scalar loss primitives, which
-are themselves verified against the brute-force metrics in this module. The
-reference scenario parser is the package's earlier per-row parser, kept to
-pin the vectorised one to the same arrays and the same errors; likewise the
-recursive tree growth and the per-cluster-mask k-means pin the lockstep
-growth and the sorted-slice k-means to the same bytes.
+routes. The paper's scalar definitions (spearman and MSE losses, the hybrid
+node loss, mean label and Borda consensus) live here too: the package only
+evaluates them in batched form inside split search. The split enumerator
+reuses only those scalar losses, which are themselves verified against the
+brute-force metrics in this module. The reference scenario parser is the
+package's earlier per-row parser, kept to pin the vectorised one to the same
+arrays and the same errors; likewise the recursive tree growth and the
+per-cluster-mask k-means pin the lockstep growth and the sorted-slice k-means
+to the same bytes.
 """
 
 import csv
@@ -18,8 +21,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from harris.errors import ConsistencyError, ParseError
-from harris.losses import mse_loss, rank_vector, spearman_loss
+from harris.errors import ConsistencyError, DomainError, ParseError
+from harris.losses import rank_vector
 from harris.scenario import (_ATTRIBUTE, CV_FILE, DESCRIPTION_FILE, FEATURES_FILE,
                              N_FOLDS, RUNS_FILE, Scenario, _algorithms_from_description,
                              _require_column, _split_quoted)
@@ -110,6 +113,91 @@ def borda_by_rank_sums(labels):
     rank_rows = [counting_ranks(y) for y in labels]
     totals = [sum(col) for col in zip(*rank_rows)]
     return counting_ranks(totals)
+
+
+# --- the paper's scalar losses and node labels -------------------------------
+
+def spearman_loss(r1, r2):
+    """Spearman correlation of two rankings turned into a loss on [0, 1].
+
+    Computed as (1 - rho) / 2 with rho the Pearson correlation of the rank
+    vectors, which stays valid under ties. A constant rank vector (every
+    algorithm tied) carries no ordering information, so the loss falls back
+    to 0.5, the value of an uninformative ranking.
+    """
+    a = np.asarray(r1, dtype=float)
+    b = np.asarray(r2, dtype=float)
+    if a.shape != b.shape:
+        raise DomainError(f"rank vectors differ in length: {a.size} vs {b.size}")
+    if a.size < 2:
+        raise DomainError("need at least two algorithms to compare rankings")
+    a = a - a.mean()
+    b = b - b.mean()
+    ssa = float(a @ a)
+    ssb = float(b @ b)
+    if ssa == 0.0 or ssb == 0.0:
+        return 0.5
+    rho = float(a @ b) / math.sqrt(ssa * ssb)
+    return (1.0 - rho) / 2.0
+
+
+def mse_loss(y, y_hat):
+    """Mean squared error between two cost vectors, averaged over algorithms."""
+    a = np.asarray(y, dtype=float)
+    b = np.asarray(y_hat, dtype=float)
+    if a.shape != b.shape:
+        raise DomainError(f"cost vectors differ in length: {a.size} vs {b.size}")
+    d = a - b
+    return float(d @ d) / a.size
+
+
+def node_loss(labels, reg_label, rank_label, lam):
+    """Hybrid homogeneity loss of a set of cost vectors against node labels.
+
+    lam weighs the ranking component (mean spearman_loss of each instance's
+    ranking against rank_label), 1 - lam the regression component (mean
+    mse_loss against reg_label). Endpoint values of lam skip the unused
+    component entirely.
+    """
+    Y = np.atleast_2d(np.asarray(labels, dtype=float))
+    if Y.shape[0] == 0:
+        raise DomainError("node loss of an empty dataset is undefined")
+    if not 0.0 <= lam <= 1.0:
+        raise DomainError(f"lambda must lie in [0, 1], got {lam}")
+    rank_term = 0.0
+    if lam != 0.0:
+        rank_term = float(np.mean([spearman_loss(r, rank_label) for r in rank_vector(Y)]))
+    reg_term = 0.0
+    if lam != 1.0:
+        reg_term = float(np.mean([mse_loss(y, reg_label) for y in Y]))
+    return lam * rank_term + (1.0 - lam) * reg_term
+
+
+def _as_label_matrix(labels):
+    Y = np.atleast_2d(np.asarray(labels, dtype=float))
+    if Y.shape[0] == 0:
+        raise DomainError("labels of an empty dataset are undefined")
+    return Y
+
+
+def mean_label(labels):
+    """Componentwise arithmetic mean of the cost vectors."""
+    return _as_label_matrix(labels).mean(axis=0)
+
+
+def borda_consensus(labels):
+    """Borda consensus: rank algorithms by their summed per-instance ranks.
+
+    The lowest rank total wins consensus rank 1; tied totals share averaged
+    ranks, so the consensus is itself a valid (possibly fractional) ranking.
+    """
+    return rank_vector(rank_vector(_as_label_matrix(labels)).sum(axis=0))
+
+
+def node_labels(labels):
+    """A node's (regression, ranking) labels: mean cost vector, Borda consensus."""
+    Y = _as_label_matrix(labels)
+    return mean_label(Y), borda_consensus(Y)
 
 
 # --- exhaustive split enumeration --------------------------------------------
@@ -254,10 +342,9 @@ def per_feature_best_split(X, Y, lam, candidate_features=None):
 # compared with the tree grown alone.
 
 def recursive_build_tree(features, labels, config, rng):
-    """One hybrid tree grown depth first by recursion (a Leaf/Internal tree)."""
-    from harris.errors import DomainError
-    from harris.labels import NodeLabels
-    from harris.tree import Internal, Leaf, _hybrid_loss_is_zero
+    """One hybrid tree grown depth first by recursion, as nested tuples: see
+    tree_bytes."""
+    from harris.tree import _hybrid_loss_is_zero
 
     X = np.asarray(features, dtype=float)
     Y = np.atleast_2d(np.asarray(labels, dtype=float))
@@ -272,8 +359,8 @@ def recursive_build_tree(features, labels, config, rng):
         sub_ranks = rank_rows[idx]
 
         def leaf():
-            return Leaf(NodeLabels(regression=sub_labels.mean(axis=0),
-                                   ranking=rank_vector(sub_ranks.sum(axis=0))), idx.size)
+            return ("leaf", idx.size, sub_labels.mean(axis=0).tobytes(),
+                    rank_vector(sub_ranks.sum(axis=0)).tobytes())
 
         if depth >= config.max_depth or idx.size < config.min_samples_split:
             return leaf()
@@ -288,25 +375,96 @@ def recursive_build_tree(features, labels, config, rng):
             return leaf()
         f, point, _ = found
         mask = X[idx, f] <= point
-        return Internal(
-            feature_index=f,
-            split_point=point,
-            left=grow(idx[mask], depth + 1),
-            right=grow(idx[~mask], depth + 1),
-        )
+        return ("node", f, point, grow(idx[mask], depth + 1), grow(idx[~mask], depth + 1))
 
     return grow(np.arange(X.shape[0]), 0)
 
 
-def tree_bytes(node):
-    """Skeleton, split points and leaf-label bytes of a Leaf/Internal tree."""
-    from harris.tree import Leaf
+# --- flat trees and nested tuples --------------------------------------------
+# Tests compare the package's flat trees with nested tuples:
+# ("node", feature, split point, left, right) or
+# ("leaf", size, regression bytes, ranking bytes).
 
-    if isinstance(node, Leaf):
-        return ("leaf", node.size, node.labels.regression.tobytes(),
-                node.labels.ranking.tobytes())
-    return ("node", node.feature_index, node.split_point,
-            tree_bytes(node.left), tree_bytes(node.right))
+def tree_bytes(tree):
+    """A flat harris.tree.Tree as nested tuples: skeleton, split points and
+    leaf-label bytes."""
+    def node(i):
+        if i < 0:
+            return ("leaf", tree.size[~i], tree.regression[~i].tobytes(),
+                    tree.ranking[~i].tobytes())
+        return ("node", tree.feature[i], tree.split[i], node(tree.left[i]), node(tree.right[i]))
+
+    return node(0 if tree.feature else -1)
+
+
+def flat_tree(nested):
+    """The flat harris.tree.Tree of nested tuples, its nodes numbered in
+    preorder."""
+    from harris.tree import Tree
+
+    feature, split, left, right, regression, ranking, size = [], [], [], [], [], [], []
+
+    def add(node):
+        if node[0] == "leaf":
+            size.append(node[1])
+            regression.append(np.frombuffer(node[2]))
+            ranking.append(np.frombuffer(node[3]))
+            return -len(size)
+        i = len(feature)
+        feature.append(node[1])
+        split.append(node[2])
+        left.append(None)
+        right.append(None)
+        left[i] = add(node[3])
+        right[i] = add(node[4])
+        return i
+
+    add(nested)
+    return Tree(feature, split, left, right, np.array(regression), np.array(ranking), size)
+
+
+def forest_of(trees, n_features=1):
+    """A hand-built forest of the given flat trees."""
+    from harris.forest import ForestConfig, HybridForest
+    from harris.scenario import ScaleParams
+
+    k = trees[0].regression.shape[1]
+    return HybridForest(trees=tuple(trees), config=ForestConfig(n_trees=len(trees)),
+                        scale=ScaleParams(0.0, 1.0),
+                        algorithm_names=tuple(f"a{j}" for j in range(k)),
+                        n_features=n_features)
+
+
+def route_nested(nested, row):
+    """The leaf tuple a row reaches in nested tuples; <= goes left."""
+    while nested[0] == "node":
+        _, f, point, left, right = nested
+        nested = left if row[f] <= point else right
+    return nested
+
+
+def tree_depth(tree):
+    """Edges on the longest root-to-leaf path of a flat tree, found without
+    recursion."""
+    deepest = 0
+    stack = [(0 if tree.feature else -1, 0)]
+    while stack:
+        i, depth = stack.pop()
+        if i < 0:
+            deepest = max(deepest, depth)
+        else:
+            stack += [(tree.left[i], depth + 1), (tree.right[i], depth + 1)]
+    return deepest
+
+
+def tree_skeleton(tree):
+    """Skeleton of a flat tree in reference_tree's tuple format."""
+    def strip(node):
+        if node[0] == "leaf":
+            return node[:2]
+        return (*node[:3], strip(node[3]), strip(node[4]))
+
+    return strip(tree_bytes(tree))
 
 
 # --- reference k-means ------------------------------------------------------------
@@ -409,16 +567,6 @@ def reference_tree(X, Y, max_depth, mode):
                 grow(Xn[~left], Yn[~left], depth + 1))
 
     return grow(X, Y, 0)
-
-
-def tree_skeleton(node):
-    """Skeleton of a production TreeNode in reference_tree's tuple format."""
-    from harris.tree import Leaf
-
-    if isinstance(node, Leaf):
-        return ("leaf", node.size)
-    return ("node", node.feature_index, node.split_point,
-            tree_skeleton(node.left), tree_skeleton(node.right))
 
 
 def random_split_dataset(rng, max_n=20, max_p=3, max_k=4):

@@ -21,10 +21,11 @@ from harris.cli import main as cli_main
 from harris.evaluation import (DEFAULT_DEPTH_GRID, DEFAULT_LAMBDA_GRID,
                                average_rank, cross_validate, read_report_csv, sweep)
 from harris.forest import single_tree_config
-from harris.losses import (kendall_tau_b, node_loss, rank_vector, spearman_loss)
+from harris.losses import kendall_tau_b, rank_vector
 from harris.scenario import par10, parse_scenario
 from harris.synthetic import make_synthetic_scenario
 from harris.tree import TreeConfig, best_split, build_tree
+from oracles import node_loss, spearman_loss
 
 
 @contextmanager

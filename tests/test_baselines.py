@@ -13,16 +13,14 @@ from harris.baselines import (ClusterSelector, HarrisSelector, OracleSelector,
 from harris.errors import DomainError
 from harris.forest import (ForestConfig, HybridForest, fit_forest, forest_to_dict,
                            single_tree_config)
-from harris.labels import NodeLabels
 from harris.scenario import ScaleParams
 from harris.synthetic import make_synthetic_scenario
-from harris.tree import Leaf
+from harris.tree import Tree
 
 
 def constant_forest(value):
     """Single-leaf forest predicting a fixed scalar (stub pairwise model)."""
-    leaf = Leaf(NodeLabels(regression=np.array([value], dtype=float),
-                           ranking=np.array([1.0])), size=1)
+    leaf = Tree([], [], [], [], np.array([[value]], dtype=float), np.array([[1.0]]), [1])
     return HybridForest(trees=(leaf,), config=ForestConfig(n_trees=1),
                         scale=ScaleParams(0.0, 1.0), algorithm_names=("d",),
                         n_features=1)

@@ -193,6 +193,22 @@ class TestTrainPredict:
             # costs come back in original units
             assert min(float(c) for c in costs.split(",")) < 100.0
 
+    def test_depth_zero_model_predicts(self, runner, tmp_path):
+        # a depth-0 tree is a single leaf: the model must load and predict
+        # the training mean for every row
+        model = tmp_path / "model.json"
+        result = runner.invoke(main, [
+            "train", "--synthetic", "--synthetic-n", "90", "--paper-tree",
+            "--depth", "0", "-o", str(model)])
+        assert result.exit_code == 0, result.output
+        feature_file = tmp_path / "features.csv"
+        feature_file.write_text("0.1,0.2,0.3\n0.9,0.8,0.7\n")
+        result = runner.invoke(main, [
+            "predict", "-m", str(model), "--features", str(feature_file)])
+        assert result.exit_code == 0, result.output
+        first, second = result.output.strip().splitlines()
+        assert first == second
+
     def test_wrong_feature_count(self, runner, tmp_path):
         model = tmp_path / "model.json"
         assert runner.invoke(main, [
@@ -247,7 +263,7 @@ class TestTrainPredict:
 
     def test_malformed_model_fails_with_a_message(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"format": "harris-forest", "version": 1}')
+        bad.write_text('{"format": "harris-forest", "version": 2}')
         feats = tmp_path / "f.csv"
         feats.write_text("0.1,0.2,0.3\n")
         result = runner.invoke(main, ["predict", "-m", str(bad), "--features", str(feats)])

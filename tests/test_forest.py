@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 import oracles
 from harris.errors import DomainError, ModelFormatError
-from harris.forest import (ForestConfig, HybridForest, fit_forest, forest_to_dict,
+from harris.forest import (ForestConfig, fit_forest, forest_to_dict,
                            load_forest, predict_costs, save_forest, select_algorithm,
                            single_tree_config)
-from harris.labels import NodeLabels
 from harris.scenario import ScaleParams
 from harris.synthetic import make_synthetic_scenario
-from harris.tree import Internal, Leaf, TreeConfig, build_tree, predict_leaf
+from harris.tree import Tree, TreeConfig, build_tree
 
 PURE_X = np.array([[0.0], [1.0], [2.0], [3.0]])
 PURE_Y = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
@@ -21,15 +20,8 @@ PURE_Y = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
 
 def leaf_forest(rows):
     """Hand-built forest of single-leaf trees with fixed regression labels."""
-    trees = tuple(
-        Leaf(NodeLabels(regression=np.array(r, dtype=float),
-                        ranking=np.argsort(np.argsort(r)) + 1.0), size=1)
-        for r in rows
-    )
-    return HybridForest(trees=trees, config=ForestConfig(n_trees=len(rows)),
-                        scale=ScaleParams(0.0, 1.0),
-                        algorithm_names=tuple(f"a{j}" for j in range(len(rows[0]))),
-                        n_features=1)
+    return oracles.forest_of([Tree([], [], [], [], np.array([r], dtype=float),
+                                   np.argsort(np.argsort([r])) + 1.0, [1]) for r in rows])
 
 
 class TestFitForest:
@@ -121,8 +113,9 @@ GRID = [-1.0, -0.0, 0.0, 5e-324, 0.25, 0.5, 1.0, 1e300]
 
 
 @st.composite
-def forests_and_rows(draw):
-    """A random small forest and a row drawn from its split-point grid (NaN too)."""
+def nested_trees_and_rows(draw):
+    """Random small trees as oracle nested tuples, and a row drawn from their
+    split-point grid (NaN too)."""
     p = draw(st.integers(1, 3))
     k = draw(st.integers(1, 4))
     labels = st.lists(st.floats(-1e6, 1e6), min_size=k, max_size=k)
@@ -130,34 +123,30 @@ def forests_and_rows(draw):
     def tree(depth):
         if depth == 0 or draw(st.integers(0, 3)) == 0:
             reg = np.array(draw(labels))
-            return Leaf(NodeLabels(regression=reg, ranking=reg.copy()), size=1)
-        return Internal(feature_index=draw(st.integers(0, p - 1)),
-                        split_point=draw(st.sampled_from(GRID)),
-                        left=tree(depth - 1), right=tree(depth - 1))
+            return ("leaf", 1, reg.tobytes(), reg.tobytes())
+        return ("node", draw(st.integers(0, p - 1)), draw(st.sampled_from(GRID)),
+                tree(depth - 1), tree(depth - 1))
 
-    trees = tuple(tree(4) for _ in range(draw(st.integers(1, 7))))
-    forest = HybridForest(trees=trees, config=ForestConfig(n_trees=len(trees)),
-                          scale=ScaleParams(0.0, 1.0),
-                          algorithm_names=tuple(f"a{j}" for j in range(k)), n_features=p)
+    trees = [tree(4) for _ in range(draw(st.integers(1, 7)))]
     row = draw(st.lists(st.sampled_from(GRID + [float("nan")]), min_size=p, max_size=p))
-    return forest, row
+    return trees, row
 
 
 class TestRouting:
     @settings(deadline=None, max_examples=100)
-    @given(forests_and_rows(), st.sampled_from([list, np.array]))
-    def test_predict_costs_is_mean_of_leaf_labels(self, forest_row, as_input):
-        forest, row = forest_row
-        x = as_input(row)
-        expected = np.mean([predict_leaf(t, np.array(row)).regression for t in forest.trees],
+    @given(nested_trees_and_rows(), st.sampled_from([list, np.array]))
+    def test_predict_costs_is_mean_of_leaf_labels(self, trees_row, as_input):
+        trees, row = trees_row
+        forest = oracles.forest_of([oracles.flat_tree(t) for t in trees], n_features=len(row))
+        expected = np.mean([np.frombuffer(oracles.route_nested(t, row)[2]) for t in trees],
                            axis=0)
-        assert predict_costs(forest, x).tobytes() == expected.tobytes()
+        assert predict_costs(forest, as_input(row)).tobytes() == expected.tobytes()
 
     def test_split_point_goes_left(self):
-        tree = Internal(feature_index=0, split_point=0.5,
-                        left=Leaf(NodeLabels(np.array([1.0]), np.array([1.0])), 1),
-                        right=Leaf(NodeLabels(np.array([2.0]), np.array([1.0])), 1))
-        assert [predict_leaf(tree, x).regression[0]
+        tree = Tree([0], [0.5], [-1], [-2], np.array([[1.0], [2.0]]), np.array([[1.0], [1.0]]),
+                    [1, 1])
+        forest = oracles.forest_of([tree])
+        assert [predict_costs(forest, x)[0]
                 for x in ([0.5], np.array([0.5]), [np.nextafter(0.5, 1)], [np.nan])] == [
                     1.0, 1.0, 2.0, 2.0]
 
@@ -203,6 +192,46 @@ class TestSerialization:
         save_forest(forest, b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_deep_chain_tree_round_trip(self, tmp_path):
+        # costs grow geometrically along the one feature, so every split cuts
+        # off the most expensive row: a chain deeper than Python's recursion
+        # limit, which saving and loading must handle
+        n = 1400
+        X = np.arange(n, dtype=float)[:, None]
+        Y = 1.6 ** (np.arange(float(n)) - n)[:, None]
+        forest = fit_forest(X, Y, single_tree_config(lam=0.0, max_depth=5000))
+        assert oracles.tree_depth(forest.trees[0]) > 1000
+        path = tmp_path / "deep.json"
+        save_forest(forest, path)
+        loaded = load_forest(path)
+        assert oracles.tree_depth(loaded.trees[0]) == oracles.tree_depth(forest.trees[0])
+        for x in X[::7].tolist() + [[-1.0], [1e9]]:
+            assert predict_costs(loaded, x).tobytes() == predict_costs(forest, x).tobytes()
+
+    @pytest.mark.parametrize("config", [
+        single_tree_config(lam=0.5, max_depth=0),
+        # n = 3 < min_samples_split: every bagged tree stops at its root
+        ForestConfig(n_trees=3, seed=2, tree=TreeConfig(min_samples_split=4)),
+    ])
+    def test_one_leaf_trees_round_trip(self, tmp_path, config):
+        forest = fit_forest(PURE_X[:3], PURE_Y[:3], config)
+        assert all(tree.feature == [] and len(tree.size) == 1 for tree in forest.trees)
+        path = tmp_path / "model.json"
+        save_forest(forest, path)
+        loaded = load_forest(path)
+        assert forest_to_dict(loaded) == forest_to_dict(forest)
+        for x in ([-1.0], [1.5], [9.0]):
+            assert predict_costs(loaded, x).tobytes() == predict_costs(forest, x).tobytes()
+
+    def test_version_one_is_refused(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_forest(self.fitted(), path)
+        data = json.loads(path.read_text())
+        data["version"] = 1
+        path.write_text(json.dumps(data))
+        with pytest.raises(ModelFormatError, match="unsupported model version 1, expected 2"):
+            load_forest(path)
+
     def test_version_mismatch(self, tmp_path):
         forest = self.fitted()
         path = tmp_path / "model.json"
@@ -230,14 +259,41 @@ class TestSerialization:
         lambda d: d["config"].pop("lambda"),
         lambda d: d.pop("scale"),
         lambda d: d.pop("trees"),
-        lambda d: d["trees"][0][0].update(right=10_000),
-        lambda d: d["trees"][0][0].update(left=-1),
-        lambda d: d["trees"][0][0].update(left=0),
+        lambda d: d["trees"][0]["right"].__setitem__(0, 10_000),
+        lambda d: d["trees"][0]["left"].__setitem__(0, -10_000),
+        lambda d: d["trees"][0]["left"].__setitem__(0, 0),
+        lambda d: d["trees"][0]["right"].__setitem__(0, d["trees"][0]["left"][0]),
+        lambda d: d["trees"][0]["feature"].__setitem__(0, d["n_features"]),
+        lambda d: d["trees"][0]["feature"].__setitem__(0, -1),
+        lambda d: d["trees"][0]["feature"].__setitem__(0, 0.5),
+        lambda d: d["trees"][0]["feature"].pop(),
+        lambda d: d["trees"][0]["split"].__setitem__(0, float("nan")),
+        lambda d: d["trees"][0]["split"].__setitem__(0, float("inf")),
+        lambda d: d["trees"][0]["size"].__setitem__(0, 0),
+        lambda d: d["trees"][0]["regression"][0].pop(),
+        lambda d: d["trees"][0]["ranking"].pop(),
+        lambda d: d["trees"][0].pop("ranking"),
+        lambda d: d["trees"][0]["regression"][0].__setitem__(0, float("nan")),
+        lambda d: d["trees"][0]["ranking"][0].__setitem__(0, float("inf")),
+        lambda d: d["scale"].update(max=float("nan")),
+        lambda d: d["trees"][0].update(left=None),
+        lambda d: d.update(trees=[]),
+        lambda d: d["trees"].pop(),
+        lambda d: d.update(trees={}),
+        lambda d: d["algorithm_names"].pop(),
+        lambda d: d.update(algorithm_names=[]),
+        lambda d: d.update(n_features=0),
     ], ids=["no-config", "no-lambda", "no-scale", "no-trees",
-            "child-out-of-range", "negative-child", "node-cycle"])
+            "child-out-of-range", "negative-child", "node-cycle", "repeated-child",
+            "feature-too-large", "negative-feature", "fractional-feature", "short-feature-list",
+            "nan-split", "infinite-split", "empty-leaf", "short-leaf-vector",
+            "missing-leaf-ranking", "no-ranking", "nan-leaf-label", "infinite-leaf-rank",
+            "nan-scale", "no-child-list",
+            "empty-tree-list", "fewer-trees-than-n_trees", "trees-not-a-list",
+            "too-few-algorithm-names", "no-algorithm-names", "no-features"])
     def test_malformed_model_raises_model_format_error(self, tmp_path, damage):
         data = forest_to_dict(self.fitted())
-        assert "feature" in data["trees"][0][0]  # the root is an internal node
+        assert data["trees"][0]["feature"]  # the root is a split node
         damage(data)
         path = tmp_path / "model.json"
         path.write_text(json.dumps(data))

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 import oracles
 import harris.tree
 from harris.errors import DomainError
-from harris.tree import (Internal, Leaf, TreeConfig, best_split, build_tree, build_trees,
-                         predict_leaf, tree_depth)
+from harris.forest import predict_costs
+from harris.tree import TreeConfig, best_split, build_tree, build_trees
 
 # Four rows, one feature; labels flip between the halves, so the midpoint at
 # 1.5 yields two pure children under both losses.
@@ -17,6 +17,11 @@ PURE_Y = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
 
 def default_rng():
     return np.random.default_rng(12345)
+
+
+def route(tree, x):
+    """The regression label predict_costs reads for x from a one-tree forest."""
+    return predict_costs(oracles.forest_of([tree], n_features=len(x)), x)
 
 
 class TestBestSplit:
@@ -180,7 +185,7 @@ class TestLockstep:
         for tree, (t, bootstrap, seed) in zip(trees, jobs):
             rows, rng = job_rows(n, bootstrap, seed)
             expected = oracles.recursive_build_tree(X[rows], targets[t][rows], config, rng)
-            assert oracles.tree_bytes(tree) == oracles.tree_bytes(expected)
+            assert oracles.tree_bytes(tree) == expected
 
     def test_bad_jobs(self):
         rng = np.random.default_rng(0)
@@ -198,21 +203,20 @@ class TestLockstep:
 class TestBuildTree:
     def test_depth_zero_is_single_leaf(self):
         tree = build_tree(PURE_X, PURE_Y, TreeConfig(lam=0.5, max_depth=0), default_rng())
-        assert isinstance(tree, Leaf)
-        assert tree.labels.regression.tolist() == [0.5, 0.5]
-        assert tree.size == 4
+        assert tree.feature == tree.split == tree.left == tree.right == []
+        assert tree.regression.tolist() == [[0.5, 0.5]]
+        assert tree.ranking.tolist() == [[1.5, 1.5]]
+        assert tree.size == [4]
 
     def test_pure_dataset_needs_one_split(self):
         tree = build_tree(PURE_X, PURE_Y, TreeConfig(lam=0.5, max_depth=4), default_rng())
-        assert isinstance(tree, Internal)
-        assert (tree.feature_index, tree.split_point) == (0, 1.5)
-        assert isinstance(tree.left, Leaf) and isinstance(tree.right, Leaf)
-        assert tree.left.labels.regression.tolist() == [0.0, 1.0]
-        assert tree.right.labels.regression.tolist() == [1.0, 0.0]
+        assert (tree.feature, tree.split, tree.left, tree.right) == ([0], [1.5], [-1], [-2])
+        assert tree.regression.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert tree.size == [2, 2]
 
     def test_constant_feature_yields_leaf(self):
         tree = build_tree(np.ones((4, 1)), PURE_Y, TreeConfig(max_depth=5), default_rng())
-        assert isinstance(tree, Leaf)
+        assert oracles.tree_skeleton(tree) == ("leaf", 4)
 
     def test_empty_dataset(self):
         with pytest.raises(DomainError):
@@ -224,7 +228,7 @@ class TestBuildTree:
         rng = np.random.default_rng(seed)
         X, Y = oracles.random_split_dataset(rng)
         tree = build_tree(X, Y, TreeConfig(lam=0.4, max_depth=max_depth), default_rng())
-        assert tree_depth(tree) <= max_depth
+        assert oracles.tree_depth(tree) <= max_depth
 
     def test_same_seed_same_structure(self):
         rng = np.random.default_rng(7)
@@ -239,12 +243,12 @@ class TestBuildTree:
         Y = np.tile([0.2, 0.8, 0.5], (6, 1))
         X = np.arange(6, dtype=float)[:, None]
         tree = build_tree(X, Y, TreeConfig(lam=0.5, max_depth=5), default_rng())
-        assert isinstance(tree, Leaf)
+        assert oracles.tree_skeleton(tree) == ("leaf", 6)
 
     def test_min_samples_split(self):
         config = TreeConfig(lam=0.0, max_depth=8, min_samples_split=4)
         tree = build_tree(PURE_X[:3], PURE_Y[:3], config, default_rng())
-        assert isinstance(tree, Leaf)
+        assert oracles.tree_skeleton(tree) == ("leaf", 3)
 
 
 class TestLambdaEndpoints:
@@ -266,29 +270,33 @@ class TestLambdaEndpoints:
 
 
 class TestPredictLeaf:
+    """Routing one row down one tree to its leaf."""
+
     def test_single_leaf_tree(self):
         tree = build_tree(PURE_X, PURE_Y, TreeConfig(max_depth=0), default_rng())
         for x in ([0.0], [99.0]):
-            assert predict_leaf(tree, x).regression.tolist() == [0.5, 0.5]
+            assert route(tree, x).tolist() == [0.5, 0.5]
 
     def test_routing(self):
         tree = build_tree(PURE_X, PURE_Y, TreeConfig(max_depth=2), default_rng())
-        assert predict_leaf(tree, [0.7]).regression.tolist() == [0.0, 1.0]
-        assert predict_leaf(tree, [2.5]).regression.tolist() == [1.0, 0.0]
+        assert route(tree, [0.7]).tolist() == [0.0, 1.0]
+        assert route(tree, [2.5]).tolist() == [1.0, 0.0]
 
     def test_boundary_goes_left(self):
         tree = build_tree(PURE_X, PURE_Y, TreeConfig(max_depth=2), default_rng())
-        assert predict_leaf(tree, [1.5]).regression.tolist() == [0.0, 1.0]
+        assert route(tree, [1.5]).tolist() == [0.0, 1.0]
 
     def test_leaf_labels_match_training_subset(self):
         rng = np.random.default_rng(3)
         X = rng.uniform(size=(20, 2))
         Y = rng.uniform(size=(20, 3))
         tree = build_tree(X, Y, TreeConfig(lam=0.6, max_depth=2), default_rng())
+        nested = oracles.tree_bytes(tree)
         for i in range(20):
-            labels = predict_leaf(tree, X[i])
-            assert labels.regression.shape == (3,)
-            assert labels.ranking.sum() == pytest.approx(6.0)
+            _, size, regression, ranking = oracles.route_nested(nested, X[i])
+            assert route(tree, X[i]).tobytes() == regression
+            assert np.frombuffer(ranking).sum() == pytest.approx(6.0)
+            assert size >= 1
 
 
 class TestTreeConfig:
