@@ -226,6 +226,10 @@ def sweep_cmd(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolve
         depth_grid = [int(v) for v in depths.split(",") if v.strip() != ""]
     except ValueError:
         raise click.BadParameter("--lambdas/--depths must be comma-separated numbers")
+    for flag, given, grid in (("--lambdas", lambdas, lambda_grid),
+                              ("--depths", depths, depth_grid)):
+        if len(set(grid)) != len(grid):
+            raise click.UsageError(f"{flag} {given!r} must name each value once")
     # the grid replaces the tree's lambda and depth in every cell
     config = _forest_config(TreeConfig.lam, TreeConfig.max_depth, n_trees, bootstrap,
                             features_per_split, seed, paper_tree)

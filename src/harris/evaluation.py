@@ -90,7 +90,7 @@ def cross_validate(scenario: Scenario, selector_factory: Callable[[], Selector],
                      algorithm_names=scenario.algorithm_names)
 
         fold_costs: list[float] = []
-        fold_taus: list[float] = []
+        scored: list[tuple[np.ndarray, np.ndarray]] = []  # (predicted, true) cost rows
         for row, instance in enumerate(np.nonzero(test_mask)[0]):
             true_costs = costs[instance]
             # the oracle is scored on the test labels it is meant to know
@@ -99,12 +99,15 @@ def cross_validate(scenario: Scenario, selector_factory: Callable[[], Selector],
                 choice = selector.select(test_features[row])
             else:
                 choice = int(np.argmin(predicted))  # Selector.select, without a second call
+                scored.append((predicted, true_costs))
             fold_costs.append(float(true_costs[choice]))
-            if predicted is not None:
+        fold_taus: list[float] = []
+        if scored:
+            # each side of the fold ranked in one call, then tau-b row by row
+            predicted_ranks, true_ranks = (rank_vector(np.array(side)) for side in zip(*scored))
+            for p_ranks, t_ranks in zip(predicted_ranks, true_ranks):
                 try:
-                    fold_taus.append(
-                        kendall_tau_b(rank_vector(predicted), rank_vector(true_costs))
-                    )
+                    fold_taus.append(kendall_tau_b(p_ranks, t_ranks))
                 except UndefinedMetric:
                     pass
 

@@ -198,6 +198,34 @@ def forest_to_dict(forest: HybridForest) -> dict:
     }
 
 
+def _config_from_dict(cfg: dict) -> ForestConfig:
+    """The ForestConfig a model file stores, with every field of its own JSON
+    type (no bool for a number) and in the range ForestConfig accepts."""
+    for key in ("n_trees", "seed", "max_depth", "min_samples_split"):
+        if type(cfg[key]) is not int:
+            raise ModelFormatError(f"config {key} must be an integer, got {cfg[key]!r}")
+    if type(cfg["bootstrap"]) is not bool:
+        raise ModelFormatError(f"config bootstrap must be true or false, "
+                               f"got {cfg['bootstrap']!r}")
+    if type(cfg["lambda"]) not in (int, float):
+        raise ModelFormatError(f"config lambda must be a number, got {cfg['lambda']!r}")
+    fps = cfg["features_per_split"]
+    if fps not in ("all", "sqrt") and type(fps) is not int:
+        raise ModelFormatError(f"config features_per_split must be 'all', 'sqrt' or an "
+                               f"integer, got {fps!r}")
+    try:
+        return ForestConfig(
+            n_trees=cfg["n_trees"],
+            bootstrap=cfg["bootstrap"],
+            seed=cfg["seed"],
+            tree=TreeConfig(lam=float(cfg["lambda"]), max_depth=cfg["max_depth"],
+                            min_samples_split=cfg["min_samples_split"],
+                            features_per_split=fps),
+        )
+    except DomainError as exc:
+        raise ModelFormatError(f"config: {exc}") from None
+
+
 def forest_from_dict(data: dict) -> HybridForest:
     if not isinstance(data, dict) or data.get("format") != MODEL_FORMAT:
         raise ModelFormatError("not a forest model file")
@@ -206,19 +234,7 @@ def forest_from_dict(data: dict) -> HybridForest:
             f"unsupported model version {data.get('version')!r}, expected {MODEL_VERSION}"
         )
     try:
-        cfg = data["config"]
-        fps = cfg["features_per_split"]
-        config = ForestConfig(
-            n_trees=int(cfg["n_trees"]),
-            bootstrap=bool(cfg["bootstrap"]),
-            seed=int(cfg["seed"]),
-            tree=TreeConfig(
-                lam=float(cfg["lambda"]),
-                max_depth=int(cfg["max_depth"]),
-                min_samples_split=int(cfg["min_samples_split"]),
-                features_per_split=fps if isinstance(fps, str) else int(fps),
-            ),
-        )
+        config = _config_from_dict(data["config"])
         names, n_features, trees = data["algorithm_names"], data["n_features"], data["trees"]
         if not isinstance(names, list) or not names or not all(isinstance(a, str) for a in names):
             raise ModelFormatError("algorithm_names must be a non-empty list of names")

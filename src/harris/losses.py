@@ -21,14 +21,24 @@ def rank_vector(costs) -> Ranking:
     Ranks are counted exactly as 1 + #smaller + (#equal - 1) / 2, so tied
     costs share the mean of their positions and an n x k matrix is ranked row
     by row. NaN has no rank and raises DomainError.
+
+    The count makes k passes, one per column, each comparing that column with
+    all k columns at once; a pass costs about as much for one row as for a
+    few hundred, so single rows are better ranked together in one call.
     """
     a = np.asarray(costs, dtype=float)
     if np.isnan(a).any():
         raise DomainError("cannot rank NaN costs")
-    row, other = a[..., :, None], a[..., None, :]
-    smaller = (other < row).sum(axis=-1)
-    equal = (other == row).sum(axis=-1)
-    return 1.0 + smaller + (equal - 1) / 2.0
+    k = a.shape[-1]
+    # one contiguous row per column; the transpose also reverses the other
+    # axes, which is harmless as every comparison is elementwise across them
+    cols = a.T.copy()
+    # 1 + 2 #smaller + #equal, counted in the narrowest integer type that holds it
+    twice = np.ones(cols.shape, dtype=np.min_scalar_type(2 * k + 1))
+    for col in cols:
+        twice += col < cols
+        twice += col <= cols
+    return np.true_divide(twice.T, 2.0, order="C")
 
 
 def _pair_signs(v: np.ndarray) -> np.ndarray:

@@ -12,8 +12,9 @@ generator, so every tree is the one a recursive build on its own data would
 grow. Each step takes the next node to split from every unfinished tree and
 scores all of their candidate columns in one pass: one column-wise sort,
 prefix sums over the sorted rows, and the losses of every real split point of
-every column at once (in blocks of BLOCK_CELLS label cells). best_split and
-build_tree are its one-node and one-tree cases.
+every column at once (in blocks of BLOCK_CELLS label cells). Leaf rankings
+are ranked once per build_trees call, all leaves of all its trees together.
+best_split and build_tree are its one-node and one-tree cases.
 """
 
 from __future__ import annotations
@@ -330,11 +331,12 @@ def build_trees(features, targets, jobs, config: TreeConfig) -> list[Tree]:
         links[parent] = node
 
     def add_leaf(leaves, slot, labels: np.ndarray, rank_rows: np.ndarray):
-        # the mean label and Borda consensus of the leaf, from the cached ranks
-        regression, ranking, size = leaves
+        # the mean label and the rank sums of the leaf's Borda consensus,
+        # which is ranked with every other leaf's once the trees are grown
+        regression, rank_sums, size = leaves
         settle(slot, ~len(size))
         regression.append(labels.mean(axis=0))
-        ranking.append(rank_vector(rank_rows.sum(axis=0)))
+        rank_sums.append(rank_rows.sum(axis=0))
         size.append(labels.shape[0])
 
     def next_split(growth):
@@ -382,8 +384,12 @@ def build_trees(features, targets, jobs, config: TreeConfig) -> list[Tree]:
             stack.append((rows[left], depth + 1, (left_ids, node)))
         open_nodes = [(growth, node) for growth, _ in open_nodes
                       if (node := next_split(growth)) is not None]
-    return [Tree(*splits, np.array(regression), np.array(ranking), size)
-            for _, splits, (regression, ranking, size), _, _ in growths]
+    leaves = [leaf_lists for _, _, leaf_lists, _, _ in growths]
+    rankings = rank_vector(np.array([sums for _, rank_sums, _ in leaves for sums in rank_sums]))
+    per_tree = np.split(rankings, np.cumsum([len(size) for _, _, size in leaves])[:-1])
+    return [Tree(*splits, np.array(regression), ranking.copy(), size)
+            for (_, splits, _, _, _), (regression, _, size), ranking
+            in zip(growths, leaves, per_tree)]
 
 
 def build_tree(features, labels, config: TreeConfig, rng: np.random.Generator) -> Tree:

@@ -164,6 +164,16 @@ class TestSweep:
         assert result.exit_code != 0
         assert "No such option" in result.output
 
+    @pytest.mark.parametrize("grid", [("--lambdas", "0.5,0.50"), ("--depths", "2,2")])
+    def test_repeated_grid_value_is_usage_error(self, runner, tmp_path, grid):
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, ["sweep", "--synthetic", "--synthetic-n", "30",
+                                      "--paper-tree", "--lambdas", "0.5", "--depths", "2",
+                                      *grid, "-o", str(out)])
+        assert result.exit_code == 2
+        assert f"{grid[0]} '{grid[1]}' must name each value once" in result.output
+        assert not out.exists()
+
     def test_bad_grid(self, runner, tmp_path):
         result = runner.invoke(main, [
             "sweep", "--synthetic", "--lambdas", "zero", "-o", str(tmp_path / "x.csv")])

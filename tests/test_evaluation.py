@@ -3,10 +3,11 @@ import pytest
 
 import oracles
 from harris.baselines import HarrisSelector, OracleSelector, Selector, SingleBestSelector
-from harris.errors import DomainError
+from harris.errors import DomainError, UndefinedMetric
 from harris.evaluation import (REPORT_COLUMNS, average_rank, best_cells_by_scenario,
                                cross_validate, read_report_csv, sweep, write_report_csv)
 from harris.forest import single_tree_config
+from harris.losses import kendall_tau_b, rank_vector
 from harris.scenario import par10_matrix
 from harris.synthetic import make_synthetic_scenario
 
@@ -59,6 +60,41 @@ class TestCrossValidate:
         folds, _ = cross_validate(scn, CostsOnly)
         for record in folds:
             assert record.par10 == pytest.approx(costs[scn.fold_of == record.fold, 1].mean())
+
+    def test_fold_tau_is_mean_of_per_row_tau(self):
+        # a fold's rows are ranked in one call; its tau must still be the mean
+        # of the per-row tau-b, undefined rows left out, to the last bit
+        seen_by_fold = []
+
+        class Rounded(Selector):
+            name = "rounded"
+
+            def __init__(self):
+                self.seen = []
+                seen_by_fold.append(self.seen)
+
+            def fit(self, features, costs, *, scale=None, algorithm_names=None):
+                return self
+
+            def predicted_costs(self, x):
+                costs = np.round(np.asarray(x) * 2.0)  # coarse, so ties are common
+                self.seen.append(costs)
+                return costs
+
+        scn = make_synthetic_scenario(90, seed=3)
+        costs = par10_matrix(scn)
+        folds, _ = cross_validate(scn, Rounded)
+        skipped = 0
+        for record, seen in zip(folds, seen_by_fold):
+            taus = []
+            for predicted, true_costs in zip(seen, costs[scn.fold_of == record.fold]):
+                try:
+                    taus.append(kendall_tau_b(rank_vector(predicted), rank_vector(true_costs)))
+                except UndefinedMetric:
+                    skipped += 1
+            assert len(seen) == record.n_instances
+            assert np.float64(record.tau).tobytes() == np.float64(np.mean(taus)).tobytes()
+        assert skipped > 0
 
     def test_constant_prediction_reports_missing_tau(self):
         scn = make_synthetic_scenario(60, seed=5)

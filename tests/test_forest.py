@@ -283,6 +283,20 @@ class TestSerialization:
         lambda d: d["algorithm_names"].pop(),
         lambda d: d.update(algorithm_names=[]),
         lambda d: d.update(n_features=0),
+        lambda d: d["config"].update(bootstrap="no"),
+        lambda d: d["config"].update(seed=2.9),
+        lambda d: d["config"].update(max_depth=True),
+        lambda d: d["config"].update(min_samples_split=2.7),
+        lambda d: d["config"].update(n_trees=str(d["config"]["n_trees"])),
+        lambda d: d["config"].update({"lambda": True}),
+        lambda d: d["config"].update({"lambda": "0.5"}),
+        lambda d: d["config"].update(features_per_split="half"),
+        lambda d: d["config"].update(features_per_split=1.5),
+        lambda d: d["config"].update({"lambda": 2}),
+        lambda d: d["config"].update(n_trees=0),
+        lambda d: d["config"].update(max_depth=-1),
+        lambda d: d["config"].update(min_samples_split=1),
+        lambda d: d["config"].update(features_per_split=0),
     ], ids=["no-config", "no-lambda", "no-scale", "no-trees",
             "child-out-of-range", "negative-child", "node-cycle", "repeated-child",
             "feature-too-large", "negative-feature", "fractional-feature", "short-feature-list",
@@ -290,7 +304,11 @@ class TestSerialization:
             "missing-leaf-ranking", "no-ranking", "nan-leaf-label", "infinite-leaf-rank",
             "nan-scale", "no-child-list",
             "empty-tree-list", "fewer-trees-than-n_trees", "trees-not-a-list",
-            "too-few-algorithm-names", "no-algorithm-names", "no-features"])
+            "too-few-algorithm-names", "no-algorithm-names", "no-features",
+            "string-bootstrap", "fractional-seed", "boolean-depth", "fractional-min-samples",
+            "string-tree-count", "boolean-lambda", "string-lambda", "unknown-feature-rule",
+            "fractional-features-per-split", "lambda-out-of-range", "no-tree-count",
+            "negative-depth", "min-samples-below-two", "zero-features-per-split"])
     def test_malformed_model_raises_model_format_error(self, tmp_path, damage):
         data = forest_to_dict(self.fitted())
         assert data["trees"][0]["feature"]  # the root is a split node

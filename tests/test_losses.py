@@ -44,6 +44,30 @@ class TestRankVector:
     def test_ranks_each_row_of_a_matrix(self, rows):
         assert rank_vector(np.array(rows)).tolist() == [oracles.counting_ranks(r) for r in rows]
 
+    @pytest.mark.parametrize("costs", [
+        [[0.5], [2.0], [-1.0]],
+        [[np.inf, -np.inf, 0.0, np.inf, -np.inf, 1e308]],
+        [[-0.0, 0.0, 1.0, -0.0], [0.0, -0.0, -0.0, 0.0]],
+    ], ids=["k-of-one", "infinities", "signed-zeros"])
+    def test_edge_values_match_counting_definition(self, costs):
+        assert rank_vector(np.array(costs)).tolist() == [oracles.counting_ranks(r) for r in costs]
+
+    @pytest.mark.parametrize("k", [128, 300])
+    def test_wide_all_tied_rows(self, k):
+        # 1 + 2 #smaller + #equal reaches 2k + 1: 257 at k = 128, past 8 bits
+        rows = np.stack([np.zeros(k), np.arange(k)[::-1] % 7, np.arange(k, dtype=float)])
+        assert rank_vector(rows).tolist() == [oracles.counting_ranks(r) for r in rows]
+
+    @given(tied_matrices)
+    def test_ranks_along_the_last_axis_of_any_shape(self, rows):
+        a = np.array(rows)
+        expected = [oracles.counting_ranks(r) for r in rows]
+        assert rank_vector(a[0]).tolist() == expected[0]
+        stacked = np.stack([a, a[::-1]])  # 2 x n x k, from a reversed view too
+        ranked = rank_vector(stacked)
+        assert ranked.shape == stacked.shape and ranked.flags.c_contiguous
+        assert ranked.tolist() == [expected, expected[::-1]]
+
     def test_nan_raises(self):
         with pytest.raises(DomainError):
             rank_vector([0.5, np.nan, 0.1])
