@@ -152,6 +152,9 @@ class ClusterSelector(Selector):
     name = "isac"
 
     def __init__(self, n_clusters=10, seed=0):
+        if (isinstance(n_clusters, bool) or not isinstance(n_clusters, (int, np.integer))
+                or n_clusters < 1):
+            raise DomainError(f"n_clusters must be an integer >= 1, got {n_clusters!r}")
         self.n_clusters = n_clusters
         self.seed = seed
         self.centroids = None
@@ -202,37 +205,54 @@ KMEANS_MAX_ITER = 100
 
 
 def _kmeans(Z, k, rng):
-    """Plain Lloyd iterations with seeded restarts; lowest inertia wins."""
-    n = Z.shape[0]
+    """Plain Lloyd iterations with seeded restarts; lowest inertia wins.
+
+    A step is a few whole-array calls: the squared distances of every row to
+    every centroid come from one n x k*p tiled copy of Z, and every cluster's
+    sum from one weighted bincount over the (cluster, column) cells, which adds
+    a cluster's rows in row order from +0.0, as mean(axis=0) does for p >= 2.
+    Empty clusters are re-seeded in cluster order; a centroid that compares
+    equal to its new centre keeps its bytes.
+    """
+    n, p = Z.shape
+    tiled = np.tile(Z, k)
+    diff = np.empty_like(tiled)
+    weights = Z.ravel()
+    cell_ids = np.arange(k * p).reshape(k, p)  # flat id of each (cluster, column) sum
     best_inertia = np.inf
     best = None
     for _ in range(KMEANS_RESTARTS):
         centroids = Z[rng.choice(n, size=k, replace=False)].copy()
         for _ in range(KMEANS_MAX_ITER):
-            d2 = ((Z[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+            d2 = _squared_distances(tiled, centroids, diff)
             assignment = d2.argmin(axis=1)
-            # each cluster's rows, in row order, as one contiguous slice
-            members = Z[np.argsort(assignment, kind="stable")]
             counts = np.bincount(assignment, minlength=k)
-            ends = np.cumsum(counts)
-            moved = False
-            for c in range(k):
-                if counts[c]:
-                    center = members[ends[c] - counts[c]:ends[c]].mean(axis=0)
-                else:
-                    center = Z[rng.integers(0, n)]  # re-seed an empty cluster
-                if (center != centroids[c]).any():
-                    centroids[c] = center
-                    moved = True
-            if not moved:
-                break
-        d2 = ((Z[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        assignment = d2.argmin(axis=1)
+            sums = np.bincount(cell_ids[assignment].ravel(), weights=weights,
+                               minlength=k * p).reshape(k, p)
+            centers = sums / np.maximum(counts, 1)[:, None]
+            for c in np.flatnonzero(counts == 0):
+                centers[c] = Z[rng.integers(0, n)]  # re-seed an empty cluster
+            moved = (centers != centroids).any(axis=1)
+            if not moved.any():
+                break  # d2 and assignment already belong to the final centroids
+            centroids[moved] = centers[moved]
+        else:
+            d2 = _squared_distances(tiled, centroids, diff)
+            assignment = d2.argmin(axis=1)
         inertia = float(d2[np.arange(n), assignment].sum())
         if inertia < best_inertia:
             best_inertia = inertia
             best = (centroids.copy(), assignment.copy())
     return best
+
+
+def _squared_distances(tiled, centroids, out):
+    """n x k squared distances, bit-identical to
+    ((Z[:, None, :] - centroids[None]) ** 2).sum(axis=2): the same elementwise
+    steps, then the same contiguous sum over the p columns."""
+    np.subtract(tiled, centroids.reshape(1, -1), out=out)
+    np.multiply(out, out, out=out)
+    return out.reshape(out.shape[0], *centroids.shape).sum(axis=2)
 
 
 class SingleBestSelector(Selector):

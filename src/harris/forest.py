@@ -4,13 +4,15 @@ Each tree draws its RNG stream from (seed, tree_number), so forests are
 reproducible no matter in which order the trees are built. fit_forests grows
 every tree of several forests on one feature matrix in one tree.build_trees
 lockstep; each tree keeps only its bootstrap row indices. Prediction averages
-the trees' regression leaf labels; the Borda leaf rankings stay available per
-tree for diagnostics. A model file holds each tree.Tree as the plain dump of
-its lists, checked on load without recursion.
+the trees' regression leaf labels, gathered with one index from a stack of all
+trees' labels that the forest builds on construction; the Borda leaf rankings
+stay available per tree for diagnostics. A model file holds each tree.Tree as
+the plain dump of its lists, checked on load without recursion.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -56,6 +58,16 @@ class HybridForest:
     scale: ScaleParams
     algorithm_names: tuple[str, ...]
     n_features: int
+    # derived, not stored in the model file: every tree's regression leaf
+    # labels stacked in one array, and each tree's first row in it
+    leaf_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    leaf_base: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "leaf_rows",
+                           np.concatenate([tree.regression for tree in self.trees]))
+        object.__setattr__(self, "leaf_base", tuple(itertools.accumulate(
+            (len(tree.regression) for tree in self.trees[:-1]), initial=0)))
 
 
 def _tree_rng(seed: int, tree_number: int) -> np.random.Generator:
@@ -119,14 +131,15 @@ def predict_costs(forest: HybridForest, x) -> np.ndarray:
     many forests about one row, convert it once and pass the list.
     """
     row = x if isinstance(x, list) else np.asarray(x, dtype=float).tolist()
-    leaves = []
-    for tree in forest.trees:
+    ids = []
+    for tree, base in zip(forest.trees, forest.leaf_base):
         feature, split, left, right = tree.feature, tree.split, tree.left, tree.right
         i = 0 if feature else -1
         while i >= 0:
             i = left[i] if row[feature[i]] <= split[i] else right[i]
-        leaves.append(tree.regression[~i])
-    return np.mean(leaves, axis=0)
+        ids.append(base + ~i)
+    # the reduction np.mean(leaves, axis=0) runs, without building its input
+    return np.add.reduce(forest.leaf_rows[ids], axis=0) / len(ids)
 
 
 def select_algorithm(forest: HybridForest, x) -> int:

@@ -469,8 +469,8 @@ def tree_skeleton(tree):
 
 # --- reference k-means ------------------------------------------------------------
 # isac's Lloyd iterations as they stood with one boolean mask per cluster and
-# step, kept verbatim (renamed) to pin the sorted-slice update to the same
-# centroids, assignments and random draws.
+# step, kept verbatim (renamed) to pin the whole-array update to the same
+# centroids, assignments and random draws (for two or more features).
 
 def reference_kmeans(Z, k, rng):
     """Plain Lloyd iterations with seeded restarts; lowest inertia wins."""

@@ -188,20 +188,47 @@ class TestClusterSelector:
             q_rescaled[0] = 64.0 * q_rescaled[0]
             assert a.select(q) == b.select(q_rescaled)
 
+    @pytest.mark.parametrize("n_clusters", [0, -1, 2.5, True, "3"])
+    def test_bad_cluster_count_is_a_domain_error(self, n_clusters):
+        with pytest.raises(DomainError, match="n_clusters must be an integer >= 1"):
+            ClusterSelector(n_clusters=n_clusters)
+
     @settings(deadline=None, max_examples=40)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans())
-    def test_kmeans_matches_per_cluster_masks(self, seed, k, few_points):
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(2, 40),
+           st.sampled_from(["distinct", "few_points", "negative_zeros"]))
+    def test_kmeans_matches_per_cluster_masks(self, seed, k, p, kind):
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(k, 40))
-        if few_points:  # fewer distinct points than clusters: some cluster goes empty
+        n = int(rng.integers(k, 161))
+        if kind == "few_points":  # fewer distinct points than clusters: some cluster goes empty
             distinct = max(1, k - 1)
-            Z = rng.normal(size=(distinct, 3))[rng.integers(0, distinct, size=n)]
+            Z = rng.normal(size=(distinct, p))[rng.integers(0, distinct, size=n)]
         else:
-            Z = rng.normal(size=(n, 3))
+            Z = rng.normal(size=(n, p))
+        if kind == "negative_zeros":  # whole columns and scattered cells of -0.0
+            Z[:, rng.uniform(size=p) < 0.2] = -0.0
+            Z[rng.uniform(size=Z.shape) < 0.2] = -0.0
         got = _kmeans(Z, k, np.random.default_rng(seed))
         expected = oracles.reference_kmeans(Z, k, np.random.default_rng(seed))
         assert got[0].tobytes() == expected[0].tobytes()
         assert got[1].tobytes() == expected[1].tobytes()
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 10))
+    def test_one_feature_centres_are_row_order_means(self, seed, k):
+        """With one feature mean(axis=0) sums pairwise and a centre may differ
+        from the reference by an ulp; _kmeans defines each centre as its
+        members added in row order from 0.0, divided by their count, and the
+        assignments stay the reference's."""
+        rng = np.random.default_rng(seed)
+        Z = rng.normal(size=(int(rng.integers(k, 161)), 1))
+        centroids, assignment = _kmeans(Z, k, np.random.default_rng(seed))
+        expected = oracles.reference_kmeans(Z, k, np.random.default_rng(seed))
+        assert assignment.tobytes() == expected[1].tobytes()
+        for c in np.unique(assignment):
+            total = 0.0
+            for z in Z[assignment == c, 0]:
+                total += float(z)
+            assert centroids[c, 0] == total / int((assignment == c).sum())
 
     def test_predicted_costs_are_cluster_means(self):
         X, Y = self.blobs()

@@ -127,7 +127,7 @@ def nested_trees_and_rows(draw):
         return ("node", draw(st.integers(0, p - 1)), draw(st.sampled_from(GRID)),
                 tree(depth - 1), tree(depth - 1))
 
-    trees = [tree(4) for _ in range(draw(st.integers(1, 7)))]
+    trees = [tree(4) for _ in range(draw(st.integers(1, 20)))]
     row = draw(st.lists(st.sampled_from(GRID + [float("nan")]), min_size=p, max_size=p))
     return trees, row
 
