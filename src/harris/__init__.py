@@ -8,7 +8,7 @@ from .baselines import (ClusterSelector, HarrisSelector, OracleSelector,
 from .errors import (ConsistencyError, DomainError, EmptyScenarioError,
                      ModelFormatError, ParseError, UndefinedMetric)
 from .evaluation import (AggregateRecord, FoldRecord, average_rank, cross_validate,
-                         read_report_csv, sweep, write_report_csv)
+                         cross_validate_cells, read_report_csv, sweep, write_report_csv)
 from .forest import (ForestConfig, HybridForest, fit_forest, load_forest,
                      predict_costs, save_forest, select_algorithm,
                      single_tree_config)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import sys
+from functools import partial
 from pathlib import Path
 
 import click
@@ -17,12 +18,12 @@ from .baselines import (ClusterSelector, HarrisSelector, OracleSelector,
 from .errors import (ConsistencyError, DomainError, EmptyScenarioError,
                      ModelFormatError, ParseError)
 from .evaluation import (DEFAULT_DEPTH_GRID, DEFAULT_LAMBDA_GRID, average_rank,
-                         best_cells_by_scenario, cross_validate, read_report_csv,
+                         best_cells_by_scenario, cross_validate_cells, read_report_csv,
                          sweep, write_report_csv)
 from .forest import (ForestConfig, fit_forest, load_forest, predict_costs,
                      save_forest, single_tree_config)
-from .scenario import (column_medians, filter_unsolved, impute_features,
-                       par10_matrix, parse_scenario, scale_performances)
+from .scenario import (column_medians, decoding_errors_as, filter_unsolved,
+                       impute_features, par10_matrix, parse_scenario, scale_performances)
 from .synthetic import make_synthetic_scenario
 from .tree import TreeConfig
 
@@ -122,17 +123,18 @@ def _forest_config(lam, depth, n_trees, bootstrap, features_per_split, seed, pap
     )
 
 
-def _selector_factories(forest_config, *, baseline_trees, baseline_depth, isac_clusters, seed):
-    """Selector name -> factory of a fresh, unfitted selector."""
+def _selector_cells(forest_config, lam, depth, *, baseline_trees, baseline_depth,
+                    isac_clusters, seed):
+    """Selector name -> (factory of a fresh, unfitted selector, lambda, depth)
+    cell; only harris carries lambda/depth labels."""
+    sub_forests = dict(n_trees=baseline_trees, max_depth=baseline_depth, seed=seed)
     return {
-        "harris": lambda: HarrisSelector(forest_config),
-        "rfr": lambda: RegressionForestSelector(
-            n_trees=baseline_trees, max_depth=baseline_depth, seed=seed),
-        "isac": lambda: ClusterSelector(n_clusters=isac_clusters, seed=seed),
-        "satzilla": lambda: PairwiseVotingSelector(
-            n_trees=baseline_trees, max_depth=baseline_depth, seed=seed),
-        "sbs": SingleBestSelector,
-        "oracle": OracleSelector,
+        "harris": (partial(HarrisSelector, forest_config), lam, depth),
+        "rfr": (partial(RegressionForestSelector, **sub_forests), None, None),
+        "isac": (partial(ClusterSelector, n_clusters=isac_clusters, seed=seed), None, None),
+        "satzilla": (partial(PairwiseVotingSelector, **sub_forests), None, None),
+        "sbs": (SingleBestSelector, None, None),
+        "oracle": (OracleSelector, None, None),
     }
 
 
@@ -189,18 +191,11 @@ def evaluate(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolved
     """Run 10-fold cross-validation for the requested selectors."""
     scn = _load_scenario(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolved)
     config = _forest_config(lam, depth, n_trees, bootstrap, features_per_split, seed, paper_tree)
-    factories = _selector_factories(config, baseline_trees=baseline_trees,
-                                    baseline_depth=baseline_depth, isac_clusters=isac_clusters,
-                                    seed=seed)
-    names = _selector_names(selectors, factories)
-    fold_records, aggregates = [], []
-    for name in names:
-        annotate = name == "harris"
-        folds, agg = cross_validate(scn, factories[name],
-                                    lam=lam if annotate else None,
-                                    depth=depth if annotate else None)
-        fold_records.extend(folds)
-        aggregates.append(agg)
+    cells = _selector_cells(config, lam, depth, baseline_trees=baseline_trees,
+                            baseline_depth=baseline_depth, isac_clusters=isac_clusters,
+                            seed=seed)
+    names = _selector_names(selectors, cells)
+    fold_records, aggregates = cross_validate_cells(scn, [cells[name] for name in names])
     write_report_csv(output, fold_records, aggregates)
     _print_summary(scn, aggregates)
     click.echo(f"wrote {output}")
@@ -272,7 +267,8 @@ def train(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolved,
 def predict(model, features_csv):
     """Select an algorithm for each feature vector in a CSV file."""
     forest = load_forest(model)
-    with open(features_csv, newline="", encoding="utf-8") as fh:
+    with (decoding_errors_as(DomainError, features_csv),
+          open(features_csv, newline="", encoding="utf-8") as fh):
         reader = csv.reader(fh)
         rows = [(reader.line_num, row) for row in reader if row]
     if not rows:

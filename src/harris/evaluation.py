@@ -1,11 +1,13 @@
 """Cross-validation harness, lambda/depth sweeps, and rank aggregation.
 
-PAR10 is always reported in original seconds; selectors train on costs scaled
-to [0, 1]. Scaling parameters and imputation medians are fit on the training
-folds only, so no test information leaks into fitting. Kendall's tau-b is
-computed per test instance between the selector's predicted cost ranking and
-the true PAR10 ranking, then macro-averaged over the instances where it is
-defined.
+Every experiment is one cross_validate_cells loop over the folds: an
+evaluate's selectors and a sweep's grid cells are its cells, and they share a
+fold's preprocessed arrays, read-only. PAR10 is always reported in original
+seconds; selectors train on costs scaled to [0, 1]. Scaling parameters and
+imputation medians are fit on the training folds only, so no test
+information leaks into fitting. Kendall's tau-b is computed per test instance
+between the selector's predicted cost ranking and the true PAR10 ranking,
+then macro-averaged over the instances where it is defined.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import product
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -21,7 +25,8 @@ from .baselines import HarrisSelector, OracleSelector, Selector
 from .errors import DomainError, UndefinedMetric
 from .forest import ForestConfig
 from .losses import kendall_tau_b, rank_vector
-from .scenario import Scenario, column_medians, impute_features, par10_matrix, scale_performances
+from .scenario import (Scenario, column_medians, decoding_errors_as, impute_features,
+                       par10_matrix, scale_performances)
 from .tree import TreeConfig
 
 DEFAULT_LAMBDA_GRID = tuple(i / 10 for i in range(11))
@@ -59,19 +64,16 @@ class AggregateRecord:
     n_instances: int
 
 
-def cross_validate(scenario: Scenario, selector_factory: Callable[[], Selector], *,
-                   lam: Optional[float] = None,
-                   depth: Optional[int] = None) -> tuple[list[FoldRecord], AggregateRecord]:
-    """Evaluate one selector under the scenario's fold split.
-
-    For every fold: fit on the other folds (medians and scaling from training
-    rows only), select on the test rows, and score the selected algorithm's
-    PAR10 in original units plus the per-instance tau-b where defined.
-    """
+def cross_validate_cells(scenario: Scenario, cells: Sequence[tuple],
+                         ) -> tuple[list[FoldRecord], list[AggregateRecord]]:
+    """Evaluate (selector_factory, lam, depth) cells on the scenario's folds;
+    lam and depth only label a cell's records. In every fold each cell fits a
+    fresh selector, selects on the test rows, and is scored by the selected
+    algorithm's PAR10 in original units plus the per-instance tau-b where
+    defined. Returns the fold records cell by cell and one aggregate per cell."""
     costs = par10_matrix(scenario)
     folds = sorted(int(f) for f in np.unique(scenario.fold_of))
-    fold_records: list[FoldRecord] = []
-    selector_name = None
+    records: list[list[FoldRecord]] = [[] for _ in cells]
 
     for fold in folds:
         test_mask = scenario.fold_of == fold
@@ -82,47 +84,57 @@ def cross_validate(scenario: Scenario, selector_factory: Callable[[], Selector],
         train_features = impute_features(scenario.features[train_mask], medians)
         test_features = impute_features(scenario.features[test_mask], medians)
         scaled_train, scale = scale_performances(costs[train_mask])
+        for shared in (train_features, test_features, scaled_train):
+            shared.setflags(write=False)
 
-        selector = selector_factory()
-        selector_name = selector.name
-        is_oracle = isinstance(selector, OracleSelector)
-        selector.fit(train_features, scaled_train, scale=scale,
-                     algorithm_names=scenario.algorithm_names)
+        for (selector_factory, lam, depth), cell_records in zip(cells, records):
+            selector = selector_factory()
+            is_oracle = isinstance(selector, OracleSelector)
+            selector.fit(train_features, scaled_train, scale=scale,
+                         algorithm_names=scenario.algorithm_names)
 
-        fold_costs: list[float] = []
-        scored: list[tuple[np.ndarray, np.ndarray]] = []  # (predicted, true) cost rows
-        for row, instance in enumerate(np.nonzero(test_mask)[0]):
-            true_costs = costs[instance]
-            # the oracle is scored on the test labels it is meant to know
-            predicted = true_costs if is_oracle else selector.predicted_costs(test_features[row])
-            if predicted is None:
-                choice = selector.select(test_features[row])
-            else:
-                choice = int(np.argmin(predicted))  # Selector.select, without a second call
-                scored.append((predicted, true_costs))
-            fold_costs.append(float(true_costs[choice]))
-        fold_taus: list[float] = []
-        if scored:
-            # each side of the fold ranked in one call, then tau-b row by row
-            predicted_ranks, true_ranks = (rank_vector(np.array(side)) for side in zip(*scored))
-            for p_ranks, t_ranks in zip(predicted_ranks, true_ranks):
-                try:
-                    fold_taus.append(kendall_tau_b(p_ranks, t_ranks))
-                except UndefinedMetric:
-                    pass
+            fold_costs: list[float] = []
+            scored: list[tuple[np.ndarray, np.ndarray]] = []  # (predicted, true) cost rows
+            for x, true_costs in zip(test_features, costs[test_mask]):
+                # the oracle is scored on the test labels it is meant to know
+                predicted = true_costs if is_oracle else selector.predicted_costs(x)
+                if predicted is None:
+                    choice = selector.select(x)
+                else:
+                    choice = int(np.argmin(predicted))  # Selector.select, without a second call
+                    scored.append((predicted, true_costs))
+                fold_costs.append(float(true_costs[choice]))
+            fold_taus: list[float] = []
+            if scored:
+                # each side of the fold ranked in one call, then tau-b row by row
+                predicted_ranks, true_ranks = (rank_vector(np.array(side)) for side in zip(*scored))
+                for p_ranks, t_ranks in zip(predicted_ranks, true_ranks):
+                    try:
+                        fold_taus.append(kendall_tau_b(p_ranks, t_ranks))
+                    except UndefinedMetric:
+                        pass
 
-        fold_records.append(FoldRecord(
-            scenario=scenario.name,
-            selector=selector_name,
-            lam=lam,
-            depth=depth,
-            fold=fold,
-            par10=float(np.mean(fold_costs)),
-            tau=float(np.mean(fold_taus)) if fold_taus else None,
-            n_instances=len(fold_costs),
-        ))
+            cell_records.append(FoldRecord(
+                scenario=scenario.name,
+                selector=selector.name,
+                lam=lam,
+                depth=depth,
+                fold=fold,
+                par10=float(np.mean(fold_costs)),
+                tau=float(np.mean(fold_taus)) if fold_taus else None,
+                n_instances=len(fold_costs),
+            ))
 
-    return fold_records, _aggregate(fold_records)
+    return [r for cell in records for r in cell], [_aggregate(cell) for cell in records]
+
+
+def cross_validate(scenario: Scenario, selector_factory: Callable[[], Selector], *,
+                   lam: Optional[float] = None,
+                   depth: Optional[int] = None) -> tuple[list[FoldRecord], AggregateRecord]:
+    """Evaluate one selector under the scenario's fold split: the one-cell
+    case of cross_validate_cells."""
+    fold_records, (aggregate,) = cross_validate_cells(scenario, [(selector_factory, lam, depth)])
+    return fold_records, aggregate
 
 
 def _aggregate(fold_records: Sequence[FoldRecord]) -> AggregateRecord:
@@ -152,20 +164,14 @@ def sweep(scenario: Scenario, lambdas: Iterable[float] = DEFAULT_LAMBDA_GRID,
     All cells share the scenario's fold split and the same seed, so the table
     isolates the effect of the two hyperparameters.
     """
-    lambdas = list(lambdas)
-    depths = list(depths)
-    if not lambdas or not depths:
+    # partial binds each cell's config now; a lambda here would see the last one
+    cells = [(partial(HarrisSelector,
+                      replace(config, tree=replace(config.tree, lam=lam, max_depth=depth))),
+              lam, depth)
+             for lam, depth in product(lambdas, depths)]
+    if not cells:
         raise DomainError("sweep grids must be nonempty")
-    fold_records: list[FoldRecord] = []
-    aggregates: list[AggregateRecord] = []
-    for lam in lambdas:
-        for depth in depths:
-            cell = replace(config, tree=replace(config.tree, lam=lam, max_depth=depth))
-            folds, agg = cross_validate(scenario, lambda: HarrisSelector(cell),
-                                        lam=lam, depth=depth)
-            fold_records.extend(folds)
-            aggregates.append(agg)
-    return fold_records, aggregates
+    return cross_validate_cells(scenario, cells)
 
 
 def average_rank(par10_by_scenario: Mapping[str, Mapping[str, float]]) -> dict[str, float]:
@@ -228,7 +234,7 @@ def read_report_csv(path) -> list[dict[str, str]]:
     """Read a report CSV back as dict rows, validating the schema header, the
     field count of each row and the par10 of each aggregate row (a finite
     number); a bad row raises DomainError naming file:line."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with decoding_errors_as(DomainError, path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != REPORT_COLUMNS:

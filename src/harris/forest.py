@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, ModelFormatError
-from .scenario import ScaleParams
+from .scenario import ScaleParams, decoding_errors_as
 from .tree import Tree, TreeConfig, build_trees
 
 MODEL_FORMAT = "harris-forest"
@@ -286,8 +286,9 @@ def save_forest(forest: HybridForest, path) -> None:
 
 def load_forest(path) -> HybridForest:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        with decoding_errors_as(ModelFormatError, path):
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ModelFormatError(f"{path}: not valid JSON: {exc}") from None
     try:
         return forest_from_dict(data)

@@ -19,11 +19,13 @@ Only the first feature row of an instance and the first run row of an
 (instance, algorithm) pair are read; later repetitions and run rows of
 unknown instances are not converted, so a bad value there is no error. Every
 cv.arff row of a known instance is checked. Refused, with the file and, for
-data rows, the line: a cell that is not a number ('?' and an empty cell are
-missing), an infinite feature value (a 'nan' cell counts as missing and is
-imputed), a fold that is not an integer in 1..10 ('3.0' is fold 3, '1.7' and
-'inf' are errors), and an algorithm_cutoff_time that is not a positive
-finite number ('.inf', '.nan' and 'true' included).
+data rows, the line: a byte that is not UTF-8 (in any file, with its line), a
+cell that is not a number ('?' and an empty cell are missing), an infinite
+feature value (a 'nan' cell counts as missing and is imputed), a fold that is
+not an integer in 1..10 ('3.0' is fold 3, '1.7' and 'inf' are errors), an
+algorithm_cutoff_time that is not a positive finite number ('.inf', '.nan'
+and 'true' included), an algorithm list that is neither a list nor a string,
+and YAML nested past the recursion limit.
 
 Speed: a data line without quotes is split with str.split and its fields are
 stripped only when it holds a space or an unprintable character, the only
@@ -35,6 +37,7 @@ file:line of the first offending row in file order.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import re
@@ -196,6 +199,21 @@ def scale_performances(costs) -> tuple[np.ndarray, ScaleParams]:
 
 # --- ASLib directory parsing -------------------------------------------------
 
+@contextlib.contextmanager
+def decoding_errors_as(error_type, path, label=None):
+    """Re-raise a UnicodeDecodeError from the block as error_type naming
+    label:line (label defaults to path) of the file's first line that is not
+    UTF-8; only this error path rescans the file for that line."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        # surrogateescape decodes each bad byte to one of U+DC80..U+DCFF
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            lineno = next(n for n, line in enumerate(fh, 1) if any(
+                "\udc80" <= c <= "\udcff" for c in line))
+        raise error_type(f"{label or path}:{lineno}: not valid UTF-8") from None
+
+
 _ATTRIBUTE = re.compile(r"""@attribute\s+('[^']*'|"[^"]*"|\S+)\s+\S""", re.IGNORECASE)
 
 
@@ -236,7 +254,7 @@ def _read_arff(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """
     attributes: list[str] = []
     rows: list[tuple[int, list[str]]] = []
-    with open(path, encoding="utf-8") as fh:
+    with decoding_errors_as(ParseError, path, path.name), open(path, encoding="utf-8") as fh:
         lines = enumerate(fh, start=1)
         for lineno, raw in lines:
             line = raw.strip()
@@ -343,14 +361,11 @@ def _algorithms_from_description(meta: dict) -> list[str]:
         if value is None:
             continue
         if isinstance(value, str):
-            parts = [v.strip() for v in value.split(",")]
-        else:
-            parts = [str(v).strip() for v in value]
-        names.extend(p for p in parts if p)
-    seen: dict[str, None] = {}
-    for n in names:
-        seen.setdefault(n, None)
-    return list(seen)
+            value = value.split(",")
+        elif not isinstance(value, (list, dict)):
+            raise ParseError(f"{DESCRIPTION_FILE}: {key} must be a list or a comma-separated string")
+        names.extend(p for p in (str(v).strip() for v in value) if p)
+    return list(dict.fromkeys(names))  # first occurrence order
 
 
 def parse_scenario(directory) -> Scenario:
@@ -368,8 +383,9 @@ def parse_scenario(directory) -> Scenario:
         paths[fname] = p
 
     try:
-        meta = yaml.safe_load(paths[DESCRIPTION_FILE].read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
+        with decoding_errors_as(ParseError, paths[DESCRIPTION_FILE], DESCRIPTION_FILE):
+            meta = yaml.safe_load(paths[DESCRIPTION_FILE].read_text(encoding="utf-8"))
+    except (yaml.YAMLError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ParseError(f"{DESCRIPTION_FILE}: invalid YAML: {exc}") from None
     if not isinstance(meta, dict):
         raise ParseError(f"{DESCRIPTION_FILE}: expected a YAML mapping")
@@ -436,10 +452,7 @@ def parse_scenario(directory) -> Scenario:
 
     algorithm_names = _algorithms_from_description(meta)
     if not algorithm_names:
-        seen: dict[str, None] = {}
-        for _, fields in rrows:
-            seen.setdefault(fields[r_algo], None)
-        algorithm_names = list(seen)
+        algorithm_names = list(dict.fromkeys(fields[r_algo] for _, fields in rrows))
     if len(algorithm_names) < 2:
         raise ParseError(f"{rpath.name}: need at least two algorithms")
     algo_index = {a: j for j, a in enumerate(algorithm_names)}

@@ -234,6 +234,7 @@ class TestTrainPredict:
         ("0.1,abc,0.3", "not numeric"),
         ("0.1,0.2", "expected 3 features, got 2"),
         ("0.1,nan,0.3", "must be finite"),
+        ("0.1,\udce9,0.3", "not valid UTF-8"),  # the byte 0xe9 alone
     ])
     def test_bad_feature_row_names_file_and_line(self, runner, tmp_path, row, message):
         model = tmp_path / "model.json"
@@ -241,7 +242,7 @@ class TestTrainPredict:
             "train", "--synthetic", "--synthetic-n", "90", "--paper-tree",
             "--depth", "1", "-o", str(model)]).exit_code == 0
         feats = tmp_path / "f.csv"
-        feats.write_text(f"0.1,0.2,0.3\n\n{row}\n")
+        feats.write_bytes(f"0.1,0.2,0.3\n\n{row}\n".encode("utf-8", "surrogateescape"))
         result = runner.invoke(main, ["predict", "-m", str(model), "--features", str(feats)])
         assert result.exit_code != 0
         assert isinstance(result.exception, SystemExit)  # a clean exit, not a traceback

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import oracles
+from harris import evaluation
 from harris.baselines import HarrisSelector, OracleSelector, Selector, SingleBestSelector
+from harris.cli import main
 from harris.errors import DomainError, UndefinedMetric
 from harris.evaluation import (REPORT_COLUMNS, average_rank, best_cells_by_scenario,
-                               cross_validate, read_report_csv, sweep, write_report_csv)
+                               cross_validate, cross_validate_cells, read_report_csv, sweep,
+                               write_report_csv)
 from harris.forest import single_tree_config
 from harris.losses import kendall_tau_b, rank_vector
-from harris.scenario import par10_matrix
+from harris.scenario import column_medians, filter_unsolved, par10_matrix
 from harris.synthetic import make_synthetic_scenario
 
 
@@ -149,13 +153,21 @@ class TestCrossValidate:
 
 class TestSweep:
     def test_single_cell_equals_cross_validate(self):
+        # every cell of the grid fits its own config, not the last one built
         scn = make_synthetic_scenario(80, seed=6)
-        folds, aggs = sweep(scn, [0.5], [2], config=single_tree_config(0.5, 2, seed=0))
-        config = single_tree_config(0.5, 2, seed=0)
-        ref_folds, ref_agg = cross_validate(
-            scn, lambda: HarrisSelector(config), lam=0.5, depth=2)
-        assert aggs == [ref_agg]
-        assert folds == ref_folds
+        grid = [(lam, depth) for lam in (0.0, 1.0) for depth in (1, 3)]
+        folds, aggs = sweep(scn, [0.0, 1.0], [1, 3], config=single_tree_config(0.5, 2, seed=0))
+        assert [(a.lam, a.depth) for a in aggs] == grid
+        # the cells differ, so a cell fit with another cell's config shows
+        assert len({tuple(r.par10 for r in folds if (r.lam, r.depth) == cell)
+                    for cell in grid}) > 1
+        n_folds = len(folds) // len(grid)
+        for i, (lam, depth) in enumerate(grid):
+            config = single_tree_config(lam, depth, seed=0)
+            ref_folds, ref_agg = cross_validate(
+                scn, lambda: HarrisSelector(config), lam=lam, depth=depth)
+            assert aggs[i] == ref_agg
+            assert folds[i * n_folds:(i + 1) * n_folds] == ref_folds
 
     def test_grid_shape_and_determinism(self):
         scn = make_synthetic_scenario(70, seed=7)
@@ -170,6 +182,49 @@ class TestSweep:
         scn = make_synthetic_scenario(60, seed=8)
         with pytest.raises(DomainError):
             sweep(scn, [], [2])
+
+
+class TestSharedFolds:
+    @pytest.mark.parametrize("run", ["evaluate", "sweep"])
+    def test_each_fold_is_preprocessed_once(self, monkeypatch, tmp_path, run):
+        calls = []
+
+        def counting_medians(features):
+            calls.append(len(features))
+            return column_medians(features)
+
+        monkeypatch.setattr(evaluation, "column_medians", counting_medians)
+        scn = filter_unsolved(make_synthetic_scenario(60, seed=0))
+        if run == "evaluate":
+            result = CliRunner().invoke(main, [
+                "evaluate", "--synthetic", "--synthetic-n", "60", "--paper-tree",
+                "--depth", "2", "--selectors", "harris,sbs,oracle", "-o",
+                str(tmp_path / "e.csv")])
+            assert result.exit_code == 0, result.output
+        else:
+            sweep(scn, [0.0, 1.0], [1, 2], config=single_tree_config(0.5, 2, seed=0))
+        assert len(calls) == len(np.unique(scn.fold_of))
+
+    @pytest.mark.parametrize("target", ["features", "costs", "test row"])
+    def test_selector_cannot_write_into_fold_arrays(self, target):
+        class Scribbler(Selector):
+            name = "scribbler"
+
+            def fit(self, features, costs, *, scale=None, algorithm_names=None):
+                if target != "test row":
+                    (features if target == "features" else costs)[0, 0] = 1e9
+                return self
+
+            def predicted_costs(self, x):
+                x[0] = 1e9
+                return np.zeros(3)
+
+        scn = make_synthetic_scenario(60, seed=5)
+        log = []
+        with pytest.raises(ValueError, match="read-only"):
+            cross_validate_cells(scn, [(Scribbler, None, None),
+                                       (lambda: RecordingSelector(log), None, None)])
+        assert log == []  # the run stopped before any cell saw a written array
 
 
 class TestAverageRank:
@@ -238,6 +293,15 @@ class TestReportCsv:
         path = tmp_path / "short.csv"
         path.write_text(",".join(REPORT_COLUMNS) + "\nsynthetic,harris,aggregate\n")
         with pytest.raises(DomainError, match=r"short\.csv:2: expected 11 fields, got 3"):
+            read_report_csv(path)
+
+    @pytest.mark.parametrize("line", [1, 2])
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, line):
+        rows = [",".join(REPORT_COLUMNS).encode(), b"synthetic,harris,aggregate"]
+        rows[line - 1] += b"\xe9"
+        path = tmp_path / "report.csv"
+        path.write_bytes(b"\n".join(rows) + b"\n")
+        with pytest.raises(DomainError, match=rf"report\.csv:{line}: not valid UTF-8"):
             read_report_csv(path)
 
     def test_best_cells_keep_minimum_par10(self, tmp_path):

@@ -254,6 +254,20 @@ class TestSerialization:
         with pytest.raises(ModelFormatError):
             load_forest(path)
 
+    @pytest.mark.parametrize("damage, message", [
+        (lambda b: b.replace(b'"scale"', b'"sc\xe9le"', 1), r"model\.json:{line}: not valid UTF-8"),
+        (lambda b: b"[" * 200_000 + b"]" * 200_000,
+         r"model\.json: not valid JSON: maximum recursion depth"),
+    ], ids=["not-utf8", "deep-nesting"])
+    def test_hostile_model_file_raises_model_format_error(self, tmp_path, damage, message):
+        path = tmp_path / "model.json"
+        save_forest(self.fitted(), path)
+        data = path.read_bytes()
+        line = data[:data.index(b'"scale"')].count(b"\n") + 1  # a line inside the file
+        path.write_bytes(damage(data))
+        with pytest.raises(ModelFormatError, match=message.format(line=line)):
+            load_forest(path)
+
     @pytest.mark.parametrize("damage", [
         lambda d: d.pop("config"),
         lambda d: d["config"].pop("lambda"),

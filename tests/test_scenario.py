@@ -247,6 +247,33 @@ class TestParseScenario:
         assert str(info.value) == (
             "description.txt: algorithm_cutoff_time must be a positive finite number")
 
+    @pytest.mark.parametrize("fname, old, new, message", [
+        ("description.txt", b"maximize: false\n", b"maximize: false\n# caf\xe9\n",
+         r"^description\.txt:5: not valid UTF-8$"),
+        ("feature_values.arff", b"inst2,1,2.0,?", b"inst2,1,2.0,\xe9",
+         r"^feature_values\.arff:8: not valid UTF-8$"),
+        ("algorithm_runs.arff", b"inst2,1,solver_b", b"inst2,1,solver_\xe9",
+         r"^algorithm_runs\.arff:11: not valid UTF-8$"),
+        ("cv.arff", b"inst1,1,1", b"inst\xe9,1,1", r"^cv\.arff:6: not valid UTF-8$"),
+        ("description.txt", b"scenario_id: demo", b"scenario_id: " + b"[" * 5000 + b"]" * 5000,
+         r"^description\.txt: invalid YAML: maximum recursion depth"),
+        ("description.txt", b"solver_a,solver_b", b"5",
+         r"^description\.txt: algorithms_deterministic must be a list or a comma-separated "
+         r"string$"),
+        ("description.txt", b"solver_a,solver_b", b"true", "algorithms_deterministic must be"),
+        ("description.txt", b"solver_a,solver_b", b"1.5", "algorithms_deterministic must be"),
+        ("description.txt", b"maximize: false", b"algorithms_stochastic: 2",
+         "algorithms_stochastic must be"),
+    ], ids=["description-utf8", "features-utf8", "runs-utf8", "cv-utf8", "deep-yaml",
+            "int-algorithms", "bool-algorithms", "float-algorithms", "int-stochastic"])
+    def test_hostile_file_is_a_parse_error(self, aslib_dir_factory, fname, old, new, message):
+        root = aslib_dir_factory()
+        data = (root / fname).read_bytes()
+        assert old in data
+        (root / fname).write_bytes(data.replace(old, new))
+        with pytest.raises(ParseError, match=message):
+            parse_scenario(root)
+
     def test_missing_cutoff(self, aslib_dir_factory):
         with pytest.raises(ParseError, match="algorithm_cutoff_time"):
             parse_scenario(aslib_dir_factory(description="scenario_id: demo\n"))
