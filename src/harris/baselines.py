@@ -1,7 +1,9 @@
 """Selectors evaluated by the harness.
 
 Every selector is fit on imputed features and min-max-scaled PAR10 costs
-(n x k, smaller is better). A selector writes fit and predicted_costs(x), a
+(n x k, smaller is better) alone: fit(features, costs) takes no scale and no
+algorithm names, as no selector's choice depends on them (train saves a
+forest with both). A selector writes fit and predicted_costs(x), a
 length-k cost vector for one instance; Selector.select(x) is its argmin, ties
 going to the lowest index. Only a selector whose scores are not costs
 (pairwise voting) overrides select and returns None from predicted_costs, which
@@ -17,15 +19,13 @@ import numpy as np
 
 from .errors import DomainError
 from .forest import ForestConfig, fit_forest, fit_forests, predict_costs
-from .scenario import ScaleParams
 from .tree import TreeConfig
 
 
 class Selector:
     name = "selector"
 
-    def fit(self, features, costs, *, scale: ScaleParams | None = None,
-            algorithm_names=None) -> "Selector":
+    def fit(self, features, costs) -> "Selector":
         raise NotImplementedError
 
     def predicted_costs(self, x):
@@ -57,10 +57,9 @@ class HarrisSelector(Selector):
         self.config = config
         self.forest = None
 
-    def fit(self, features, costs, *, scale=None, algorithm_names=None):
+    def fit(self, features, costs):
         X, Y = _checked_training_data(features, costs)
-        self.forest = fit_forest(X, Y, self.config, scale=scale,
-                                 algorithm_names=algorithm_names)
+        self.forest = fit_forest(X, Y, self.config)
         return self
 
     def predicted_costs(self, x):
@@ -93,7 +92,7 @@ class RegressionForestSelector(_SubForestSelector):
     name = "rfr"
     forests = None
 
-    def fit(self, features, costs, *, scale=None, algorithm_names=None):
+    def fit(self, features, costs):
         X, Y = _checked_training_data(features, costs)
         self.forests = self._fit_sub_forests(X, Y)
         return self
@@ -116,7 +115,7 @@ class PairwiseVotingSelector(_SubForestSelector):
     models = None
     n_algorithms = None
 
-    def fit(self, features, costs, *, scale=None, algorithm_names=None):
+    def fit(self, features, costs):
         X, Y = _checked_training_data(features, costs)
         k = Y.shape[1]
         if k < 2:
@@ -162,7 +161,7 @@ class ClusterSelector(Selector):
         self.feature_mean = None
         self.feature_std = None
 
-    def fit(self, features, costs, *, scale=None, algorithm_names=None):
+    def fit(self, features, costs):
         X, Y = _checked_training_data(features, costs)
         n = X.shape[0]
         k_clusters = self.n_clusters
@@ -263,7 +262,7 @@ class SingleBestSelector(Selector):
     def __init__(self):
         self.mean_costs = None
 
-    def fit(self, features, costs, *, scale=None, algorithm_names=None):
+    def fit(self, features, costs):
         _, Y = _checked_training_data(features, costs)
         self.mean_costs = Y.mean(axis=0)
         return self
@@ -278,7 +277,7 @@ class OracleSelector(Selector):
 
     name = "oracle"
 
-    def fit(self, features, costs, *, scale=None, algorithm_names=None):
+    def fit(self, features, costs):
         return self
 
     def predicted_costs(self, x):

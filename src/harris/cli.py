@@ -1,11 +1,14 @@
-"""Command-line interface for training, evaluating, and reporting selectors."""
+"""Command-line interface for training, evaluating, and reporting selectors.
+
+The option groups build what a command runs on: scenario_options calls the
+command with the loaded Scenario as `scn`, and forest_options with the built
+ForestConfig as `config`. A command takes only its own options besides.
+"""
 
 from __future__ import annotations
 
-import csv
 import sys
-from functools import partial
-from pathlib import Path
+from functools import partial, wraps
 
 import click
 import numpy as np
@@ -22,8 +25,8 @@ from .evaluation import (DEFAULT_DEPTH_GRID, DEFAULT_LAMBDA_GRID, average_rank,
                          sweep, write_report_csv)
 from .forest import (ForestConfig, fit_forest, load_forest, predict_costs,
                      save_forest, single_tree_config)
-from .scenario import (column_medians, decoding_errors_as, filter_unsolved,
-                       impute_features, par10_matrix, parse_scenario, scale_performances)
+from .scenario import (column_medians, filter_unsolved, impute_features, par10_matrix,
+                       parse_scenario, read_csv_rows, scale_performances)
 from .synthetic import make_synthetic_scenario
 from .tree import TreeConfig
 
@@ -33,17 +36,18 @@ _USER_ERRORS = (ParseError, ConsistencyError, EmptyScenarioError, DomainError,
 
 def _fail_on(func):
     """Turn domain/parse failures into clean nonzero exits."""
+    @wraps(func)  # keeps the click options stacked on func
     def wrapper(*args, **kwargs):
         try:
             return func(*args, **kwargs)
         except _USER_ERRORS as exc:
             raise click.ClickException(str(exc)) from exc
-    wrapper.__name__ = func.__name__
-    wrapper.__doc__ = func.__doc__
     return wrapper
 
 
 def scenario_options(func):
+    """The scenario flags; func is called with the scenario they name as
+    `scn`, unsolved instances dropped unless --keep-unsolved."""
     func = click.option("--scenario", "scenario_dir", type=click.Path(exists=True, file_okay=False),
                         default=None, help="ASLib-style scenario directory.")(func)
     func = click.option("--synthetic", is_flag=True,
@@ -54,11 +58,22 @@ def scenario_options(func):
                         help="Synthetic scenario generator seed.")(func)
     func = click.option("--drop-unsolved/--keep-unsolved", default=True, show_default=True,
                         help="Drop instances no algorithm solves before training/evaluation.")(func)
-    return func
+
+    @wraps(func)
+    def wrapper(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolved, **kwargs):
+        if synthetic:
+            scn = make_synthetic_scenario(n_instances=synthetic_n, seed=synthetic_seed)
+        elif scenario_dir is not None:
+            scn = parse_scenario(scenario_dir)
+        else:
+            raise click.UsageError("provide --scenario DIR or --synthetic")
+        return func(scn=filter_unsolved(scn) if drop_unsolved else scn, **kwargs)
+    return wrapper
 
 
 def lambda_depth_options(func):
-    """--lambda/--depth, for the commands that fit one (lambda, depth) cell."""
+    """--lambda/--depth, for the commands that fit one (lambda, depth) cell;
+    forest_options puts them into the config's tree."""
     func = click.option("--lambda", "lam", type=click.FloatRange(0.0, 1.0), default=0.5,
                         show_default=True, help="Weight of the ranking loss in split search.")(func)
     func = click.option("--depth", type=click.IntRange(min=0), default=6, show_default=True,
@@ -66,7 +81,14 @@ def lambda_depth_options(func):
     return func
 
 
+# options that --paper-tree fixes itself (one tree, no bootstrap, all features)
+_PAPER_TREE_FIXES = ("n_trees", "bootstrap", "features_per_split")
+
+
 def forest_options(func):
+    """The forest flags; func is called with the ForestConfig they build as
+    `config`. Its tree takes --lambda/--depth where the command has them and
+    TreeConfig's defaults otherwise (sweep's grid replaces both)."""
     func = click.option("--n-trees", type=click.IntRange(min=1), default=100, show_default=True,
                         help="Trees per hybrid forest.")(func)
     func = click.option("--bootstrap/--no-bootstrap", default=True, show_default=True,
@@ -77,78 +99,55 @@ def forest_options(func):
                         help="Preset: a single unbagged tree searching all features.")(func)
     func = click.option("--seed", type=int, default=0, show_default=True,
                         help="Seed for all randomized components.")(func)
-    return func
+
+    @wraps(func)
+    def wrapper(n_trees, bootstrap, features_per_split, paper_tree, seed,
+                lam=TreeConfig.lam, depth=TreeConfig.max_depth, **kwargs):
+        if paper_tree:
+            ctx = click.get_current_context()
+            for param in ctx.command.params:
+                if (param.name in _PAPER_TREE_FIXES
+                        and ctx.get_parameter_source(param.name) == ParameterSource.COMMANDLINE):
+                    flag = "/".join(param.opts + param.secondary_opts)
+                    raise click.UsageError(f"--paper-tree fixes {flag}; do not pass both")
+            return func(config=single_tree_config(lam, depth, seed), **kwargs)
+        if features_per_split not in ("all", "sqrt"):
+            try:
+                features_per_split = int(features_per_split)
+            except ValueError:
+                raise click.BadParameter(
+                    "--features-per-split must be an integer, 'sqrt', or 'all'") from None
+        tree = TreeConfig(lam=lam, max_depth=depth, features_per_split=features_per_split)
+        return func(config=ForestConfig(n_trees=n_trees, bootstrap=bootstrap, seed=seed,
+                                        tree=tree), **kwargs)
+    return wrapper
 
 
-def _parse_features_per_split(value):
-    if value in ("all", "sqrt"):
-        return value
+def _comma_list(flag, given, convert):
+    """The values of a comma-separated option, each passed through convert:
+    at least one, none twice. A value convert refuses with ValueError is a
+    usage error naming the flag."""
     try:
-        return int(value)
-    except ValueError:
-        raise click.BadParameter("--features-per-split must be an integer, 'sqrt', or 'all'")
+        values = [convert(v.strip()) for v in given.split(",") if v.strip()]
+    except ValueError as exc:
+        raise click.UsageError(f"{flag} {given!r}: {exc}") from None
+    if not values or len(set(values)) != len(values):
+        raise click.UsageError(f"{flag} {given!r} must name each value once, and at least one")
+    return values
 
 
-def _load_scenario(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolved):
-    if synthetic:
-        scn = make_synthetic_scenario(n_instances=synthetic_n, seed=synthetic_seed)
-    elif scenario_dir is not None:
-        scn = parse_scenario(scenario_dir)
-    else:
-        raise click.UsageError("provide --scenario DIR or --synthetic")
-    if drop_unsolved:
-        scn = filter_unsolved(scn)
-    return scn
-
-
-# options that --paper-tree fixes itself (one tree, no bootstrap, all features)
-_PAPER_TREE_FIXES = ("n_trees", "bootstrap", "features_per_split")
-
-
-def _forest_config(lam, depth, n_trees, bootstrap, features_per_split, seed, paper_tree):
-    if paper_tree:
-        ctx = click.get_current_context()
-        for param in ctx.command.params:
-            if (param.name in _PAPER_TREE_FIXES
-                    and ctx.get_parameter_source(param.name) == ParameterSource.COMMANDLINE):
-                flag = "/".join(param.opts + param.secondary_opts)
-                raise click.UsageError(f"--paper-tree fixes {flag}; do not pass both")
-        return single_tree_config(lam, depth, seed)
-    return ForestConfig(
-        n_trees=n_trees,
-        bootstrap=bootstrap,
-        seed=seed,
-        tree=TreeConfig(lam=lam, max_depth=depth,
-                        features_per_split=_parse_features_per_split(features_per_split)),
-    )
-
-
-def _selector_cells(forest_config, lam, depth, *, baseline_trees, baseline_depth,
-                    isac_clusters, seed):
+def _selector_cells(config, *, baseline_trees, baseline_depth, isac_clusters):
     """Selector name -> (factory of a fresh, unfitted selector, lambda, depth)
-    cell; only harris carries lambda/depth labels."""
-    sub_forests = dict(n_trees=baseline_trees, max_depth=baseline_depth, seed=seed)
+    cell; only harris carries lambda/depth labels, those of its config."""
+    sub_forests = dict(n_trees=baseline_trees, max_depth=baseline_depth, seed=config.seed)
     return {
-        "harris": (partial(HarrisSelector, forest_config), lam, depth),
+        "harris": (partial(HarrisSelector, config), config.tree.lam, config.tree.max_depth),
         "rfr": (partial(RegressionForestSelector, **sub_forests), None, None),
-        "isac": (partial(ClusterSelector, n_clusters=isac_clusters, seed=seed), None, None),
+        "isac": (partial(ClusterSelector, n_clusters=isac_clusters, seed=config.seed), None, None),
         "satzilla": (partial(PairwiseVotingSelector, **sub_forests), None, None),
         "sbs": (SingleBestSelector, None, None),
         "oracle": (OracleSelector, None, None),
     }
-
-
-def _selector_names(selectors, known):
-    """The --selectors list: at least one known name, none twice."""
-    names = [s.strip() for s in selectors.split(",") if s.strip()]
-    for name in names:
-        if name not in known:
-            raise click.UsageError(f"--selectors {selectors!r}: unknown selector {name!r}; "
-                                   f"choose from {', '.join(known)}")
-    if not names or len(set(names)) != len(names):
-        raise click.UsageError(f"--selectors {selectors!r} must name at least one selector, "
-                               "each once")
-    return names
 
 
 def _fmt_cell(value, digits=2):
@@ -171,6 +170,7 @@ def main():
 
 
 @main.command()
+@_fail_on
 @scenario_options
 @lambda_depth_options
 @forest_options
@@ -184,17 +184,17 @@ def main():
               help="Cluster count for the isac baseline.")
 @click.option("--output", "-o", type=click.Path(dir_okay=False), default="evaluation.csv",
               show_default=True, help="Report CSV path.")
-@_fail_on
-def evaluate(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolved,
-             lam, depth, n_trees, bootstrap, features_per_split, paper_tree, seed,
-             selectors, baseline_trees, baseline_depth, isac_clusters, output):
+def evaluate(scn, config, selectors, baseline_trees, baseline_depth, isac_clusters, output):
     """Run 10-fold cross-validation for the requested selectors."""
-    scn = _load_scenario(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolved)
-    config = _forest_config(lam, depth, n_trees, bootstrap, features_per_split, seed, paper_tree)
-    cells = _selector_cells(config, lam, depth, baseline_trees=baseline_trees,
-                            baseline_depth=baseline_depth, isac_clusters=isac_clusters,
-                            seed=seed)
-    names = _selector_names(selectors, cells)
+    cells = _selector_cells(config, baseline_trees=baseline_trees,
+                            baseline_depth=baseline_depth, isac_clusters=isac_clusters)
+
+    def known(name):
+        if name not in cells:
+            raise ValueError(f"unknown selector {name!r}; choose from {', '.join(cells)}")
+        return name
+
+    names = _comma_list("--selectors", selectors, known)
     fold_records, aggregates = cross_validate_cells(scn, [cells[name] for name in names])
     write_report_csv(output, fold_records, aggregates)
     _print_summary(scn, aggregates)
@@ -202,6 +202,7 @@ def evaluate(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolved
 
 
 @main.command("sweep")
+@_fail_on
 @scenario_options
 @forest_options
 @click.option("--lambdas", default=",".join(str(v) for v in DEFAULT_LAMBDA_GRID),
@@ -210,25 +211,10 @@ def evaluate(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolved
               show_default=True, help="Comma-separated depth grid.")
 @click.option("--output", "-o", type=click.Path(dir_okay=False), default="sweep.csv",
               show_default=True, help="Report CSV path.")
-@_fail_on
-def sweep_cmd(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolved,
-              n_trees, bootstrap, features_per_split, paper_tree, seed,
-              lambdas, depths, output):
+def sweep_cmd(scn, config, lambdas, depths, output):
     """Cross-validate the hybrid forest over a lambda x depth grid."""
-    scn = _load_scenario(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolved)
-    try:
-        lambda_grid = [float(v) for v in lambdas.split(",") if v.strip() != ""]
-        depth_grid = [int(v) for v in depths.split(",") if v.strip() != ""]
-    except ValueError:
-        raise click.BadParameter("--lambdas/--depths must be comma-separated numbers")
-    for flag, given, grid in (("--lambdas", lambdas, lambda_grid),
-                              ("--depths", depths, depth_grid)):
-        if len(set(grid)) != len(grid):
-            raise click.UsageError(f"{flag} {given!r} must name each value once")
-    # the grid replaces the tree's lambda and depth in every cell
-    config = _forest_config(TreeConfig.lam, TreeConfig.max_depth, n_trees, bootstrap,
-                            features_per_split, seed, paper_tree)
-    fold_records, aggregates = sweep(scn, lambda_grid, depth_grid, config=config)
+    fold_records, aggregates = sweep(scn, _comma_list("--lambdas", lambdas, float),
+                                     _comma_list("--depths", depths, int), config=config)
     write_report_csv(output, fold_records, aggregates)
     best = min(aggregates, key=lambda a: a.par10_mean)
     click.echo(f"{len(aggregates)} grid cells written to {output}")
@@ -237,18 +223,14 @@ def sweep_cmd(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolve
 
 
 @main.command()
+@_fail_on
 @scenario_options
 @lambda_depth_options
 @forest_options
 @click.option("--model", "-o", type=click.Path(dir_okay=False), default="model.json",
               show_default=True, help="Where to write the fitted forest.")
-@_fail_on
-def train(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolved,
-          lam, depth, n_trees, bootstrap, features_per_split, paper_tree, seed,
-          model):
+def train(scn, config, model):
     """Fit a hybrid forest on a full scenario and save it as JSON."""
-    scn = _load_scenario(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolved)
-    config = _forest_config(lam, depth, n_trees, bootstrap, features_per_split, seed, paper_tree)
     features = impute_features(scn.features, column_medians(scn.features))
     scaled, scale = scale_performances(par10_matrix(scn))
     forest = fit_forest(features, scaled, config, scale=scale,
@@ -267,10 +249,7 @@ def train(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolved,
 def predict(model, features_csv):
     """Select an algorithm for each feature vector in a CSV file."""
     forest = load_forest(model)
-    with (decoding_errors_as(DomainError, features_csv),
-          open(features_csv, newline="", encoding="utf-8") as fh):
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader if row]
+    rows = [(line, row) for line, row in read_csv_rows(features_csv) if row]
     if not rows:
         raise DomainError(f"{features_csv}: no feature rows")
     vectors = []  # every row is checked before any selection is printed

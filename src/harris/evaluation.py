@@ -6,8 +6,9 @@ fold's preprocessed arrays, read-only. PAR10 is always reported in original
 seconds; selectors train on costs scaled to [0, 1]. Scaling parameters and
 imputation medians are fit on the training folds only, so no test
 information leaks into fitting. Kendall's tau-b is computed per test instance
-between the selector's predicted cost ranking and the true PAR10 ranking,
-then macro-averaged over the instances where it is defined.
+between the selector's predicted costs and the true PAR10 costs (it reads only
+their pairwise order, the order of their rankings), then macro-averaged over
+the instances where it is defined.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .baselines import HarrisSelector, OracleSelector, Selector
 from .errors import DomainError, UndefinedMetric
 from .forest import ForestConfig
 from .losses import kendall_tau_b, rank_vector
-from .scenario import (Scenario, column_medians, decoding_errors_as, impute_features,
-                       par10_matrix, scale_performances)
+from .scenario import (Scenario, column_medians, impute_features, par10_matrix,
+                       read_csv_rows, scale_performances)
 from .tree import TreeConfig
 
 DEFAULT_LAMBDA_GRID = tuple(i / 10 for i in range(11))
@@ -83,36 +84,32 @@ def cross_validate_cells(scenario: Scenario, cells: Sequence[tuple],
         medians = column_medians(scenario.features[train_mask])
         train_features = impute_features(scenario.features[train_mask], medians)
         test_features = impute_features(scenario.features[test_mask], medians)
-        scaled_train, scale = scale_performances(costs[train_mask])
+        scaled_train, _ = scale_performances(costs[train_mask])
         for shared in (train_features, test_features, scaled_train):
             shared.setflags(write=False)
 
         for (selector_factory, lam, depth), cell_records in zip(cells, records):
             selector = selector_factory()
             is_oracle = isinstance(selector, OracleSelector)
-            selector.fit(train_features, scaled_train, scale=scale,
-                         algorithm_names=scenario.algorithm_names)
+            selector.fit(train_features, scaled_train)
 
             fold_costs: list[float] = []
-            scored: list[tuple[np.ndarray, np.ndarray]] = []  # (predicted, true) cost rows
+            fold_taus: list[float] = []
             for x, true_costs in zip(test_features, costs[test_mask]):
                 # the oracle is scored on the test labels it is meant to know
                 predicted = true_costs if is_oracle else selector.predicted_costs(x)
                 if predicted is None:
                     choice = selector.select(x)
                 else:
+                    if np.isnan(predicted).any():
+                        raise DomainError(f"selector {selector.name!r} predicted NaN costs")
                     choice = int(np.argmin(predicted))  # Selector.select, without a second call
-                    scored.append((predicted, true_costs))
-                fold_costs.append(float(true_costs[choice]))
-            fold_taus: list[float] = []
-            if scored:
-                # each side of the fold ranked in one call, then tau-b row by row
-                predicted_ranks, true_ranks = (rank_vector(np.array(side)) for side in zip(*scored))
-                for p_ranks, t_ranks in zip(predicted_ranks, true_ranks):
                     try:
-                        fold_taus.append(kendall_tau_b(p_ranks, t_ranks))
+                        # tau-b reads only the pairwise order, which ranking keeps
+                        fold_taus.append(kendall_tau_b(predicted, true_costs))
                     except UndefinedMetric:
                         pass
+                fold_costs.append(float(true_costs[choice]))
 
             cell_records.append(FoldRecord(
                 scenario=scenario.name,
@@ -234,28 +231,26 @@ def read_report_csv(path) -> list[dict[str, str]]:
     """Read a report CSV back as dict rows, validating the schema header, the
     field count of each row and the par10 of each aggregate row (a finite
     number); a bad row raises DomainError naming file:line."""
-    with decoding_errors_as(DomainError, path), open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != REPORT_COLUMNS:
-            raise DomainError(f"unsupported report schema in {path}")
-        rows = []
-        for fields in reader:
-            where = f"{path}:{reader.line_num}"
-            if len(fields) != len(REPORT_COLUMNS):
-                raise DomainError(
-                    f"{where}: expected {len(REPORT_COLUMNS)} fields, got {len(fields)}")
-            row = dict(zip(REPORT_COLUMNS, fields))
-            if row["row_type"] == "aggregate":
-                try:
-                    par10 = float(row["par10"])
-                except ValueError:
-                    par10 = math.nan
-                if not math.isfinite(par10):
-                    raise DomainError(f"{where}: par10 must be a finite number, "
-                                      f"got {row['par10']!r}")
-            rows.append(row)
-        return rows
+    lines = read_csv_rows(path)
+    if not lines or tuple(lines[0][1]) != REPORT_COLUMNS:
+        raise DomainError(f"unsupported report schema in {path}")
+    rows = []
+    for line, fields in lines[1:]:
+        where = f"{path}:{line}"
+        if len(fields) != len(REPORT_COLUMNS):
+            raise DomainError(
+                f"{where}: expected {len(REPORT_COLUMNS)} fields, got {len(fields)}")
+        row = dict(zip(REPORT_COLUMNS, fields))
+        if row["row_type"] == "aggregate":
+            try:
+                par10 = float(row["par10"])
+            except ValueError:
+                par10 = math.nan
+            if not math.isfinite(par10):
+                raise DomainError(f"{where}: par10 must be a finite number, "
+                                  f"got {row['par10']!r}")
+        rows.append(row)
+    return rows
 
 
 def best_cells_by_scenario(rows: Iterable[dict[str, str]]) -> dict[str, dict[str, float]]:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, ModelFormatError
 from .scenario import ScaleParams, decoding_errors_as
-from .tree import Tree, TreeConfig, build_trees
+from .tree import Tree, TreeConfig, build_trees, checked_int
 
 MODEL_FORMAT = "harris-forest"
 MODEL_VERSION = 2
@@ -36,6 +36,10 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_trees", "seed"):
+            object.__setattr__(self, name, checked_int(name, getattr(self, name)))
+        if not isinstance(self.bootstrap, bool):
+            raise DomainError(f"bootstrap must be True or False, got {self.bootstrap!r}")
         if self.n_trees < 1:
             raise DomainError(f"n_trees must be >= 1, got {self.n_trees}")
 
@@ -212,28 +216,15 @@ def forest_to_dict(forest: HybridForest) -> dict:
 
 
 def _config_from_dict(cfg: dict) -> ForestConfig:
-    """The ForestConfig a model file stores, with every field of its own JSON
-    type (no bool for a number) and in the range ForestConfig accepts."""
-    for key in ("n_trees", "seed", "max_depth", "min_samples_split"):
-        if type(cfg[key]) is not int:
-            raise ModelFormatError(f"config {key} must be an integer, got {cfg[key]!r}")
-    if type(cfg["bootstrap"]) is not bool:
-        raise ModelFormatError(f"config bootstrap must be true or false, "
-                               f"got {cfg['bootstrap']!r}")
-    if type(cfg["lambda"]) not in (int, float):
-        raise ModelFormatError(f"config lambda must be a number, got {cfg['lambda']!r}")
-    fps = cfg["features_per_split"]
-    if fps not in ("all", "sqrt") and type(fps) is not int:
-        raise ModelFormatError(f"config features_per_split must be 'all', 'sqrt' or an "
-                               f"integer, got {fps!r}")
+    """The ForestConfig a model file stores; the configs check each field."""
     try:
         return ForestConfig(
             n_trees=cfg["n_trees"],
             bootstrap=cfg["bootstrap"],
             seed=cfg["seed"],
-            tree=TreeConfig(lam=float(cfg["lambda"]), max_depth=cfg["max_depth"],
+            tree=TreeConfig(lam=cfg["lambda"], max_depth=cfg["max_depth"],
                             min_samples_split=cfg["min_samples_split"],
-                            features_per_split=fps),
+                            features_per_split=cfg["features_per_split"]),
         )
     except DomainError as exc:
         raise ModelFormatError(f"config: {exc}") from None

@@ -214,6 +214,18 @@ def decoding_errors_as(error_type, path, label=None):
         raise error_type(f"{label or path}:{lineno}: not valid UTF-8") from None
 
 
+def read_csv_rows(path) -> list[tuple[int, list[str]]]:
+    """(line, fields) of every row of a UTF-8 CSV file, a blank row as [].
+    A byte that is not UTF-8 or an unreadable row (say, a field over
+    csv.field_size_limit()) raises DomainError naming file:line."""
+    with decoding_errors_as(DomainError, path), open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            return [(reader.line_num, row) for row in reader]
+        except csv.Error as exc:
+            raise DomainError(f"{path}:{reader.line_num}: unreadable CSV line: {exc}") from None
+
+
 _ATTRIBUTE = re.compile(r"""@attribute\s+('[^']*'|"[^"]*"|\S+)\s+\S""", re.IGNORECASE)
 
 

@@ -20,6 +20,7 @@ best_split and build_tree are its one-node and one-tree cases.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -41,6 +42,14 @@ SPLIT_TIE_TOL = 1e-10
 BLOCK_CELLS = 1 << 14
 
 
+def checked_int(name: str, value) -> int:
+    """value as an int; a bool or a value that is not an integer raises
+    DomainError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class TreeConfig:
     lam: float = 0.5                      # weight of the ranking loss
@@ -49,6 +58,11 @@ class TreeConfig:
     features_per_split: Union[int, str] = "all"  # int, "all", or "sqrt"
 
     def __post_init__(self):
+        if isinstance(self.lam, bool) or not isinstance(self.lam, numbers.Real):
+            raise DomainError(f"lambda must be a number, got {self.lam!r}")
+        object.__setattr__(self, "lam", float(self.lam))
+        for name in ("max_depth", "min_samples_split"):
+            object.__setattr__(self, name, checked_int(name, getattr(self, name)))
         if not 0.0 <= self.lam <= 1.0:
             raise DomainError(f"lambda must lie in [0, 1], got {self.lam}")
         if self.max_depth < 0:
@@ -58,8 +72,11 @@ class TreeConfig:
         if isinstance(self.features_per_split, str):
             if self.features_per_split not in ("all", "sqrt"):
                 raise DomainError(f"features_per_split must be an int, 'all' or 'sqrt'")
-        elif self.features_per_split < 1:
-            raise DomainError("features_per_split must be >= 1")
+        else:
+            object.__setattr__(self, "features_per_split",
+                               checked_int("features_per_split", self.features_per_split))
+            if self.features_per_split < 1:
+                raise DomainError("features_per_split must be >= 1")
 
     def resolve_features_per_split(self, n_features: int) -> int:
         if self.features_per_split == "all":

@@ -263,9 +263,7 @@ class TestHarrisSelector:
     def test_fit_select_round_trip(self):
         scn = make_synthetic_scenario(100, seed=1)
         selector = HarrisSelector(single_tree_config(0.5, 2, seed=0))
-        selector.fit(scn.features, scn.performances,
-                     algorithm_names=scn.algorithm_names)
-        assert selector.forest.algorithm_names == scn.algorithm_names
+        selector.fit(scn.features, scn.performances)
         hits = sum(selector.select(scn.features[i]) == int(np.argmin(scn.performances[i]))
                    for i in range(scn.n_instances))
         assert hits == scn.n_instances

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +9,15 @@ import pytest
 from click.testing import CliRunner
 
 import harris
+from aslib_writer import Table, write_aslib
+from harris.baselines import ClusterSelector, HarrisSelector
 from harris.cli import main
-from harris.evaluation import read_report_csv
-from harris.scenario import par10_matrix
+from harris.evaluation import cross_validate_cells, read_report_csv, sweep, write_report_csv
+from harris.forest import ForestConfig, fit_forest, save_forest
+from harris.scenario import (column_medians, filter_unsolved, impute_features, par10_matrix,
+                             parse_scenario, scale_performances)
 from harris.synthetic import make_synthetic_scenario
+from harris.tree import TreeConfig
 
 
 @pytest.fixture
@@ -98,6 +104,78 @@ class TestEvaluate:
         assert outputs[0] == outputs[1] == outputs[2]
 
 
+def write_with_unsolved(root, scn, every=7):
+    """scn as an ASLib directory in which every `every`-th instance times out
+    on every algorithm."""
+    names = scn.algorithm_names
+    runs = [[iid, "1", a, repr(float(scn.performances[i, j])),
+             "timeout" if i % every == 0 else "ok"]
+            for i, iid in enumerate(scn.instance_ids) for j, a in enumerate(names)]
+    return write_aslib(
+        root,
+        f"scenario_id: unsolved\nalgorithm_cutoff_time: {scn.cutoff!r}\n"
+        f"algorithms_deterministic: {','.join(names)}\n",
+        Table("features", ["instance_id", "repetition", *scn.feature_names],
+              [[iid, "1", *map(repr, row.tolist())]
+               for iid, row in zip(scn.instance_ids, scn.features)]),
+        Table("runs", ["instance_id", "repetition", "algorithm", "runtime", "runstatus"], runs),
+        Table("cv", ["instance_id", "repetition", "fold"],
+              [[iid, "1", str(int(f))] for iid, f in zip(scn.instance_ids, scn.fold_of)]))
+
+
+class TestOptionsBuildTheRun:
+    """Each command equals the library run built by hand from the scenario and
+    configs its options name, on the options no other test sets."""
+
+    FOREST = ["--n-trees", "2", "--no-bootstrap", "--seed", "5"]
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep", "train"])
+    @pytest.mark.parametrize("source, fps", [("kept-unsolved", "1"), ("synthetic-seed", "all")])
+    def test_command_equals_library_run(self, runner, tmp_path, command, source, fps):
+        if source == "kept-unsolved":
+            root = write_with_unsolved(tmp_path / "scn", make_synthetic_scenario(60, seed=1))
+            scenario_args = ["--scenario", str(root), "--keep-unsolved"]
+            scn = parse_scenario(root)
+            assert filter_unsolved(scn).n_instances < scn.n_instances
+        else:
+            scenario_args = ["--synthetic", "--synthetic-n", "60", "--synthetic-seed", "3"]
+            scn = filter_unsolved(make_synthetic_scenario(60, seed=3))
+
+        def config(lam, depth):
+            return ForestConfig(n_trees=2, bootstrap=False, seed=5, tree=TreeConfig(
+                lam=lam, max_depth=depth, features_per_split=fps if fps == "all" else int(fps)))
+
+        cli_out, lib_out = tmp_path / "cli.out", tmp_path / "lib.out"
+        if command == "evaluate":
+            args = ["--lambda", "0.3", "--depth", "3", "--isac-clusters", "3",
+                    "--selectors", "harris,isac"]
+            write_report_csv(lib_out, *cross_validate_cells(scn, [
+                (partial(HarrisSelector, config(0.3, 3)), 0.3, 3),
+                (partial(ClusterSelector, n_clusters=3, seed=5), None, None)]))
+        elif command == "sweep":
+            args = ["--lambdas", "0,1", "--depths", "2"]
+            write_report_csv(lib_out, *sweep(scn, [0.0, 1.0], [2], config=config(0.5, 6)))
+        else:
+            args = ["--lambda", "0.3", "--depth", "3"]
+            scaled, scale = scale_performances(par10_matrix(scn))
+            save_forest(fit_forest(impute_features(scn.features, column_medians(scn.features)),
+                                   scaled, config(0.3, 3), scale=scale,
+                                   algorithm_names=scn.algorithm_names), lib_out)
+        result = runner.invoke(main, [command, *scenario_args, *self.FOREST,
+                                      "--features-per-split", fps, *args, "-o", str(cli_out)])
+        assert result.exit_code == 0, result.output
+        assert cli_out.read_bytes() == lib_out.read_bytes()
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep", "train"])
+    def test_bad_features_per_split_is_usage_error(self, runner, tmp_path, command):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--synthetic", "--synthetic-n", "30",
+                                      "--features-per-split", "half", "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "--features-per-split" in result.output
+        assert not out.exists()
+
+
 class TestPaperTree:
     COMMANDS = {
         "evaluate": ["evaluate", "--selectors", "harris"],
@@ -174,10 +252,20 @@ class TestSweep:
         assert f"{grid[0]} '{grid[1]}' must name each value once" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", [("--lambdas", ","), ("--depths", "")])
+    def test_empty_grid_is_usage_error(self, runner, tmp_path, grid):
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, ["sweep", "--synthetic", "--synthetic-n", "30",
+                                      "--paper-tree", *grid, "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"{grid[0]} {grid[1]!r} must name each value once" in result.output
+        assert not out.exists()
+
     def test_bad_grid(self, runner, tmp_path):
         result = runner.invoke(main, [
             "sweep", "--synthetic", "--lambdas", "zero", "-o", str(tmp_path / "x.csv")])
         assert result.exit_code != 0
+        assert "--lambdas 'zero'" in result.output and "--depths" not in result.output
 
 
 class TestTrainPredict:
@@ -247,6 +335,18 @@ class TestTrainPredict:
         assert result.exit_code != 0
         assert isinstance(result.exception, SystemExit)  # a clean exit, not a traceback
         assert f"f.csv:3: " in result.output and message in result.output
+
+    def test_overlong_quoted_field_names_its_line(self, runner, tmp_path):
+        model = tmp_path / "model.json"
+        assert runner.invoke(main, [
+            "train", "--synthetic", "--synthetic-n", "90", "--paper-tree",
+            "--depth", "1", "-o", str(model)]).exit_code == 0
+        feats = tmp_path / "f.csv"
+        feats.write_text('0.1,0.2,0.3\n"' + "1" * 140_000 + '",0.2,0.3\n')
+        result = runner.invoke(main, ["predict", "-m", str(model), "--features", str(feats)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a clean exit, not a traceback
+        assert "f.csv:2: unreadable CSV line" in result.output
 
     def test_bad_later_row_prints_nothing(self, runner, tmp_path):
         model = tmp_path / "model.json"

@@ -24,11 +24,11 @@ class RecordingSelector(Selector):
     def __init__(self, log):
         self.log = log
 
-    def fit(self, features, costs, *, scale=None, algorithm_names=None):
+    def fit(self, features, costs):
         self.log.append({
             "n_train": np.asarray(features).shape[0],
             "medians_seen": np.median(np.asarray(features), axis=0),
-            "scale": scale,
+            "costs": np.array(costs),
         })
         return self
 
@@ -52,7 +52,7 @@ class TestCrossValidate:
         class CostsOnly(Selector):
             name = "costs-only"
 
-            def fit(self, features, costs, *, scale=None, algorithm_names=None):
+            def fit(self, features, costs):
                 return self
 
             def predicted_costs(self, x):
@@ -77,7 +77,7 @@ class TestCrossValidate:
                 self.seen = []
                 seen_by_fold.append(self.seen)
 
-            def fit(self, features, costs, *, scale=None, algorithm_names=None):
+            def fit(self, features, costs):
                 return self
 
             def predicted_costs(self, x):
@@ -99,6 +99,20 @@ class TestCrossValidate:
             assert len(seen) == record.n_instances
             assert np.float64(record.tau).tobytes() == np.float64(np.mean(taus)).tobytes()
         assert skipped > 0
+
+    def test_nan_predicted_costs_stop_the_run(self):
+        # argmin would pick the NaN and tau-b would skip the row: neither may pass silently
+        class NaNCosts(Selector):
+            name = "nan-costs"
+
+            def fit(self, features, costs):
+                return self
+
+            def predicted_costs(self, x):
+                return np.array([0.1, np.nan, 0.3])
+
+        with pytest.raises(DomainError, match="'nan-costs' predicted NaN costs"):
+            cross_validate(make_synthetic_scenario(60, seed=5), NaNCosts)
 
     def test_constant_prediction_reports_missing_tau(self):
         scn = make_synthetic_scenario(60, seed=5)
@@ -135,13 +149,17 @@ class TestCrossValidate:
         spiked = replace(scn, features=features, performances=performances)
 
         log = []
-        cross_validate(spiked, lambda: RecordingSelector(log))
-        scales = [entry["scale"].max for entry in log]
+        folds, _ = cross_validate(spiked, lambda: RecordingSelector(log))
+        costs = par10_matrix(spiked)
+        for entry, record in zip(log, folds):
+            train = costs[spiked.fold_of != record.fold]
+            # the min-max scaling of this fold's training rows alone
+            assert np.array_equal(entry["costs"], (train - train.min()) / np.ptp(train))
+        # fold 1 trains without the spike, so whole-scenario scaling differs there
+        whole = (costs - costs.min()) / np.ptp(costs)
+        assert not np.array_equal(log[0]["costs"], whole[spiked.fold_of != 1])
         medians = [entry["medians_seen"][1] for entry in log]
-        # fold 1 trains without the spike; every other fold includes it
-        assert all(s == scales[1] for s in scales[1:])
-        assert scales[0] != scales[1]
-        assert medians[0] < 1e5 and all(m < 1e5 for m in medians)
+        assert all(m < 1e5 for m in medians)
 
     def test_annotations_carried_through(self):
         scn = make_synthetic_scenario(60, seed=4)
@@ -210,7 +228,7 @@ class TestSharedFolds:
         class Scribbler(Selector):
             name = "scribbler"
 
-            def fit(self, features, costs, *, scale=None, algorithm_names=None):
+            def fit(self, features, costs):
                 if target != "test row":
                     (features if target == "features" else costs)[0, 0] = 1e9
                 return self
@@ -302,6 +320,12 @@ class TestReportCsv:
         path = tmp_path / "report.csv"
         path.write_bytes(b"\n".join(rows) + b"\n")
         with pytest.raises(DomainError, match=rf"report\.csv:{line}: not valid UTF-8"):
+            read_report_csv(path)
+
+    def test_overlong_quoted_field_names_its_line(self, tmp_path):
+        path = tmp_path / "report.csv"
+        path.write_text(",".join(REPORT_COLUMNS) + '\n"' + "a" * 140_000 + '",harris\n')
+        with pytest.raises(DomainError, match=r"report\.csv:2: unreadable CSV line"):
             read_report_csv(path)
 
     def test_best_cells_keep_minimum_par10(self, tmp_path):

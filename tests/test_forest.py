@@ -67,6 +67,35 @@ class TestFitForest:
         with pytest.raises(DomainError):
             ForestConfig(n_trees=0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: ForestConfig(n_trees=2.5),
+        lambda: ForestConfig(n_trees=True),
+        lambda: ForestConfig(seed="a"),
+        lambda: ForestConfig(seed=1.0),
+        lambda: ForestConfig(bootstrap="no"),
+        lambda: ForestConfig(bootstrap=1),
+        lambda: TreeConfig(lam="0.5"),
+        lambda: TreeConfig(lam=True),
+        lambda: TreeConfig(max_depth=2.5),
+        lambda: TreeConfig(max_depth=True),
+        lambda: TreeConfig(min_samples_split=2.0),
+        lambda: TreeConfig(features_per_split=2.0),
+        lambda: TreeConfig(features_per_split=False),
+    ], ids=["fractional-trees", "boolean-trees", "string-seed", "float-seed",
+            "string-bootstrap", "integer-bootstrap", "string-lambda", "boolean-lambda",
+            "fractional-depth", "boolean-depth", "float-min-samples",
+            "float-features-per-split", "boolean-features-per-split"])
+    def test_config_field_of_wrong_type(self, make):
+        # each would otherwise fail late with a raw TypeError or ValueError, or pass
+        with pytest.raises(DomainError, match="must be"):
+            make()
+
+    def test_config_stores_plain_numbers(self):
+        config = ForestConfig(n_trees=np.int64(2), seed=np.uint8(3),
+                              tree=TreeConfig(lam=1, max_depth=np.int32(4)))
+        assert (type(config.tree.lam), type(config.n_trees), type(config.seed),
+                type(config.tree.max_depth)) == (float, int, int, int)
+
 
 class TestPrediction:
     def test_single_tree_forest_returns_leaf_label(self):
@@ -184,6 +213,13 @@ class TestSerialization:
         assert loaded.scale == forest.scale
         x = np.array([0.4, 0.2, 0.9])
         assert predict_costs(loaded, x).tolist() == predict_costs(forest, x).tolist()
+
+    def test_integer_lambda_loads_as_float(self, tmp_path):
+        data = forest_to_dict(self.fitted())
+        data["config"]["lambda"] = 1
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        assert repr(load_forest(path).config.tree.lam) == "1.0"
 
     def test_save_is_byte_deterministic(self, tmp_path):
         forest = self.fitted()
