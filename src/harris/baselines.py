@@ -7,19 +7,20 @@ forest with both). A selector writes fit and predicted_costs(x), a
 length-k cost vector for one instance; Selector.select(x) is its argmin, ties
 going to the lowest index. Only a selector whose scores are not costs
 (pairwise voting) overrides select and returns None from predicted_costs, which
-leaves its rank-correlation metrics empty.
+leaves its rank-correlation metrics empty. Every random stream comes from
+tree.seed_sequence: sub-forest j is seeded from (seed, j), isac's k-means draws
+from (seed, 0x15AC).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 
 import numpy as np
 
 from .errors import DomainError
 from .forest import ForestConfig, fit_forest, fit_forests, predict_costs
-from .tree import TreeConfig
+from .tree import TreeConfig, seed_sequence
 
 
 class Selector:
@@ -44,8 +45,7 @@ def _checked_training_data(features, costs):
 
 
 def _derived_seed(seed: int, index: int) -> int:
-    ss = np.random.SeedSequence((int(seed) & 0xFFFFFFFFFFFFFFFF, index))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(seed_sequence(seed, index).generate_state(1, np.uint64)[0])
 
 
 class HarrisSelector(Selector):
@@ -162,24 +162,15 @@ class ClusterSelector(Selector):
         self.feature_std = None
 
     def fit(self, features, costs):
+        """k-means with min(n_clusters, n) clusters: at most one per training row."""
         X, Y = _checked_training_data(features, costs)
-        n = X.shape[0]
-        k_clusters = self.n_clusters
-        if n < k_clusters:
-            warnings.warn(
-                f"only {n} training rows; reducing clusters from {k_clusters} to {n}",
-                stacklevel=2,
-            )
-            k_clusters = n
+        rng = np.random.default_rng(seed_sequence(self.seed, 0x15AC))
+        k_clusters = min(self.n_clusters, X.shape[0])
 
         self.feature_mean = X.mean(axis=0)
         std = X.std(axis=0)
         self.feature_std = np.where(std == 0.0, 1.0, std)
         Z = (X - self.feature_mean) / self.feature_std
-
-        rng = np.random.default_rng(
-            np.random.SeedSequence((int(self.seed) & 0xFFFFFFFFFFFFFFFF, 0x15AC))
-        )
         self.centroids, assignment = _kmeans(Z, k_clusters, rng)
 
         global_mean = Y.mean(axis=0)

@@ -74,10 +74,11 @@ def scenario_options(func):
 def lambda_depth_options(func):
     """--lambda/--depth, for the commands that fit one (lambda, depth) cell;
     forest_options puts them into the config's tree."""
-    func = click.option("--lambda", "lam", type=click.FloatRange(0.0, 1.0), default=0.5,
-                        show_default=True, help="Weight of the ranking loss in split search.")(func)
-    func = click.option("--depth", type=click.IntRange(min=0), default=6, show_default=True,
-                        help="Maximum tree depth.")(func)
+    func = click.option("--lambda", "lam", type=click.FloatRange(0.0, 1.0),
+                        default=TreeConfig.lam, show_default=True,
+                        help="Weight of the ranking loss in split search.")(func)
+    func = click.option("--depth", type=click.IntRange(min=0), default=TreeConfig.max_depth,
+                        show_default=True, help="Maximum tree depth.")(func)
     return func
 
 
@@ -89,15 +90,16 @@ def forest_options(func):
     """The forest flags; func is called with the ForestConfig they build as
     `config`. Its tree takes --lambda/--depth where the command has them and
     TreeConfig's defaults otherwise (sweep's grid replaces both)."""
-    func = click.option("--n-trees", type=click.IntRange(min=1), default=100, show_default=True,
-                        help="Trees per hybrid forest.")(func)
-    func = click.option("--bootstrap/--no-bootstrap", default=True, show_default=True,
+    func = click.option("--n-trees", type=click.IntRange(min=1), default=ForestConfig.n_trees,
+                        show_default=True, help="Trees per hybrid forest.")(func)
+    func = click.option("--bootstrap/--no-bootstrap", default=ForestConfig.bootstrap,
+                        show_default=True,
                         help="Bootstrap-resample the training data per tree.")(func)
     func = click.option("--features-per-split", default="sqrt", show_default=True,
                         help="Features sampled per split: an integer, 'sqrt', or 'all'.")(func)
     func = click.option("--paper-tree", is_flag=True,
                         help="Preset: a single unbagged tree searching all features.")(func)
-    func = click.option("--seed", type=int, default=0, show_default=True,
+    func = click.option("--seed", type=int, default=ForestConfig.seed, show_default=True,
                         help="Seed for all randomized components.")(func)
 
     @wraps(func)

@@ -1,9 +1,9 @@
 """Bagged ensembles of hybrid trees.
 
-Each tree draws its RNG stream from (seed, tree_number), so forests are
-reproducible no matter in which order the trees are built. fit_forests grows
-every tree of several forests on one feature matrix in one tree.build_trees
-lockstep; each tree keeps only its bootstrap row indices. Prediction averages
+Each tree draws its RNG stream from tree.seed_sequence(seed, tree_number), so
+forests are reproducible no matter in which order the trees are built.
+fit_forests grows every tree of several forests on one feature matrix in one
+tree.build_trees lockstep; each tree keeps only its bootstrap row indices. Prediction averages
 the trees' regression leaf labels, gathered with one index from a stack of all
 trees' labels that the forest builds on construction; the Borda leaf rankings
 stay available per tree for diagnostics. A model file holds each tree.Tree as
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, ModelFormatError
 from .scenario import ScaleParams, decoding_errors_as
-from .tree import Tree, TreeConfig, build_trees, checked_int
+from .tree import Tree, TreeConfig, build_trees, checked_int, seed_sequence
 
 MODEL_FORMAT = "harris-forest"
 MODEL_VERSION = 2
@@ -74,11 +74,6 @@ class HybridForest:
             (len(tree.regression) for tree in self.trees[:-1]), initial=0)))
 
 
-def _tree_rng(seed: int, tree_number: int) -> np.random.Generator:
-    entropy = (int(seed) & 0xFFFFFFFFFFFFFFFF, tree_number)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
 def fit_forest(features, labels, config: ForestConfig, *,
                scale: ScaleParams | None = None,
                algorithm_names=None) -> HybridForest:
@@ -111,7 +106,7 @@ def fit_forests(features, targets, configs, *, scale: ScaleParams | None = None,
     jobs = []
     for target, config in enumerate(configs):
         for tree_number in range(1, config.n_trees + 1):
-            rng = _tree_rng(config.seed, tree_number)
+            rng = np.random.default_rng(seed_sequence(config.seed, tree_number))
             rows = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
             jobs.append((target, rows, rng))
     trees = iter(build_trees(X, labels, jobs, configs[0].tree))

@@ -5,7 +5,8 @@ is a step function of feature 0 alone. Feature 0 takes values from a fixed
 grid (three levels per group) so that learned split thresholds always fall
 inside the gaps between groups; the remaining features are uniform noise.
 Cost bands are disjoint across ranks, which makes every instance's ranking
-strict and constant within a group.
+strict and constant within a group. Every draw comes from one stream,
+tree.seed_sequence(seed, 0x53594E).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .scenario import N_FOLDS, Scenario
+from .tree import checked_int, seed_sequence
 
 
 def make_synthetic_scenario(n_instances: int = 500, n_algorithms: int = 3,
@@ -26,15 +28,15 @@ def make_synthetic_scenario(n_instances: int = 500, n_algorithms: int = 3,
     finish, the cutoff clears the worst band, and folds 1..10 are assigned
     round-robin within each group so every fold sees every group.
     """
-    k = int(n_algorithms)
-    n = int(n_instances)
-    p = int(n_features)
+    k = checked_int("n_algorithms", n_algorithms)
+    n = checked_int("n_instances", n_instances)
+    p = checked_int("n_features", n_features)
     if n < N_FOLDS * k:
         raise DomainError(f"need at least {N_FOLDS * k} instances for stratified folds")
     if k < 2 or p < 1:
         raise DomainError("need k >= 2 algorithms and p >= 1 features")
 
-    rng = np.random.default_rng(np.random.SeedSequence((_u64(seed), 0x53594E)))
+    rng = np.random.default_rng(seed_sequence(seed, 0x53594E))
     group = rng.integers(0, k, size=n)
     # three grid levels per group, always clear of the group boundaries
     level = rng.integers(0, 3, size=n)
@@ -70,7 +72,3 @@ def make_synthetic_scenario(n_instances: int = 500, n_algorithms: int = 3,
         fold_of=fold_of,
         instance_ids=tuple(f"inst_{i}" for i in range(n)),
     )
-
-
-def _u64(seed: int) -> int:
-    return int(seed) & 0xFFFFFFFFFFFFFFFF

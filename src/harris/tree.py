@@ -50,6 +50,14 @@ def checked_int(name: str, value) -> int:
     return int(value)
 
 
+def seed_sequence(seed, *path) -> np.random.SeedSequence:
+    """SeedSequence((seed mod 2**64, *path)): the one rule that turns a seed
+    into a random stream (the stream map is in the README). A seed that is not
+    an integer raises DomainError. Entropy is read as 32-bit words and short
+    entropy is zero-padded, so paths of differing lengths can alias."""
+    return np.random.SeedSequence((checked_int("seed", seed) & 0xFFFFFFFFFFFFFFFF, *path))
+
+
 @dataclass(frozen=True)
 class TreeConfig:
     lam: float = 0.5                      # weight of the ranking loss

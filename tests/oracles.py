@@ -11,7 +11,8 @@ brute-force metrics in this module. The reference scenario parser is the
 package's earlier per-row parser, kept to pin the vectorised one to the same
 arrays and the same errors; likewise the recursive tree growth and the
 per-cluster-mask k-means pin the lockstep growth and the sorted-slice k-means
-to the same bytes.
+to the same bytes. The package's random streams are written out literally,
+without its seed_sequence helper.
 """
 
 import csv
@@ -504,6 +505,33 @@ def reference_kmeans(Z, k, rng):
             best_inertia = inertia
             best = (centroids.copy(), assignment.copy())
     return best
+
+
+# --- random streams ---------------------------------------------------------------
+# Every stream the package draws from, its entropy written out literally:
+# (seed mod 2**64, tag), where the tag names the stream.
+
+def forest_tree_stream(seed, tree_number):
+    """Generator of forest tree tree_number (counted from 1)."""
+    return np.random.default_rng(
+        np.random.SeedSequence((int(seed) & 0xFFFFFFFFFFFFFFFF, tree_number)))
+
+
+def sub_forest_seed(seed, j):
+    """Seed of a baseline's j-th single-target sub-forest."""
+    stream = np.random.SeedSequence((int(seed) & 0xFFFFFFFFFFFFFFFF, j))
+    return int(stream.generate_state(1, np.uint64)[0])
+
+
+def isac_stream(seed):
+    """Generator of isac's k-means restarts."""
+    return np.random.default_rng(np.random.SeedSequence((int(seed) & 0xFFFFFFFFFFFFFFFF, 0x15AC)))
+
+
+def synthetic_stream(seed):
+    """Generator of the synthetic scenario."""
+    return np.random.default_rng(
+        np.random.SeedSequence((int(seed) & 0xFFFFFFFFFFFFFFFF, 0x53594E)))
 
 
 # --- single-loss reference trees ----------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -168,12 +169,18 @@ class TestClusterSelector:
         selector.feature_std = np.ones(1)
         assert selector.select(np.zeros(1)) == 1  # cluster 0 wins the tie
 
-    def test_reduces_clusters_with_warning(self):
+    def test_clamps_clusters_to_training_rows(self):
+        # at most one cluster per training row, silently: 10 asked on 5 rows
+        # fits exactly the 5-cluster model
         X = np.arange(10.0).reshape(5, 2)
         Y = np.tile([0.3, 0.6], (5, 1))
-        with pytest.warns(UserWarning, match="reducing clusters"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             selector = ClusterSelector(n_clusters=10, seed=0).fit(X, Y)
+        five = ClusterSelector(n_clusters=5, seed=0).fit(X, Y)
         assert selector.centroids.shape[0] == 5
+        assert selector.centroids.tobytes() == five.centroids.tobytes()
+        assert selector.cluster_costs.tobytes() == five.cluster_costs.tobytes()
 
     def test_invariant_to_rescaling_a_feature_column(self):
         X, Y = self.blobs()
