@@ -3,13 +3,14 @@
 Every selector is fit on imputed features and min-max-scaled PAR10 costs
 (n x k, smaller is better) alone: fit(features, costs) takes no scale and no
 algorithm names, as no selector's choice depends on them (train saves a
-forest with both). A selector writes fit and predicted_costs(x), a
-length-k cost vector for one instance; Selector.select(x) is its argmin, ties
-going to the lowest index. Only a selector whose scores are not costs
-(pairwise voting) overrides select and returns None from predicted_costs, which
-leaves its rank-correlation metrics empty. Every random stream comes from
-tree.seed_sequence: sub-forest j is seeded from (seed, j), isac's k-means draws
-from (seed, 0x15AC).
+forest with both), and checks them with tree.checked_training_data (n x p
+features, n x k costs, n, p, k >= 1, all finite), itself or in fit_forests. A
+selector writes fit and predicted_costs(x), a length-k cost vector for one
+instance; Selector.select(x) is its argmin, ties going to the lowest index.
+Only a selector whose scores are not costs (pairwise voting) overrides select
+and returns None from predicted_costs, which leaves its rank-correlation
+metrics empty. Every random stream comes from tree.seed_sequence: sub-forest
+j is seeded from (seed, j), isac's k-means draws from (seed, 0x15AC).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .forest import ForestConfig, fit_forest, fit_forests, predict_costs
-from .tree import TreeConfig, seed_sequence
+from .tree import TreeConfig, checked_training_data, seed_sequence
 
 
 class Selector:
@@ -34,14 +35,6 @@ class Selector:
 
     def select(self, x) -> int:
         return int(np.argmin(self.predicted_costs(x)))
-
-
-def _checked_training_data(features, costs):
-    X = np.asarray(features, dtype=float)
-    Y = np.atleast_2d(np.asarray(costs, dtype=float))
-    if X.shape[0] == 0 or Y.shape[0] != X.shape[0]:
-        raise DomainError("training data is empty or inconsistent")
-    return X, Y
 
 
 def _derived_seed(seed: int, index: int) -> int:
@@ -58,8 +51,7 @@ class HarrisSelector(Selector):
         self.forest = None
 
     def fit(self, features, costs):
-        X, Y = _checked_training_data(features, costs)
-        self.forest = fit_forest(X, Y, self.config)
+        self.forest = fit_forest(features, costs, self.config)
         return self
 
     def predicted_costs(self, x):
@@ -93,7 +85,7 @@ class RegressionForestSelector(_SubForestSelector):
     forests = None
 
     def fit(self, features, costs):
-        X, Y = _checked_training_data(features, costs)
+        X, Y = checked_training_data(features, costs)
         self.forests = self._fit_sub_forests(X, Y)
         return self
 
@@ -116,7 +108,7 @@ class PairwiseVotingSelector(_SubForestSelector):
     n_algorithms = None
 
     def fit(self, features, costs):
-        X, Y = _checked_training_data(features, costs)
+        X, Y = checked_training_data(features, costs)
         k = Y.shape[1]
         if k < 2:
             raise DomainError("pairwise voting needs at least two algorithms")
@@ -163,7 +155,7 @@ class ClusterSelector(Selector):
 
     def fit(self, features, costs):
         """k-means with min(n_clusters, n) clusters: at most one per training row."""
-        X, Y = _checked_training_data(features, costs)
+        X, Y = checked_training_data(features, costs)
         rng = np.random.default_rng(seed_sequence(self.seed, 0x15AC))
         k_clusters = min(self.n_clusters, X.shape[0])
 
@@ -254,7 +246,7 @@ class SingleBestSelector(Selector):
         self.mean_costs = None
 
     def fit(self, features, costs):
-        _, Y = _checked_training_data(features, costs)
+        _, Y = checked_training_data(features, costs)
         self.mean_costs = Y.mean(axis=0)
         return self
 

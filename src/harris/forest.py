@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, ModelFormatError
 from .scenario import ScaleParams, decoding_errors_as
-from .tree import Tree, TreeConfig, build_trees, checked_int, seed_sequence
+from .tree import Tree, TreeConfig, build_trees, checked_int, checked_training_data, seed_sequence
 
 MODEL_FORMAT = "harris-forest"
 MODEL_VERSION = 2
@@ -93,11 +93,8 @@ def fit_forests(features, targets, configs, *, scale: ScaleParams | None = None,
     """fit_forest(features, targets[i], configs[i]) for every i, with all trees
     of all forests grown together. The configs may differ in everything but
     their tree config; the targets must have equal widths."""
-    X = np.asarray(features, dtype=float)
-    labels = [np.atleast_2d(np.asarray(Y, dtype=float)) for Y in targets]
+    X, *labels = checked_training_data(features, *targets)
     n = X.shape[0]
-    if n == 0:
-        raise DomainError("cannot fit a forest on an empty dataset")
     if len(labels) != len(configs) or any(c.tree != configs[0].tree for c in configs):
         raise DomainError("forests fitted together need one target each and one tree config")
     if scale is None:

@@ -152,12 +152,13 @@ def column_medians(features) -> np.ndarray:
 
 def impute_features(features, medians=None) -> np.ndarray:
     """Replace missing entries by column medians (computed from `features`
-    itself unless training-fold medians are supplied)."""
+    itself unless training-fold medians, one per column, are supplied)."""
     X = np.asarray(features, dtype=float).copy()
-    if medians is None:
-        medians = column_medians(X)
+    medians = column_medians(X) if medians is None else np.asarray(medians, dtype=float)
+    if medians.shape != X.shape[1:]:
+        raise DomainError(f"need one median per feature column ({X.shape[-1]}), got {medians.size}")
     rows, cols = np.nonzero(np.isnan(X))
-    X[rows, cols] = np.asarray(medians, dtype=float)[cols]
+    X[rows, cols] = medians[cols]
     return X
 
 

@@ -1,10 +1,12 @@
 """Hybrid ranking-and-regression decision trees.
 
 A tree is grown by binary splitting. Split search enumerates every candidate
-feature and every midpoint between consecutive distinct feature values,
-scoring each candidate by the size-weighted hybrid loss of the two children
-with both children's labels (mean vector and Borda consensus) recomputed on
-that side. Rows with feature value <= split point go left.
+feature and every midpoint between consecutive distinct feature values a < b
+(a itself where the midpoint rounds up onto b), scoring each candidate by the
+size-weighted hybrid loss of the two children with both children's labels
+(mean vector and Borda consensus) recomputed on that side. Rows with feature
+value <= split point go left. Every fit checks its data with
+checked_training_data: n x p features, n x k targets, n, p, k >= 1, all finite.
 
 build_trees grows many trees in lockstep. Each tree settles its nodes depth
 first, left before right, and draws each split's feature sample from its own
@@ -48,6 +50,20 @@ def checked_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def checked_training_data(features, *targets) -> list[np.ndarray]:
+    """[X, *Ys]: n x p features and n x k targets of one width k as float
+    matrices; DomainError unless n, p, k >= 1 and every entry is finite."""
+    arrays = [np.ascontiguousarray(a, dtype=float) for a in (features, *targets)]
+    shapes = [a.shape for a in arrays]
+    if any(len(s) != 2 or 0 in s for s in shapes) or len({s[0] for s in shapes}) > 1 \
+            or len({s[1] for s in shapes[1:]}) > 1:
+        raise DomainError(f"training data must be n x p features and n x k targets, "
+                          f"n, p, k >= 1; got shapes {shapes}")
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise DomainError("training data must be finite (impute missing values first)")
+    return arrays
 
 
 def seed_sequence(seed, *path) -> np.random.SeedSequence:
@@ -175,7 +191,10 @@ def _candidate_losses(columns, sizes, rows, stats: _LabelStats, lam: float):
     xs = columns.ravel()[order]
     rows = rows.ravel()[order]
     feat, sel = (xs[1:] > xs[:-1]).T.nonzero()  # sel + 1 rows go left
-    splits = (xs[sel, feat] + xs[sel + 1, feat]) / 2.0
+    low, high = xs[sel, feat], xs[sel + 1, feat]
+    with np.errstate(over="ignore"):  # near the float maximum mid is inf
+        mid = (low + high) / 2.0
+    splits = np.where(mid < high, mid, low)  # low <= split < high, as the sides counted
 
     # each candidate's left prefix sums, then the node's totals at its own
     # last row, turned in place into the right side's sums
@@ -287,10 +306,7 @@ def best_split(features, labels, lam: float, candidate_features=None):
     candidate feature has two distinct values. The candidate columns are
     scored together, BLOCK_CELLS label cells at a time.
     """
-    X = np.asarray(features, dtype=float)
-    Y = np.atleast_2d(np.asarray(labels, dtype=float))
-    if X.ndim != 2 or X.shape[0] != Y.shape[0]:
-        raise DomainError("features and labels must have matching row counts")
+    X, Y = checked_training_data(features, labels)
     if X.shape[0] < 2:
         raise DomainError("need at least two rows to split")
     if candidate_features is None:
@@ -330,13 +346,8 @@ def build_trees(features, targets, jobs, config: TreeConfig) -> list[Tree]:
     feature samples from rng; the tree equals build_tree on that data with
     that generator. Only row indices are kept per tree and per node.
     """
-    X = np.ascontiguousarray(features, dtype=float)
-    if X.ndim != 2:
-        raise DomainError("features must be a 2-D matrix")
+    X, *matrices = checked_training_data(features, *targets)
     n, n_features = X.shape
-    matrices = [np.atleast_2d(np.asarray(Y, dtype=float)) for Y in targets]
-    if any(Y.shape[0] != n for Y in matrices) or len({Y.shape[1] for Y in matrices}) > 1:
-        raise DomainError("every target needs one row per feature row and the same width")
     jobs = [(t, np.asarray(rows, dtype=np.intp), rng) for t, rows, rng in jobs]
     if any(rows.size == 0 for _, rows, _ in jobs):
         raise DomainError("cannot build a tree from an empty dataset")
@@ -425,5 +436,4 @@ def build_tree(features, labels, config: TreeConfig, rng: np.random.Generator) -
     feature offers a valid split. Each split searches a fresh uniform sample
     (without replacement) of features_per_split features.
     """
-    X = np.asarray(features, dtype=float)
-    return build_trees(X, [labels], [(0, np.arange(X.shape[0]), rng)], config)[0]
+    return build_trees(features, [labels], [(0, np.arange(len(features)), rng)], config)[0]

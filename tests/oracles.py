@@ -219,6 +219,14 @@ def subset_hybrid_loss(Y, lam):
     return lam * rank_part + (1.0 - lam) * reg_part
 
 
+def midpoint(low: float, high: float) -> float:
+    """The split point between consecutive distinct values low < high: their
+    midpoint, or low where the midpoint rounds up onto high (adjacent doubles)
+    or overflows to inf, so that low <= point < high separates them."""
+    point = (low + high) / 2.0
+    return point if point < high else low
+
+
 def enumerate_split_losses(X, Y, lam, candidate_features=None):
     """Every (feature, midpoint, weighted child loss), features ascending and
     split points ascending within a feature."""
@@ -230,7 +238,7 @@ def enumerate_split_losses(X, Y, lam, candidate_features=None):
     for f in features:
         values = sorted(set(X[:, f].tolist()))
         for low, high in zip(values, values[1:]):
-            point = (low + high) / 2.0
+            point = midpoint(low, high)
             left = X[:, f] <= point
             n_left = int(left.sum())
             loss = (n_left / n) * subset_hybrid_loss(Y[left], lam) \
@@ -273,7 +281,10 @@ def _per_feature_candidate_losses(column, labels, rank_rows, unit_ranks, sq_sums
     left_sizes = np.nonzero(xs[1:] > xs[:-1])[0] + 1
     if left_sizes.size == 0:
         return None
-    splits = (xs[left_sizes - 1] + xs[left_sizes]) / 2.0
+    low, high = xs[left_sizes - 1], xs[left_sizes]
+    with np.errstate(over="ignore"):
+        mid = (low + high) / 2.0
+    splits = np.where(mid < high, mid, low)
 
     n = column.size
     k = labels.shape[1]
@@ -567,7 +578,7 @@ def reference_tree(X, Y, max_depth, mode):
         for f in range(Xn.shape[1]):
             values = sorted(set(Xn[:, f].tolist()))
             for low, high in zip(values, values[1:]):
-                point = (low + high) / 2.0
+                point = midpoint(low, high)
                 left = Xn[:, f] <= point
                 n_left = int(left.sum())
                 loss = (n_left / n) * subset_loss(Yn[left]) \

@@ -16,7 +16,7 @@ from harris.forest import (ForestConfig, HybridForest, fit_forest, forest_to_dic
                            single_tree_config)
 from harris.scenario import ScaleParams
 from harris.synthetic import make_synthetic_scenario
-from harris.tree import Tree
+from harris.tree import Tree, TreeConfig, best_split, build_tree
 
 
 def constant_forest(value):
@@ -290,3 +290,49 @@ class TestSelectorContract:
         for selector in fitted:
             for x in X[::7]:
                 assert selector.select(x) == int(np.argmin(selector.predicted_costs(x)))
+
+
+_CONFIG = ForestConfig(n_trees=2, tree=TreeConfig(max_depth=2))
+# every call that learns from (features, costs), as fit(X, Y)
+FIT_ENTRY_POINTS = {
+    "harris": lambda X, Y: HarrisSelector(_CONFIG).fit(X, Y),
+    "rfr": lambda X, Y: RegressionForestSelector(n_trees=2, max_depth=2).fit(X, Y),
+    "satzilla": lambda X, Y: PairwiseVotingSelector(n_trees=2, max_depth=2).fit(X, Y),
+    "isac": lambda X, Y: ClusterSelector(n_clusters=2).fit(X, Y),
+    "sbs": lambda X, Y: SingleBestSelector().fit(X, Y),
+    "fit_forest": lambda X, Y: fit_forest(X, Y, _CONFIG),
+    "build_tree": lambda X, Y: build_tree(X, Y, TreeConfig(), np.random.default_rng(0)),
+    "best_split": lambda X, Y: best_split(X, Y, 0.5),
+}
+
+
+def _with_cell(array, value):
+    array = array.copy()
+    array[1, 0] = value
+    return array
+
+
+_X = np.arange(12.0).reshape(4, 3)
+_Y = np.array([[0.0, 1.0], [0.2, 0.8], [1.0, 0.0], [0.7, 0.1]])
+BAD_TRAINING_DATA = {
+    "1-D features": (_X[:, 0], _Y),
+    "3-D costs": (_X, _Y[:, :, None]),
+    "zero rows": (_X[:0], _Y[:0]),
+    "zero features": (_X[:, :0], _Y),
+    "zero cost columns": (_X, _Y[:, :0]),
+    "row-count mismatch": (_X, _Y[:3]),
+    "NaN feature": (_with_cell(_X, np.nan), _Y),
+    "inf feature": (_with_cell(_X, np.inf), _Y),
+    "NaN cost": (_X, _with_cell(_Y, np.nan)),
+}
+
+
+@pytest.mark.parametrize("data", BAD_TRAINING_DATA.values(), ids=BAD_TRAINING_DATA.keys())
+@pytest.mark.parametrize("fit", FIT_ENTRY_POINTS.values(), ids=FIT_ENTRY_POINTS.keys())
+def test_every_fit_refuses_bad_training_data(fit, data):
+    # one rule for every fit: the package's own error, and no warning first
+    fit(_X, _Y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="training"):
+            fit(*data)

@@ -307,6 +307,38 @@ class TestTrainPredict:
         first, second = result.output.strip().splitlines()
         assert first == second
 
+    def test_adjacent_feature_values_split_apart(self, runner, tmp_path):
+        # the one feature alternates between two adjacent doubles, whose
+        # midpoint rounds up onto the upper one; the best algorithm alternates
+        # with it, so a split at the lower value separates them exactly
+        values, names = (0.3, 0.1 + 0.2), ("a", "b")
+        ids = [f"i{i}" for i in range(20)]
+        root = write_aslib(
+            tmp_path / "adjacent",
+            "scenario_id: adjacent\nalgorithm_cutoff_time: 1000\nalgorithms_deterministic: a,b\n",
+            Table("features", ["instance_id", "repetition", "f"],
+                  [[iid, "1", repr(values[i % 2])] for i, iid in enumerate(ids)]),
+            Table("runs", ["instance_id", "repetition", "algorithm", "runtime", "runstatus"],
+                  [[iid, "1", a, "10.0" if i % 2 == j else "100.0", "ok"]
+                   for i, iid in enumerate(ids) for j, a in enumerate(names)]),
+            Table("cv", ["instance_id", "repetition", "fold"],
+                  [[iid, "1", str(i // 2 + 1)] for i, iid in enumerate(ids)]))
+        model, rows = tmp_path / "model.json", tmp_path / "rows.csv"
+        tree_args = ["--scenario", str(root), "--paper-tree", "--depth", "3"]
+        result = runner.invoke(main, ["train", *tree_args, "-o", str(model)])
+        assert result.exit_code == 0, result.output
+        rows.write_text("".join(f"{v!r}\n" for v in values))
+        result = runner.invoke(main, ["predict", "-m", str(model), "--features", str(rows)])
+        assert result.exit_code == 0, result.output
+        assert [line.split("\t")[0] for line in result.output.splitlines()] == list(names)
+        out = tmp_path / "eval.csv"
+        result = runner.invoke(main, ["evaluate", *tree_args, "--selectors", "harris,oracle",
+                                      "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        par10 = {r["selector"]: float(r["par10"]) for r in read_report_csv(out)
+                 if r["row_type"] == "aggregate"}
+        assert par10["harris"] == par10["oracle"] == 10.0
+
     def test_wrong_feature_count(self, runner, tmp_path):
         model = tmp_path / "model.json"
         assert runner.invoke(main, [

@@ -99,6 +99,12 @@ class TestImputeFeatures:
         test = np.array([[np.nan]])
         assert impute_features(test, column_medians(train)).ravel().tolist() == [3.0]
 
+    @pytest.mark.parametrize("medians", [[0.5], [0.5, 1.5, 2.5], []])
+    def test_medians_need_one_entry_per_column(self, medians):
+        # a short vector indexed past its end, a long one went unnoticed
+        with pytest.raises(DomainError, match="one median per feature column"):
+            impute_features([[1.0, np.nan]], medians)
+
 
 class TestScalePerformances:
     def test_affine_map(self):

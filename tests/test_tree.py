@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 import oracles
 import harris.tree
 from harris.errors import DomainError
-from harris.forest import predict_costs
+from harris.forest import (fit_forest, load_forest, predict_costs, save_forest,
+                           single_tree_config)
 from harris.tree import TreeConfig, best_split, build_tree, build_trees
 
 # Four rows, one feature; labels flip between the halves, so the midpoint at
@@ -198,6 +199,37 @@ class TestLockstep:
         with pytest.raises(DomainError):
             build_trees(PURE_X, [PURE_Y, PURE_Y[:, :1]], [(0, np.arange(4), rng)], TreeConfig())
         assert build_trees(PURE_X, [PURE_Y], [], TreeConfig()) == []
+
+
+class TestSplitPointSeparatesItsValues:
+    """A split between consecutive distinct values a < b lies in [a, b): the
+    midpoint, or a where the midpoint rounds up onto b or overflows to inf.
+    Otherwise b's rows go left too, the right child is empty and its leaf
+    has size 0 and NaN labels."""
+
+    # adjacent doubles (0.3 and 0.1 + 0.2), and a pair whose sum overflows
+    COLUMNS = {"adjacent": (0.3, 0.1 + 0.2), "near-max": (1e308, 1.7e308)}
+    Y = PURE_Y[[0, 2, 1, 3]]  # alternates with the rows' values low, high, low, high
+
+    @pytest.mark.parametrize("low, high", COLUMNS.values(), ids=COLUMNS.keys())
+    def test_best_split_uses_the_lower_value(self, low, high):
+        X = np.array([[low], [high], [low], [high]])
+        for lam in (0.0, 0.5, 1.0):
+            assert best_split(X, self.Y, lam)[:2] == (0, low)
+            assert oracles.exhaustive_best_split(X, self.Y, lam)[:2] == (0, low)
+
+    @pytest.mark.parametrize("low, high", COLUMNS.values(), ids=COLUMNS.keys())
+    def test_every_leaf_is_trained_and_saved(self, low, high, tmp_path):
+        X = np.array([[low], [high], [low], [high]])
+        forest = fit_forest(X, self.Y, single_tree_config(0.5, 3))
+        tree, = forest.trees
+        assert min(tree.size) >= 1 and sum(tree.size) == 4
+        assert np.isfinite(tree.regression).all() and np.isfinite(tree.ranking).all()
+        assert tree.split == [low] and low <= tree.split[0] < high
+        save_forest(forest, tmp_path / "model.json")
+        loaded, = load_forest(tmp_path / "model.json").trees
+        assert (loaded.split, loaded.size) == (tree.split, tree.size)
+        assert [predict_costs(forest, x).tolist() for x in X] == self.Y.tolist()
 
 
 class TestBuildTree:
