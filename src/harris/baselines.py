@@ -5,12 +5,12 @@ Every selector is fit on imputed features and min-max-scaled PAR10 costs
 algorithm names, as no selector's choice depends on them (train saves a
 forest with both), and checks them with tree.checked_training_data (n x p
 features, n x k costs, n, p, k >= 1, all finite), itself or in fit_forests. A
-selector writes fit and predicted_costs(x), a length-k cost vector for one
-instance; Selector.select(x) is its argmin, ties going to the lowest index.
-Only a selector whose scores are not costs (pairwise voting) overrides select
-and returns None from predicted_costs, which leaves its rank-correlation
-metrics empty. Every random stream comes from tree.seed_sequence: sub-forest
-j is seeded from (seed, j), isac's k-means draws from (seed, 0x15AC).
+selector writes fit and predicted_costs(x), k costs for a row it checks with
+tree.checked_query_row (p finite numbers); select(x), never overridden, is
+their argmin, ties to the lowest index. Scores that are not costs (satzilla's
+minus votes) set predicts_costs = False: no rank correlation is reported.
+Random streams come from tree.seed_sequence: sub-forest j from (seed, j),
+isac's k-means from (seed, 0x15AC).
 """
 
 from __future__ import annotations
@@ -21,11 +21,12 @@ import numpy as np
 
 from .errors import DomainError
 from .forest import ForestConfig, fit_forest, fit_forests, predict_costs
-from .tree import TreeConfig, checked_training_data, seed_sequence
+from .tree import TreeConfig, checked_query_row, checked_training_data, seed_sequence
 
 
 class Selector:
     name = "selector"
+    predicts_costs = True  # False: predicted_costs only orders, so tau-b is not reported
 
     def fit(self, features, costs) -> "Selector":
         raise NotImplementedError
@@ -55,7 +56,7 @@ class HarrisSelector(Selector):
         return self
 
     def predicted_costs(self, x):
-        return predict_costs(self.forest, x)
+        return predict_costs(self.forest, checked_query_row(x, self.forest.n_features))
 
 
 class _SubForestSelector(Selector):
@@ -90,7 +91,7 @@ class RegressionForestSelector(_SubForestSelector):
         return self
 
     def predicted_costs(self, x):
-        row = np.asarray(x, dtype=float).tolist()
+        row = checked_query_row(x, self.forests[0].n_features)
         return np.array([float(predict_costs(f, row)[0]) for f in self.forests])
 
 
@@ -98,12 +99,13 @@ class PairwiseVotingSelector(_SubForestSelector):
     """SATzilla-style voting on pairwise performance differences.
 
     For each unordered algorithm pair (i, j) a regression forest predicts
-    cost_i - cost_j; a negative prediction votes for i, otherwise j. The
-    algorithm with the most votes wins, ties going to the lowest index.
-    Votes are not costs, so this selector writes select itself.
+    cost_i - cost_j; a negative prediction votes for i, a positive one for j.
+    The predicted costs are minus the vote counts: the most-voted algorithm
+    wins, ties going to the lowest index, and no tau-b is reported.
     """
 
     name = "satzilla"
+    predicts_costs = False
     models = None
     n_algorithms = None
 
@@ -119,20 +121,14 @@ class PairwiseVotingSelector(_SubForestSelector):
                        for i, j, forest in zip(first, second, forests)]
         return self
 
-    def select(self, x) -> int:
-        votes = np.zeros(self.n_algorithms, dtype=int)
-        row = np.asarray(x, dtype=float).tolist()
+    def predicted_costs(self, x):
+        scores = np.zeros(self.n_algorithms)
+        row = checked_query_row(x, self.models[0][2].n_features)
         for i, j, forest in self.models:
             diff = float(predict_costs(forest, row)[0])
-            if diff < 0.0:
-                votes[i] += 1
-            elif diff > 0.0:
-                votes[j] += 1
-            # an exactly-zero prediction carries no preference: no vote
-        return int(np.argmax(votes))
-
-    def predicted_costs(self, x):
-        return None
+            if diff != 0.0:  # an exactly-zero prediction carries no preference: no vote
+                scores[i if diff < 0.0 else j] -= 1.0
+        return scores
 
 
 class ClusterSelector(Selector):
@@ -141,6 +137,7 @@ class ClusterSelector(Selector):
     centroid (ties to the lowest cluster index)."""
 
     name = "isac"
+    centroids = cluster_costs = feature_mean = feature_std = None  # set by fit
 
     def __init__(self, n_clusters=10, seed=0):
         if (isinstance(n_clusters, bool) or not isinstance(n_clusters, (int, np.integer))
@@ -148,10 +145,6 @@ class ClusterSelector(Selector):
             raise DomainError(f"n_clusters must be an integer >= 1, got {n_clusters!r}")
         self.n_clusters = n_clusters
         self.seed = seed
-        self.centroids = None
-        self.cluster_costs = None
-        self.feature_mean = None
-        self.feature_std = None
 
     def fit(self, features, costs):
         """k-means with min(n_clusters, n) clusters: at most one per training row."""
@@ -173,13 +166,10 @@ class ClusterSelector(Selector):
         self.cluster_costs = np.array(means)
         return self
 
-    def _nearest(self, x) -> int:
-        z = (np.asarray(x, dtype=float) - self.feature_mean) / self.feature_std
-        d2 = ((self.centroids - z) ** 2).sum(axis=1)
-        return int(np.argmin(d2))
-
     def predicted_costs(self, x):
-        return self.cluster_costs[self._nearest(x)].copy()
+        row = checked_query_row(x, self.centroids.shape[1])
+        z = (np.array(row) - self.feature_mean) / self.feature_std
+        return self.cluster_costs[np.argmin(((self.centroids - z) ** 2).sum(axis=1))].copy()
 
 
 KMEANS_RESTARTS = 25
@@ -241,16 +231,15 @@ class SingleBestSelector(Selector):
     """Constant selector: the algorithm with the best mean training cost."""
 
     name = "sbs"
-
-    def __init__(self):
-        self.mean_costs = None
+    mean_costs = n_features = None  # set by fit
 
     def fit(self, features, costs):
-        _, Y = checked_training_data(features, costs)
-        self.mean_costs = Y.mean(axis=0)
+        X, Y = checked_training_data(features, costs)
+        self.mean_costs, self.n_features = Y.mean(axis=0), X.shape[1]
         return self
 
     def predicted_costs(self, x):
+        checked_query_row(x, self.n_features)
         return self.mean_costs.copy()
 
 
@@ -261,6 +250,7 @@ class OracleSelector(Selector):
     name = "oracle"
 
     def fit(self, features, costs):
+        checked_training_data(features, costs)
         return self
 
     def predicted_costs(self, x):

@@ -28,7 +28,7 @@ from .forest import (ForestConfig, fit_forest, load_forest, predict_costs,
 from .scenario import (column_medians, filter_unsolved, impute_features, par10_matrix,
                        parse_scenario, read_csv_rows, scale_performances)
 from .synthetic import make_synthetic_scenario
-from .tree import TreeConfig
+from .tree import TreeConfig, checked_query_row
 
 _USER_ERRORS = (ParseError, ConsistencyError, EmptyScenarioError, DomainError,
                 ModelFormatError)
@@ -258,15 +258,11 @@ def predict(model, features_csv):
     for line, row in rows:
         where = f"{features_csv}:{line}"
         try:
-            x = np.array([float(v) for v in row])
+            vectors.append(checked_query_row([float(v) for v in row], forest.n_features))
+        except DomainError as e:  # a ValueError too, so caught first
+            raise DomainError(f"{where}: {e}") from None
         except ValueError:
             raise DomainError(f"{where}: feature row is not numeric: {row!r}") from None
-        if x.size != forest.n_features:
-            raise DomainError(f"{where}: expected {forest.n_features} features, got {x.size}")
-        if not np.all(np.isfinite(x)):
-            raise DomainError(f"{where}: feature vectors must be finite "
-                              "(impute missing values first)")
-        vectors.append(x)
     for x in vectors:
         predicted = predict_costs(forest, x)
         choice = int(np.argmin(predicted))  # select_algorithm, without a second walk

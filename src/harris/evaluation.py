@@ -98,12 +98,13 @@ def cross_validate_cells(scenario: Scenario, cells: Sequence[tuple],
             for x, true_costs in zip(test_features, costs[test_mask]):
                 # the oracle is scored on the test labels it is meant to know
                 predicted = true_costs if is_oracle else selector.predicted_costs(x)
-                if predicted is None:
-                    choice = selector.select(x)
-                else:
-                    if np.isnan(predicted).any():
-                        raise DomainError(f"selector {selector.name!r} predicted NaN costs")
-                    choice = int(np.argmin(predicted))  # Selector.select, without a second call
+                if len(predicted) != len(true_costs):
+                    raise DomainError(f"selector {selector.name!r} predicted {len(predicted)} "
+                                      f"costs for {len(true_costs)} algorithms")
+                if np.isnan(predicted).any():
+                    raise DomainError(f"selector {selector.name!r} predicted NaN costs")
+                choice = int(np.argmin(predicted))  # Selector.select, without a second call
+                if selector.predicts_costs:
                     try:
                         # tau-b reads only the pairwise order, which ranking keeps
                         fold_taus.append(kendall_tau_b(predicted, true_costs))

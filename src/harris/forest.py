@@ -124,7 +124,9 @@ def predict_costs(forest: HybridForest, x) -> np.ndarray:
     """Mean of the trees' regression leaf labels for one instance.
 
     A row that is not a list is first converted to a list of floats; to ask
-    many forests about one row, convert it once and pass the list.
+    many forests about one row, convert it once and pass the list. A check of
+    the row would cost a noticeable share of a served selection, so callers
+    check it: every selector and `harris predict` use tree.checked_query_row.
     """
     row = x if isinstance(x, list) else np.asarray(x, dtype=float).tolist()
     ids = []

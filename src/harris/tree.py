@@ -66,6 +66,17 @@ def checked_training_data(features, *targets) -> list[np.ndarray]:
     return arrays
 
 
+def checked_query_row(x, n_features: int) -> list[float]:
+    """x as a list of floats; DomainError unless it is one row of n_features finite numbers."""
+    row = np.asarray(x, dtype=float)
+    if row.shape != (n_features,):
+        got = row.size if row.ndim == 1 else f"shape {row.shape}"
+        raise DomainError(f"expected {n_features} features, got {got}")
+    if not np.isfinite(row).all():
+        raise DomainError("feature vectors must be finite (impute missing values first)")
+    return row.tolist()
+
+
 def seed_sequence(seed, *path) -> np.random.SeedSequence:
     """SeedSequence((seed mod 2**64, *path)): the one rule that turns a seed
     into a random stream (the stream map is in the README). A seed that is not

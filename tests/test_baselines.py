@@ -12,6 +12,7 @@ from harris.baselines import (ClusterSelector, HarrisSelector, OracleSelector,
                               PairwiseVotingSelector, RegressionForestSelector,
                               SingleBestSelector, _derived_seed, _kmeans)
 from harris.errors import DomainError
+from harris.evaluation import cross_validate
 from harris.forest import (ForestConfig, HybridForest, fit_forest, forest_to_dict,
                            single_tree_config)
 from harris.scenario import ScaleParams
@@ -124,12 +125,24 @@ class TestPairwiseVoting:
                            for i in range(3) for j in range(i + 1, 3)]
         assert selector.select(np.zeros(1)) == 0
 
-    def test_predicted_costs_is_none(self):
-        rng = np.random.default_rng(0)
-        X = rng.uniform(size=(20, 2))
-        Y = rng.uniform(size=(20, 2))
-        selector = PairwiseVotingSelector(n_trees=2, max_depth=2, seed=0).fit(X, Y)
-        assert selector.predicted_costs(X[0]) is None
+    def test_predicted_costs_are_minus_vote_counts(self):
+        # the Condorcet table above: votes 2/0/1
+        selector = PairwiseVotingSelector()
+        selector.n_algorithms = 3
+        selector.models = [
+            (0, 1, constant_forest(-1.0)),
+            (0, 2, constant_forest(-1.0)),
+            (1, 2, constant_forest(1.0)),
+        ]
+        assert selector.predicted_costs(np.zeros(1)).tolist() == [-2.0, 0.0, -1.0]
+
+    def test_evaluate_leaves_tau_empty(self):
+        # votes order the algorithms but are not costs: no tau-b is reported
+        scn = make_synthetic_scenario(40, seed=3)
+        folds, agg = cross_validate(
+            scn, lambda: PairwiseVotingSelector(n_trees=2, max_depth=2, seed=0))
+        assert all(r.tau is None for r in folds)
+        assert agg.tau_mean is None and agg.tau_std is None
 
     def test_single_algorithm_rejected(self):
         with pytest.raises(DomainError):
@@ -250,7 +263,7 @@ class TestSingleBestAndOracle:
         selector = SingleBestSelector().fit(np.zeros((4, 1)), Y)
         assert selector.select(np.array([0.0])) == 1
         assert selector.select(np.array([123.0])) == 1
-        assert selector.predicted_costs(None) == pytest.approx([5.0, 2.0, 9.0])
+        assert selector.predicted_costs([7.0]) == pytest.approx([5.0, 2.0, 9.0])
 
     def test_oracle_never_beaten(self):
         scn = make_synthetic_scenario(60, seed=11)
@@ -284,6 +297,7 @@ class TestSelectorContract:
         fitted = [
             HarrisSelector(ForestConfig(n_trees=3, seed=1)).fit(X, Y),
             RegressionForestSelector(n_trees=3, max_depth=3, seed=1).fit(X, Y),
+            PairwiseVotingSelector(n_trees=3, max_depth=3, seed=1).fit(X, Y),
             ClusterSelector(n_clusters=3, seed=1).fit(X, Y),
             SingleBestSelector().fit(X, Y),
         ]
@@ -300,6 +314,7 @@ FIT_ENTRY_POINTS = {
     "satzilla": lambda X, Y: PairwiseVotingSelector(n_trees=2, max_depth=2).fit(X, Y),
     "isac": lambda X, Y: ClusterSelector(n_clusters=2).fit(X, Y),
     "sbs": lambda X, Y: SingleBestSelector().fit(X, Y),
+    "oracle": lambda X, Y: OracleSelector().fit(X, Y),
     "fit_forest": lambda X, Y: fit_forest(X, Y, _CONFIG),
     "build_tree": lambda X, Y: build_tree(X, Y, TreeConfig(), np.random.default_rng(0)),
     "best_split": lambda X, Y: best_split(X, Y, 0.5),
@@ -336,3 +351,26 @@ def test_every_fit_refuses_bad_training_data(fit, data):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="training"):
             fit(*data)
+
+
+SELECTORS = ("harris", "rfr", "satzilla", "isac", "sbs")
+BAD_QUERY_ROWS = {
+    "too short": [0.5],
+    "too long": [0.5] * 4,
+    "NaN": [np.nan] * 3,
+    "inf": [np.inf] * 3,
+    "1 x 3 row": [[0.5] * 3],
+}
+
+
+@pytest.mark.parametrize("x", BAD_QUERY_ROWS.values(), ids=BAD_QUERY_ROWS.keys())
+@pytest.mark.parametrize("name", SELECTORS)
+def test_every_selector_refuses_bad_query_rows(name, x):
+    # one rule for every query: the package's own error, never an IndexError
+    # or a silently truncated row
+    selector = FIT_ENTRY_POINTS[name](_X, _Y)
+    selector.predicted_costs([0.5] * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="features|finite"):
+            selector.predicted_costs(x)

@@ -114,6 +114,20 @@ class TestCrossValidate:
         with pytest.raises(DomainError, match="'nan-costs' predicted NaN costs"):
             cross_validate(make_synthetic_scenario(60, seed=5), NaNCosts)
 
+    def test_wrong_length_predicted_costs_stop_the_run(self):
+        # one cost too many would index past the true costs, unnamed
+        class ExtraCost(Selector):
+            name = "extra-cost"
+
+            def fit(self, features, costs):
+                return self
+
+            def predicted_costs(self, x):
+                return np.array([0.1, 0.2, 0.3, 0.4])
+
+        with pytest.raises(DomainError, match="'extra-cost' predicted 4 costs for 3 algorithms"):
+            cross_validate(make_synthetic_scenario(60, seed=5), ExtraCost)
+
     def test_constant_prediction_reports_missing_tau(self):
         scn = make_synthetic_scenario(60, seed=5)
         log = []
