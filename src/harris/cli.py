@@ -256,13 +256,10 @@ def predict(model, features_csv):
         raise DomainError(f"{features_csv}: no feature rows")
     vectors = []  # every row is checked before any selection is printed
     for line, row in rows:
-        where = f"{features_csv}:{line}"
         try:
-            vectors.append(checked_query_row([float(v) for v in row], forest.n_features))
-        except DomainError as e:  # a ValueError too, so caught first
-            raise DomainError(f"{where}: {e}") from None
-        except ValueError:
-            raise DomainError(f"{where}: feature row is not numeric: {row!r}") from None
+            vectors.append(checked_query_row(row, forest.n_features))
+        except DomainError as e:
+            raise DomainError(f"{features_csv}:{line}: {e}") from None
     for x in vectors:
         predicted = predict_costs(forest, x)
         choice = int(np.argmin(predicted))  # select_algorithm, without a second walk

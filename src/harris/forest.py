@@ -5,9 +5,8 @@ forests are reproducible no matter in which order the trees are built.
 fit_forests grows every tree of several forests on one feature matrix in one
 tree.build_trees lockstep; each tree keeps only its bootstrap row indices. Prediction averages
 the trees' regression leaf labels, gathered with one index from a stack of all
-trees' labels that the forest builds on construction; the Borda leaf rankings
-stay available per tree for diagnostics. A model file holds each tree.Tree as
-the plain dump of its lists, checked on load without recursion.
+trees' labels that the forest builds on construction. A model file holds each
+tree.Tree as the plain dump of its lists, checked on load without recursion.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .scenario import ScaleParams, decoding_errors_as
 from .tree import Tree, TreeConfig, build_trees, checked_int, checked_training_data, seed_sequence
 
 MODEL_FORMAT = "harris-forest"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -161,10 +160,10 @@ def _tree_from_dict(record: dict, n_features: int, k: int) -> Tree:
                                f"and size one more, got {s}, {len(split)}, {len(left)}, "
                                f"{len(right)} and {leaves}")
     split = [float(v) for v in split]
-    labels = [record["regression"], record["ranking"]]
-    if not all(isinstance(rows, list) and len(rows) == leaves
-               and all(isinstance(r, list) and len(r) == k for r in rows) for rows in labels):
-        raise ModelFormatError(f"regression and ranking must be {leaves} x {k}: "
+    rows = record["regression"]
+    if not (isinstance(rows, list) and len(rows) == leaves
+            and all(isinstance(r, list) and len(r) == k for r in rows)):
+        raise ModelFormatError(f"regression must be {leaves} x {k}: "
                                f"a row per leaf, a column per algorithm name")
     if any(not 0 <= f < n_features for f in feature):
         raise ModelFormatError(f"feature ids must lie in 0..{n_features - 1}")
@@ -178,10 +177,10 @@ def _tree_from_dict(record: dict, n_features: int, k: int) -> Tree:
             or any(0 <= c <= i for i, pair in enumerate(zip(left, right)) for c in pair):
         raise ModelFormatError("child ids must name every other node once, "
                                "split nodes after their parent")
-    regression, ranking = (np.array(rows, dtype=float) for rows in labels)
-    if not (np.isfinite(regression).all() and np.isfinite(ranking).all()):
+    regression = np.array(rows, dtype=float)
+    if not np.isfinite(regression).all():
         raise ModelFormatError("leaf labels must be finite")
-    return Tree(feature, split, left, right, regression, ranking, size)
+    return Tree(feature, split, left, right, regression, size)
 
 
 def forest_to_dict(forest: HybridForest) -> dict:
@@ -203,8 +202,7 @@ def forest_to_dict(forest: HybridForest) -> dict:
         "n_features": forest.n_features,
         "trees": [{"feature": list(tree.feature), "split": list(tree.split),
                    "left": list(tree.left), "right": list(tree.right),
-                   "regression": tree.regression.tolist(),
-                   "ranking": tree.ranking.tolist(), "size": list(tree.size)}
+                   "regression": tree.regression.tolist(), "size": list(tree.size)}
                   for tree in forest.trees],
     }
 

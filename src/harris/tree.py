@@ -14,9 +14,10 @@ generator, so every tree is the one a recursive build on its own data would
 grow. Each step takes the next node to split from every unfinished tree and
 scores all of their candidate columns in one pass: one column-wise sort,
 prefix sums over the sorted rows, and the losses of every real split point of
-every column at once (in blocks of BLOCK_CELLS label cells). Leaf rankings
-are ranked once per build_trees call, all leaves of all its trees together.
-best_split and build_tree are its one-node and one-tree cases.
+every column at once (in blocks of BLOCK_CELLS label cells). best_split and
+build_tree are its one-node and one-tree cases. A leaf keeps its mean cost
+vector and its size: the Borda consensus scores splits, and prediction reads
+only the mean.
 """
 
 from __future__ import annotations
@@ -67,8 +68,12 @@ def checked_training_data(features, *targets) -> list[np.ndarray]:
 
 
 def checked_query_row(x, n_features: int) -> list[float]:
-    """x as a list of floats; DomainError unless it is one row of n_features finite numbers."""
-    row = np.asarray(x, dtype=float)
+    """x as a list of floats; DomainError unless it is one row of n_features
+    finite numbers. Strings are parsed as float() parses them."""
+    try:
+        row = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"features are not numeric: {x!r}") from None
     if row.shape != (n_features,):
         got = row.size if row.ndim == 1 else f"shape {row.shape}"
         raise DomainError(f"expected {n_features} features, got {got}")
@@ -132,15 +137,14 @@ class Tree:
     Split node i sends a row left when row[feature[i]] <= split[i]. A child
     id c >= 0 (in left[i] or right[i]) is split node c; c < 0 is leaf ~c. The
     root is split node 0, or leaf 0 (id -1) in a tree without splits. Leaf j
-    holds the mean cost vector regression[j], the Borda consensus ranking
-    ranking[j] (both leaves x k) and its training size size[j].
+    holds the mean cost vector regression[j] (leaves x k) and its training
+    size size[j].
     """
     feature: list[int]
     split: list[float]
     left: list[int]
     right: list[int]
     regression: np.ndarray
-    ranking: np.ndarray
     size: list[int]
 
 
@@ -377,13 +381,10 @@ def build_trees(features, targets, jobs, config: TreeConfig) -> list[Tree]:
         links, parent = slot
         links[parent] = node
 
-    def add_leaf(leaves, slot, labels: np.ndarray, rank_rows: np.ndarray):
-        # the mean label and the rank sums of the leaf's Borda consensus,
-        # which is ranked with every other leaf's once the trees are grown
-        regression, rank_sums, size = leaves
+    def add_leaf(leaves, slot, labels: np.ndarray):
+        regression, size = leaves
         settle(slot, ~len(size))
         regression.append(labels.mean(axis=0))
-        rank_sums.append(rank_rows.sum(axis=0))
         size.append(labels.shape[0])
 
     def next_split(growth):
@@ -395,7 +396,7 @@ def build_trees(features, targets, jobs, config: TreeConfig) -> list[Tree]:
             labels, rank_rows = stats.labels[srows], stats.rank_rows[srows]
             if depth >= config.max_depth or rows.size < config.min_samples_split \
                     or _hybrid_loss_is_zero(labels, rank_rows, config.lam):
-                add_leaf(leaves, slot, labels, rank_rows)
+                add_leaf(leaves, slot, labels)
                 continue
             if mtry < n_features:
                 candidates = np.sort(rng.choice(n_features, size=mtry, replace=False))
@@ -406,7 +407,7 @@ def build_trees(features, targets, jobs, config: TreeConfig) -> list[Tree]:
 
     # per tree: open nodes (rows, depth, slot), split node lists, leaf lists,
     # stats row offset and rng
-    growths = [([(rows, 0, ([0], 0))], ([], [], [], []), ([], [], []), t * n, rng)
+    growths = [([(rows, 0, ([0], 0))], ([], [], [], []), ([], []), t * n, rng)
                for t, rows, rng in jobs]
     open_nodes = [(growth, node) for growth in growths
                   if (node := next_split(growth)) is not None]
@@ -416,7 +417,7 @@ def build_trees(features, targets, jobs, config: TreeConfig) -> list[Tree]:
         for ((stack, splits, leaves, _, _), (rows, srows, depth, slot, _)), split \
                 in zip(open_nodes, found):
             if split is None:
-                add_leaf(leaves, slot, stats.labels[srows], stats.rank_rows[srows])
+                add_leaf(leaves, slot, stats.labels[srows])
                 continue
             f, point, _ = split
             feature, points, left_ids, right_ids = splits
@@ -431,12 +432,8 @@ def build_trees(features, targets, jobs, config: TreeConfig) -> list[Tree]:
             stack.append((rows[left], depth + 1, (left_ids, node)))
         open_nodes = [(growth, node) for growth, _ in open_nodes
                       if (node := next_split(growth)) is not None]
-    leaves = [leaf_lists for _, _, leaf_lists, _, _ in growths]
-    rankings = rank_vector(np.array([sums for _, rank_sums, _ in leaves for sums in rank_sums]))
-    per_tree = np.split(rankings, np.cumsum([len(size) for _, _, size in leaves])[:-1])
-    return [Tree(*splits, np.array(regression), ranking.copy(), size)
-            for (_, splits, _, _, _), (regression, _, size), ranking
-            in zip(growths, leaves, per_tree)]
+    return [Tree(*splits, np.array(regression), size)
+            for _, splits, (regression, size), _, _ in growths]
 
 
 def build_tree(features, labels, config: TreeConfig, rng: np.random.Generator) -> Tree:

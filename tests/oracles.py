@@ -371,8 +371,7 @@ def recursive_build_tree(features, labels, config, rng):
         sub_ranks = rank_rows[idx]
 
         def leaf():
-            return ("leaf", idx.size, sub_labels.mean(axis=0).tobytes(),
-                    rank_vector(sub_ranks.sum(axis=0)).tobytes())
+            return ("leaf", idx.size, sub_labels.mean(axis=0).tobytes())
 
         if depth >= config.max_depth or idx.size < config.min_samples_split:
             return leaf()
@@ -395,15 +394,14 @@ def recursive_build_tree(features, labels, config, rng):
 # --- flat trees and nested tuples --------------------------------------------
 # Tests compare the package's flat trees with nested tuples:
 # ("node", feature, split point, left, right) or
-# ("leaf", size, regression bytes, ranking bytes).
+# ("leaf", size, regression bytes).
 
 def tree_bytes(tree):
     """A flat harris.tree.Tree as nested tuples: skeleton, split points and
     leaf-label bytes."""
     def node(i):
         if i < 0:
-            return ("leaf", tree.size[~i], tree.regression[~i].tobytes(),
-                    tree.ranking[~i].tobytes())
+            return ("leaf", tree.size[~i], tree.regression[~i].tobytes())
         return ("node", tree.feature[i], tree.split[i], node(tree.left[i]), node(tree.right[i]))
 
     return node(0 if tree.feature else -1)
@@ -414,13 +412,12 @@ def flat_tree(nested):
     preorder."""
     from harris.tree import Tree
 
-    feature, split, left, right, regression, ranking, size = [], [], [], [], [], [], []
+    feature, split, left, right, regression, size = [], [], [], [], [], []
 
     def add(node):
         if node[0] == "leaf":
             size.append(node[1])
             regression.append(np.frombuffer(node[2]))
-            ranking.append(np.frombuffer(node[3]))
             return -len(size)
         i = len(feature)
         feature.append(node[1])
@@ -432,7 +429,7 @@ def flat_tree(nested):
         return i
 
     add(nested)
-    return Tree(feature, split, left, right, np.array(regression), np.array(ranking), size)
+    return Tree(feature, split, left, right, np.array(regression), size)
 
 
 def forest_of(trees, n_features=1):

@@ -22,7 +22,7 @@ from harris.tree import Tree, TreeConfig, best_split, build_tree
 
 def constant_forest(value):
     """Single-leaf forest predicting a fixed scalar (stub pairwise model)."""
-    leaf = Tree([], [], [], [], np.array([[value]], dtype=float), np.array([[1.0]]), [1])
+    leaf = Tree([], [], [], [], np.array([[value]], dtype=float), [1])
     return HybridForest(trees=(leaf,), config=ForestConfig(n_trees=1),
                         scale=ScaleParams(0.0, 1.0), algorithm_names=("d",),
                         n_features=1)
@@ -360,6 +360,8 @@ BAD_QUERY_ROWS = {
     "NaN": [np.nan] * 3,
     "inf": [np.inf] * 3,
     "1 x 3 row": [[0.5] * 3],
+    "strings": ["a", "b", "c"],
+    "objects": [object()] * 3,
 }
 
 

@@ -13,7 +13,7 @@ from aslib_writer import Table, write_aslib
 from harris.baselines import ClusterSelector, HarrisSelector
 from harris.cli import main
 from harris.evaluation import cross_validate_cells, read_report_csv, sweep, write_report_csv
-from harris.forest import ForestConfig, fit_forest, save_forest
+from harris.forest import MODEL_VERSION, ForestConfig, fit_forest, save_forest
 from harris.scenario import (column_medians, filter_unsolved, impute_features, par10_matrix,
                              parse_scenario, scale_performances)
 from harris.synthetic import make_synthetic_scenario
@@ -406,7 +406,7 @@ class TestTrainPredict:
 
     def test_malformed_model_fails_with_a_message(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"format": "harris-forest", "version": 2}')
+        bad.write_text(f'{{"format": "harris-forest", "version": {MODEL_VERSION}}}')
         feats = tmp_path / "f.csv"
         feats.write_text("0.1,0.2,0.3\n")
         result = runner.invoke(main, ["predict", "-m", str(bad), "--features", str(feats)])

@@ -10,6 +10,7 @@ from harris.errors import DomainError, ModelFormatError
 from harris.forest import (ForestConfig, fit_forest, forest_to_dict,
                            load_forest, predict_costs, save_forest, select_algorithm,
                            single_tree_config)
+from harris.losses import rank_vector
 from harris.scenario import ScaleParams
 from harris.synthetic import make_synthetic_scenario
 from harris.tree import Tree, TreeConfig, build_tree
@@ -20,8 +21,8 @@ PURE_Y = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
 
 def leaf_forest(rows):
     """Hand-built forest of single-leaf trees with fixed regression labels."""
-    return oracles.forest_of([Tree([], [], [], [], np.array([r], dtype=float),
-                                   np.argsort(np.argsort([r])) + 1.0, [1]) for r in rows])
+    return oracles.forest_of([Tree([], [], [], [], np.array([r], dtype=float), [1])
+                              for r in rows])
 
 
 class TestFitForest:
@@ -152,7 +153,7 @@ def nested_trees_and_rows(draw):
     def tree(depth):
         if depth == 0 or draw(st.integers(0, 3)) == 0:
             reg = np.array(draw(labels))
-            return ("leaf", 1, reg.tobytes(), reg.tobytes())
+            return ("leaf", 1, reg.tobytes())
         return ("node", draw(st.integers(0, p - 1)), draw(st.sampled_from(GRID)),
                 tree(depth - 1), tree(depth - 1))
 
@@ -172,8 +173,7 @@ class TestRouting:
         assert predict_costs(forest, as_input(row)).tobytes() == expected.tobytes()
 
     def test_split_point_goes_left(self):
-        tree = Tree([0], [0.5], [-1], [-2], np.array([[1.0], [2.0]]), np.array([[1.0], [1.0]]),
-                    [1, 1])
+        tree = Tree([0], [0.5], [-1], [-2], np.array([[1.0], [2.0]]), [1, 1])
         forest = oracles.forest_of([tree])
         assert [predict_costs(forest, x)[0]
                 for x in ([0.5], np.array([0.5]), [np.nextafter(0.5, 1)], [np.nan])] == [
@@ -208,6 +208,8 @@ class TestSerialization:
         path = tmp_path / "model.json"
         save_forest(forest, path)
         loaded = load_forest(path)
+        assert all(record.keys() == {"feature", "split", "left", "right", "regression", "size"}
+                   for record in json.loads(path.read_text())["trees"])
         assert forest_to_dict(loaded) == forest_to_dict(forest)
         assert loaded.algorithm_names == forest.algorithm_names
         assert loaded.scale == forest.scale
@@ -259,13 +261,17 @@ class TestSerialization:
         for x in ([-1.0], [1.5], [9.0]):
             assert predict_costs(loaded, x).tobytes() == predict_costs(forest, x).tobytes()
 
-    def test_version_one_is_refused(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_version_one_is_refused(self, tmp_path, version):
+        # laid out as that version wrote it: every leaf also holds a ranking
+        data = forest_to_dict(self.fitted())
+        data["version"] = version
+        for record in data["trees"]:
+            record["ranking"] = rank_vector(np.array(record["regression"])).tolist()
         path = tmp_path / "model.json"
-        save_forest(self.fitted(), path)
-        data = json.loads(path.read_text())
-        data["version"] = 1
         path.write_text(json.dumps(data))
-        with pytest.raises(ModelFormatError, match="unsupported model version 1, expected 2"):
+        with pytest.raises(ModelFormatError,
+                           match=f"unsupported model version {version}, expected 3"):
             load_forest(path)
 
     def test_version_mismatch(self, tmp_path):
@@ -321,10 +327,8 @@ class TestSerialization:
         lambda d: d["trees"][0]["split"].__setitem__(0, float("inf")),
         lambda d: d["trees"][0]["size"].__setitem__(0, 0),
         lambda d: d["trees"][0]["regression"][0].pop(),
-        lambda d: d["trees"][0]["ranking"].pop(),
-        lambda d: d["trees"][0].pop("ranking"),
+        lambda d: d["trees"][0].pop("regression"),
         lambda d: d["trees"][0]["regression"][0].__setitem__(0, float("nan")),
-        lambda d: d["trees"][0]["ranking"][0].__setitem__(0, float("inf")),
         lambda d: d["scale"].update(max=float("nan")),
         lambda d: d["trees"][0].update(left=None),
         lambda d: d.update(trees=[]),
@@ -351,7 +355,7 @@ class TestSerialization:
             "child-out-of-range", "negative-child", "node-cycle", "repeated-child",
             "feature-too-large", "negative-feature", "fractional-feature", "short-feature-list",
             "nan-split", "infinite-split", "empty-leaf", "short-leaf-vector",
-            "missing-leaf-ranking", "no-ranking", "nan-leaf-label", "infinite-leaf-rank",
+            "no-regression", "nan-leaf-label",
             "nan-scale", "no-child-list",
             "empty-tree-list", "fewer-trees-than-n_trees", "trees-not-a-list",
             "too-few-algorithm-names", "no-algorithm-names", "no-features",

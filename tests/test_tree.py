@@ -224,7 +224,7 @@ class TestSplitPointSeparatesItsValues:
         forest = fit_forest(X, self.Y, single_tree_config(0.5, 3))
         tree, = forest.trees
         assert min(tree.size) >= 1 and sum(tree.size) == 4
-        assert np.isfinite(tree.regression).all() and np.isfinite(tree.ranking).all()
+        assert np.isfinite(tree.regression).all()
         assert tree.split == [low] and low <= tree.split[0] < high
         save_forest(forest, tmp_path / "model.json")
         loaded, = load_forest(tmp_path / "model.json").trees
@@ -237,7 +237,6 @@ class TestBuildTree:
         tree = build_tree(PURE_X, PURE_Y, TreeConfig(lam=0.5, max_depth=0), default_rng())
         assert tree.feature == tree.split == tree.left == tree.right == []
         assert tree.regression.tolist() == [[0.5, 0.5]]
-        assert tree.ranking.tolist() == [[1.5, 1.5]]
         assert tree.size == [4]
 
     def test_pure_dataset_needs_one_split(self):
@@ -325,9 +324,8 @@ class TestPredictLeaf:
         tree = build_tree(X, Y, TreeConfig(lam=0.6, max_depth=2), default_rng())
         nested = oracles.tree_bytes(tree)
         for i in range(20):
-            _, size, regression, ranking = oracles.route_nested(nested, X[i])
+            _, size, regression = oracles.route_nested(nested, X[i])
             assert route(tree, X[i]).tobytes() == regression
-            assert np.frombuffer(ranking).sum() == pytest.approx(6.0)
             assert size >= 1
 
 
