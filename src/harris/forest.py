@@ -1,11 +1,13 @@
 """Bagged ensembles of hybrid trees.
 
-Each tree draws its RNG stream from tree.seed_sequence(seed, tree_number), so
-forests are reproducible no matter in which order the trees are built.
-fit_forests grows every tree of several forests on one feature matrix in one
-tree.build_trees lockstep; each tree keeps only its bootstrap row indices. Prediction averages
-the trees' regression leaf labels, gathered with one index from a stack of all
-trees' labels that the forest builds on construction. A model file holds each
+Each tree draws its RNG stream from tree.seed_sequence(seed, tree_number):
+first its bootstrap rows, then one array of feature draws per depth level,
+so forests are reproducible no matter in which order or beside which trees
+they are built. fit_forests grows every tree of several forests on one
+feature matrix in one tree.build_trees lockstep, level by level; each tree
+keeps only its bootstrap row indices. Prediction averages the trees'
+regression leaf labels, gathered with one index from a stack of all trees'
+labels that the forest builds on construction. A model file holds each
 tree.Tree as the plain dump of its lists, checked on load without recursion.
 """
 

@@ -8,16 +8,19 @@ size-weighted hybrid loss of the two children with both children's labels
 value <= split point go left. Every fit checks its data with
 checked_training_data: n x p features, n x k targets, n, p, k >= 1, all finite.
 
-build_trees grows many trees in lockstep. Each tree settles its nodes depth
-first, left before right, and draws each split's feature sample from its own
-generator, so every tree is the one a recursive build on its own data would
-grow. Each step takes the next node to split from every unfinished tree and
-scores all of their candidate columns in one pass: one column-wise sort,
-prefix sums over the sorted rows, and the losses of every real split point of
-every column at once (in blocks of BLOCK_CELLS label cells). best_split and
-build_tree are its one-node and one-tree cases. A leaf keeps its mean cost
-vector and its size: the Borda consensus scores splits, and prediction reads
-only the mean.
+build_trees grows many trees in lockstep, level by level, as depth-wise
+boosting libraries do: each depth scores the candidate columns of every open
+node of every tree in one pass (one column-wise sort, prefix sums over the
+sorted rows, and the losses of every real split point of every column at
+once, in blocks of BLOCK_CELLS label cells), so a fit makes at most max_depth
+passes. Leaf checks run for a whole level in segment reductions, leaf labels
+are reduced once at the end, grouped by leaf size, and each tree's nodes are
+then numbered in preorder. A sampled tree draws one array of uniforms per
+level from its own generator, one row per open node, so its draws depend
+neither on the build order nor on the trees grown beside it, and a deep tree
+cut at depth d is the depth-d tree. best_split and build_tree are the
+one-node and one-tree cases. A leaf keeps its mean cost vector and its size:
+the Borda consensus scores splits, and prediction reads only the mean.
 """
 
 from __future__ import annotations
@@ -241,66 +244,64 @@ def _candidate_losses(columns, sizes, rows, stats: _LabelStats, lam: float):
     return feat, splits, (nl / n) * loss[:c] + (nr / n) * loss[c:]
 
 
-def _best_splits(X, stats: _LabelStats, nodes, lam: float):
+def _best_splits(X, stats: _LabelStats, rows, srows, starts, sizes, feats, lam: float):
     """The lowest-loss split of each node, all nodes scored together.
 
-    Each node is (rows, stats_rows, features): its rows of X, the matching
-    rows of stats and its sorted candidate features. Returns, per node,
-    (feature_index, split_point, weighted_loss), or None when no candidate
-    feature has two distinct values there. Columns go largest node first, in
-    blocks of BLOCK_CELLS label cells, so that a block pads little. A block
-    holds whole nodes, or part of one node too wide for a block, and the
-    candidates are reduced to one per node as each node completes.
+    Node j holds the sizes[j] entries of rows (its rows of X) and of srows
+    (the matching rows of stats) from starts[j] on, and searches the sorted
+    candidate features feats[j] (nodes x m). Returns the arrays (feature,
+    split point, weighted loss) over the nodes; a node where no candidate
+    feature has two distinct values gets feature -1. Columns go largest node
+    first, in blocks of BLOCK_CELLS label cells, so that a block pads little.
+    A block holds whole nodes, or part of one node too wide for a block, and
+    the candidates are reduced to one per node as each node completes.
     """
     n_features = X.shape[1]
     flat_x = X.ravel()
     k = stats.labels.shape[1]
-    by_size = sorted(range(len(nodes)), key=lambda j: nodes[j][0].size, reverse=True)
-    nodes = [nodes[j] for j in by_size]
-    # one flat store of every node's rows; a column reads its node's stretch
-    x_rows = np.concatenate([rows for rows, _, _ in nodes])
-    stats_rows = np.concatenate([srows for _, srows, _ in nodes])
-    node_size = np.array([rows.size for rows, _, _ in nodes])
-    node_width = np.array([feats.size for _, _, feats in nodes])
-    node_first_col = node_width.cumsum() - node_width
-    col_node = np.arange(len(nodes)).repeat(node_width)
-    col_feat = np.concatenate([feats for _, _, feats in nodes])
-    col_size = node_size[col_node]
-    col_start = (node_size.cumsum() - node_size)[col_node]
+    m = feats.shape[1]
+    by_size = np.argsort(-sizes, kind="stable")
+    col_node = by_size.repeat(m)
+    col_feat = feats[by_size].ravel()
+    col_size = sizes[col_node]
+    col_start = starts[col_node]
     n_cols = col_node.size
 
-    found = [None] * len(nodes)
+    feature = np.full(sizes.size, -1)
+    point = np.full(sizes.size, np.nan)
+    loss = np.full(sizes.size, np.nan)
     parts = []  # candidates of the nodes not yet reduced
     c0 = 0
     while c0 < n_cols:
         height = int(col_size[c0])
         c1 = min(n_cols, c0 + max(1, BLOCK_CELLS // (height * k)))
         if c1 < n_cols and col_node[c1] == col_node[c1 - 1] != col_node[c0]:
-            c1 = int(node_first_col[col_node[c1]])  # that node starts the next block
+            c1 -= c1 % m  # that node starts the next block
         at = np.arange(height)[:, None] + col_start[c0:c1]
-        columns = flat_x[x_rows.take(at, mode="clip") * n_features + col_feat[c0:c1]]
+        columns = flat_x[rows.take(at, mode="clip") * n_features + col_feat[c0:c1]]
         size = col_size[c0:c1]
         if size[-1] < height:
             columns[at >= col_start[c0:c1] + size] = np.nan
-        pos, points, loss = _candidate_losses(columns, size, stats_rows.take(at, mode="clip"),
-                                              stats, lam)
-        parts.append((pos + c0, points, loss))
+        pos, points, losses = _candidate_losses(columns, size, srows.take(at, mode="clip"),
+                                                stats, lam)
+        parts.append((pos + c0, points, losses))
         if c1 == n_cols or col_node[c1] != col_node[c1 - 1]:
-            cand_cols, splits, losses = (np.concatenate(part) for part in zip(*parts))
-            for node, i in _first_ties(col_node[cand_cols], losses):
-                found[by_size[node]] = (int(col_feat[cand_cols[i]]), float(splits[i]),
-                                        float(losses[i]))
+            cand_cols, points, losses = (np.concatenate(part) for part in zip(*parts))
+            nodes, winners = _first_ties(col_node[cand_cols], losses)
+            feature[nodes] = col_feat[cand_cols[winners]]
+            point[nodes] = points[winners]
+            loss[nodes] = losses[winners]
             parts = []
         c0 = c1
-    return found
+    return feature, point, loss
 
 
 def _first_ties(cand_node, losses):
-    """(node, candidate index) of each node's winner among candidates run by
+    """(nodes, candidate indices) of each node's winner among candidates run by
     node, then feature, then split point: the first candidate within the tie
     tolerance of its node's minimum."""
     if losses.size == 0:
-        return []
+        return cand_node, cand_node
     none = losses.size
     starts = np.empty(none, dtype=bool)
     starts[0] = True
@@ -311,7 +312,7 @@ def _first_ties(cand_node, losses):
     tied = np.where(losses <= threshold[starts.cumsum() - 1], np.arange(none), none)
     winners = np.minimum.reduceat(tied, first)
     winners[winners == none] = first[winners == none]  # a NaN minimum ties nothing
-    return zip(cand_node[first].tolist(), winners.tolist())
+    return cand_node[first], winners
 
 
 def best_split(features, labels, lam: float, candidate_features=None):
@@ -330,11 +331,14 @@ def best_split(features, labels, lam: float, candidate_features=None):
     if feats.size and not 0 <= feats[0] <= feats[-1] < X.shape[1]:
         raise DomainError(f"candidate features must lie in 0..{X.shape[1] - 1}")
     rows = np.arange(X.shape[0])
-    return _best_splits(X, _LabelStats(Y), [(rows, rows, feats)], lam)[0]
+    feature, point, loss = _best_splits(X, _LabelStats(Y), rows, rows, np.array([0]),
+                                        np.array([rows.size]), feats[None], lam)
+    return None if feature[0] < 0 else (int(feature[0]), float(point[0]), float(loss[0]))
 
 
-def _hybrid_loss_is_zero(labels: np.ndarray, rank_rows: np.ndarray, lam: float) -> bool:
-    """Whether the node's hybrid loss against its own labels is exactly zero.
+def _zero_hybrid_loss(stats: _LabelStats, srows, starts, sizes, lam: float):
+    """Per node, the sizes[j] entries of srows from starts[j] on: whether its
+    hybrid loss against its own labels is exactly zero.
 
     The regression term vanishes iff every row equals the first (testing the
     float-computed MSE would miss this: the mean of identical rows is off by
@@ -343,23 +347,49 @@ def _hybrid_loss_is_zero(labels: np.ndarray, rank_rows: np.ndarray, lam: float) 
     an exactly-zero spearman loss, while an all-tied ranking contributes the
     constant 0.5 and differing rankings a strictly positive term.
     """
-    if lam != 1.0 and not (labels == labels[0]).all():
-        return False
+    firsts = srows[starts]
+    each_first = firsts.repeat(sizes)
+
+    def rows_equal_first(values):
+        return np.logical_and.reduceat((values[srows] == values[each_first]).all(axis=1), starts)
+
+    zero = np.ones(starts.size, dtype=bool)
+    if lam != 1.0:
+        zero &= rows_equal_first(stats.labels)
     if lam != 0.0:
-        first = rank_rows[0]
-        if (first == first[0]).all() or not (rank_rows == first).all():
-            return False
-    return True
+        ranks = stats.rank_rows[firsts]
+        zero &= rows_equal_first(stats.rank_rows) & ~(ranks == ranks[:, :1]).all(axis=1)
+    return zero
+
+
+def _leaf_means(labels, rows, sizes):
+    """labels[segment].mean(axis=0) for each segment of rows (sizes[j] rows in
+    turn), bit for bit: the segments of one size are reduced together with
+    the reduction that mean runs, then divided by their size."""
+    starts = sizes.cumsum() - sizes
+    means = np.empty((sizes.size, labels.shape[1]))
+    for size in np.unique(sizes).tolist():
+        group = (sizes == size).nonzero()[0]
+        means[group] = np.add.reduce(labels[rows[starts[group, None] + np.arange(size)]],
+                                     axis=1) / size
+    return means
 
 
 def build_trees(features, targets, jobs, config: TreeConfig) -> list[Tree]:
-    """Grow one hybrid tree per job, all in lockstep.
+    """Grow one hybrid tree per job, all in lockstep, level by level.
 
     features is n x p and targets a sequence of n x k label matrices of equal
     width k. Job (t, rows, rng) grows a tree on features[rows] and
     targets[t][rows] (rows may repeat, as in a bootstrap sample), drawing its
     feature samples from rng; the tree equals build_tree on that data with
     that generator. Only row indices are kept per tree and per node.
+
+    Each depth scores every open node of every tree in one _best_splits pass,
+    so a call makes at most max_depth passes. A node keeps its rows in job
+    order; a sampled tree draws rng.random((its open nodes at this depth, p))
+    and open node i, counted left to right, searches the sorted mtry features
+    of the stable argsort of row i. A tree grown to depth D and cut at d is
+    the tree grown to depth d, and no tree depends on its lockstep partners.
     """
     X, *matrices = checked_training_data(features, *targets)
     n, n_features = X.shape
@@ -374,66 +404,94 @@ def build_trees(features, targets, jobs, config: TreeConfig) -> list[Tree]:
         return []
     stats = _LabelStats(np.concatenate(matrices))
     mtry = config.resolve_features_per_split(n_features)
-    every_feature = np.arange(n_features)
 
-    def settle(slot, node: int):
-        # slot: the parent's left or right list and its index (a dummy at the root)
-        links, parent = slot
-        links[parent] = node
-
-    def add_leaf(leaves, slot, labels: np.ndarray):
-        regression, size = leaves
-        settle(slot, ~len(size))
-        regression.append(labels.mean(axis=0))
-        size.append(labels.shape[0])
-
-    def next_split(growth):
-        """Settle the tree's nodes in preorder up to the next one to split."""
-        stack, _, leaves, offset, rng = growth
-        while stack:
-            rows, depth, slot = stack.pop()
-            srows = rows + offset
-            labels, rank_rows = stats.labels[srows], stats.rank_rows[srows]
-            if depth >= config.max_depth or rows.size < config.min_samples_split \
-                    or _hybrid_loss_is_zero(labels, rank_rows, config.lam):
-                add_leaf(leaves, slot, labels)
-                continue
+    # the level being grown: per node its job, size and id; its rows of X and
+    # of stats run node after node. Ids count nodes level by level.
+    node_job = np.arange(len(jobs))
+    sizes = np.array([rows.size for _, rows, _ in jobs])
+    rows = np.concatenate([rows for _, rows, _ in jobs])
+    srows = rows + np.repeat([t * n for t, _, _ in jobs], sizes)
+    levels = []  # per level: node jobs, features (-1 at a leaf), split points, left child ids
+    leaf_parts = []  # per level: leaf ids, their stats rows and sizes
+    n_nodes = 0
+    while sizes.size:
+        starts = sizes.cumsum() - sizes
+        feature = np.full(sizes.size, -1)
+        point = np.zeros(sizes.size)
+        grow = np.zeros(0, dtype=np.intp)  # the nodes to search
+        if len(levels) < config.max_depth:
+            grow = ((sizes >= config.min_samples_split)
+                    & ~_zero_hybrid_loss(stats, srows, starts, sizes, config.lam)).nonzero()[0]
+        if grow.size:
             if mtry < n_features:
-                candidates = np.sort(rng.choice(n_features, size=mtry, replace=False))
+                counts = np.bincount(node_job[grow], minlength=len(jobs)).tolist()
+                draws = np.concatenate([jobs[j][2].random((count, n_features))
+                                        for j, count in enumerate(counts) if count])
+                feats = np.sort(draws.argsort(axis=1, kind="stable")[:, :mtry], axis=1)
             else:
-                candidates = every_feature
-            return rows, srows, depth, slot, candidates
-        return None
+                feats = np.broadcast_to(np.arange(n_features), (grow.size, n_features))
+            feature[grow], point[grow], _ = _best_splits(X, stats, rows, srows, starts[grow],
+                                                         sizes[grow], feats, config.lam)
+        split = feature >= 0
+        left = np.full(sizes.size, -1)
+        left[split] = n_nodes + sizes.size + 2 * np.arange(split.sum())
+        levels.append((node_job, feature, point, left))
+        ids = np.arange(n_nodes, n_nodes + sizes.size)
+        in_leaf = np.repeat(~split, sizes)
+        leaf_parts.append((ids[~split], srows[in_leaf], sizes[~split]))
+        n_nodes += sizes.size
 
-    # per tree: open nodes (rows, depth, slot), split node lists, leaf lists,
-    # stats row offset and rng
-    growths = [([(rows, 0, ([0], 0))], ([], [], [], []), ([], []), t * n, rng)
-               for t, rows, rng in jobs]
-    open_nodes = [(growth, node) for growth in growths
-                  if (node := next_split(growth)) is not None]
-    while open_nodes:
-        found = _best_splits(X, stats, [(rows, srows, feats) for _, (rows, srows, _, _, feats)
-                                        in open_nodes], config.lam)
-        for ((stack, splits, leaves, _, _), (rows, srows, depth, slot, _)), split \
-                in zip(open_nodes, found):
-            if split is None:
-                add_leaf(leaves, slot, stats.labels[srows])
-                continue
-            f, point, _ = split
-            feature, points, left_ids, right_ids = splits
-            node = len(feature)
-            settle(slot, node)
-            feature.append(f)
-            points.append(point)
-            left_ids.append(0)   # both children are settled, and patched in, later
-            right_ids.append(0)
-            left = X[rows, f] <= point
-            stack.append((rows[~left], depth + 1, (right_ids, node)))
-            stack.append((rows[left], depth + 1, (left_ids, node)))
-        open_nodes = [(growth, node) for growth, _ in open_nodes
-                      if (node := next_split(growth)) is not None]
-    return [Tree(*splits, np.array(regression), size)
-            for _, splits, (regression, size), _, _ in growths]
+        # each split node's rows, left side then right, make its two children
+        row_node = np.repeat(np.arange(sizes.size), sizes)[~in_leaf]
+        rows, srows = rows[~in_leaf], srows[~in_leaf]
+        child = 2 * np.repeat(np.arange(split.sum()), sizes[split]) \
+            + ~(X[rows, feature[row_node]] <= point[row_node])
+        order = child.argsort(kind="stable")
+        rows, srows = rows[order], srows[order]
+        sizes = np.bincount(child, minlength=2 * split.sum())
+        node_job = node_job[split].repeat(2)
+    return _preorder_trees(levels, leaf_parts, stats.labels, len(jobs))
+
+
+def _preorder_trees(levels, leaf_parts, labels, n_jobs) -> list[Tree]:
+    """The Tree of each job from the levels build_trees grew, its split nodes
+    and its leaves each numbered in preorder, left before right.
+
+    A node's preorder number is its parent's, plus one, plus (for a right
+    child) the nodes of its left sibling's subtree: subtree counts are summed
+    bottom-up and numbers handed down top-down, one level at a time, so
+    trees of any depth are numbered without recursion.
+    """
+    node_job, feature, point, left = (np.concatenate(part) for part in zip(*levels))
+    bounds = np.cumsum([0] + [part[0].size for part in levels])
+    is_split = feature >= 0
+    split_ids = [lo + is_split[lo:hi].nonzero()[0] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    n_splits, n_leaves = is_split.astype(np.intp), (~is_split).astype(np.intp)
+    for ids in reversed(split_ids):
+        for counts in (n_splits, n_leaves):
+            counts[ids] += counts[left[ids]] + counts[left[ids] + 1]
+    split_base = np.zeros(feature.size, dtype=np.intp)  # splits before the node's subtree
+    leaf_base = np.zeros(feature.size, dtype=np.intp)   # leaves before it
+    for ids in split_ids:
+        lo, hi = left[ids], left[ids] + 1
+        split_base[lo] = split_base[ids] + 1
+        split_base[hi] = split_base[lo] + n_splits[lo]
+        leaf_base[lo] = leaf_base[ids]
+        leaf_base[hi] = leaf_base[lo] + n_leaves[lo]
+    code = np.where(is_split, split_base, ~leaf_base)  # a child's id in its tree
+
+    splits = is_split.nonzero()[0]
+    splits = splits[np.lexsort((split_base[splits], node_job[splits]))]
+    leaf_ids, leaf_rows, leaf_sizes = (np.concatenate(part) for part in zip(*leaf_parts))
+    leaves = np.lexsort((leaf_base[leaf_ids], node_job[leaf_ids]))
+    regression = _leaf_means(labels, leaf_rows, leaf_sizes)[leaves]
+    leaf_sizes = leaf_sizes[leaves].tolist()
+    columns = [feature[splits].tolist(), point[splits].tolist(),
+               code[left[splits]].tolist(), code[left[splits] + 1].tolist()]
+    split_end = np.bincount(node_job[splits], minlength=n_jobs).cumsum().tolist()
+    leaf_end = np.bincount(node_job[leaf_ids], minlength=n_jobs).cumsum().tolist()
+    return [Tree(*(column[s0:s1] for column in columns), regression[l0:l1], leaf_sizes[l0:l1])
+            for s0, s1, l0, l1 in zip([0] + split_end, split_end, [0] + leaf_end, leaf_end)]
 
 
 def build_tree(features, labels, config: TreeConfig, rng: np.random.Generator) -> Tree:
@@ -441,7 +499,8 @@ def build_tree(features, labels, config: TreeConfig, rng: np.random.Generator) -
 
     A node becomes a leaf when it reaches max_depth, holds fewer than
     min_samples_split rows, already has zero hybrid loss, or no candidate
-    feature offers a valid split. Each split searches a fresh uniform sample
-    (without replacement) of features_per_split features.
+    feature offers a valid split. Each split searches a uniform sample
+    (without replacement) of features_per_split features, drawn as
+    build_trees draws it.
     """
     return build_trees(features, [labels], [(0, np.arange(len(features)), rng)], config)[0]

@@ -9,10 +9,10 @@ evaluates them in batched form inside split search. The split enumerator
 reuses only those scalar losses, which are themselves verified against the
 brute-force metrics in this module. The reference scenario parser is the
 package's earlier per-row parser, kept to pin the vectorised one to the same
-arrays and the same errors; likewise the recursive tree growth and the
-per-cluster-mask k-means pin the lockstep growth and the sorted-slice k-means
-to the same bytes. The package's random streams are written out literally,
-without its seed_sequence helper.
+arrays and the same errors; likewise the level-order tree growth in plain
+per-node Python and the per-cluster-mask k-means pin the lockstep growth and
+the sorted-slice k-means to the same bytes. The package's random streams are
+written out literally, without its seed_sequence helper.
 """
 
 import csv
@@ -346,49 +346,92 @@ def per_feature_best_split(X, Y, lam, candidate_features=None):
     raise AssertionError("minimum not found among candidates")
 
 
-# --- recursive tree growth ------------------------------------------------------
-# The package grew each tree by recursion, one node and one split search at a
-# time, before it grew many trees in lockstep. Kept here with its recursion and
-# stopping rules as they were, and with the column-at-a-time search above (bit
-# for bit the package's split search), so that every lockstep tree can be
-# compared with the tree grown alone.
+# --- level-order tree growth ----------------------------------------------------
+# One tree grown a level at a time in plain per-node Python, with the stopping
+# rules of the paper's recursive build and the column-at-a-time search above
+# (bit for bit the package's split search), so that every lockstep tree can be
+# compared with the tree grown alone. Its feature draws follow the package's
+# rule, written out here without the package's code.
 
-def recursive_build_tree(features, labels, config, rng):
-    """One hybrid tree grown depth first by recursion, as nested tuples: see
-    tree_bytes."""
-    from harris.tree import _hybrid_loss_is_zero
+def _zero_node_loss(labels, rank_rows, lam):
+    """Whether a node's hybrid loss is exactly zero: every cost row equals the
+    first (for lam < 1), and every ranking equals the first, which is not
+    all-tied (for lam > 0)."""
+    first = labels[0].tolist()
+    if lam != 1.0 and any(row != first for row in labels.tolist()):
+        return False
+    if lam != 0.0:
+        ranking = rank_rows[0].tolist()
+        if len(set(ranking)) == 1 or any(row != ranking for row in rank_rows.tolist()):
+            return False
+    return True
 
+
+def level_order_build_tree(features, labels, config, rng):
+    """One hybrid tree grown level by level, as nested tuples: see tree_bytes.
+
+    At each depth the nodes are visited left to right. A node is a leaf at
+    max_depth, below min_samples_split rows, or at zero hybrid loss; every
+    other node is searched. When features_per_split samples fewer than all p
+    features, the depth's searched nodes draw one rng.random((nodes, p))
+    array, and node i searches the mtry features with the smallest draws in
+    row i (the lower index first among equal draws). A searched node that
+    finds no split is a leaf too.
+    """
     X = np.asarray(features, dtype=float)
     Y = np.atleast_2d(np.asarray(labels, dtype=float))
-    if X.shape[0] == 0:
-        raise DomainError("cannot build a tree from an empty dataset")
     rank_rows = rank_vector(Y)
     n_features = X.shape[1]
     mtry = config.resolve_features_per_split(n_features)
 
-    def grow(idx: np.ndarray, depth: int):
-        sub_labels = Y[idx]
-        sub_ranks = rank_rows[idx]
+    root = {"idx": np.arange(X.shape[0])}
+    level, depth = [root], 0
+    while level:
+        searched = [node for node in level
+                    if depth < config.max_depth and node["idx"].size >= config.min_samples_split
+                    and not _zero_node_loss(Y[node["idx"]], rank_rows[node["idx"]], config.lam)]
+        draws = rng.random((len(searched), n_features)) if mtry < n_features else None
+        level = []
+        for i, node in enumerate(searched):
+            candidates = range(n_features)
+            if draws is not None:
+                row = draws[i].tolist()
+                candidates = sorted(sorted(range(n_features), key=lambda f: (row[f], f))[:mtry])
+            idx = node["idx"]
+            found = per_feature_best_split(X[idx], Y[idx], config.lam, candidates)
+            if found is None:
+                continue
+            f, point, _ = found
+            mask = X[idx, f] <= point
+            node["split"] = (f, point, {"idx": idx[mask]}, {"idx": idx[~mask]})
+            level += node["split"][2:]
+        depth += 1
 
-        def leaf():
-            return ("leaf", idx.size, sub_labels.mean(axis=0).tobytes())
+    def nested(node):
+        if "split" not in node:
+            return ("leaf", node["idx"].size, Y[node["idx"]].mean(axis=0).tobytes())
+        f, point, left, right = node["split"]
+        return ("node", f, point, nested(left), nested(right))
 
-        if depth >= config.max_depth or idx.size < config.min_samples_split:
-            return leaf()
-        if _hybrid_loss_is_zero(sub_labels, sub_ranks, config.lam):
-            return leaf()
-        if mtry < n_features:
-            candidates = rng.choice(n_features, size=mtry, replace=False)
-        else:
-            candidates = np.arange(n_features)
-        found = per_feature_best_split(X[idx], sub_labels, config.lam, candidates)
-        if found is None:
-            return leaf()
-        f, point, _ = found
+    return nested(root)
+
+
+def cut_tree(nested, features, labels, depth):
+    """nested cut at depth: each node at that depth becomes the leaf of the
+    rows (features[i], labels[i]) that reach it, kept in row order."""
+    X = np.asarray(features, dtype=float)
+    Y = np.atleast_2d(np.asarray(labels, dtype=float))
+
+    def cut(node, idx, d):
+        if node[0] == "leaf":
+            return node
+        if d == depth:
+            return ("leaf", idx.size, Y[idx].mean(axis=0).tobytes())
+        _, f, point, left, right = node
         mask = X[idx, f] <= point
-        return ("node", f, point, grow(idx[mask], depth + 1), grow(idx[~mask], depth + 1))
+        return ("node", f, point, cut(left, idx[mask], d + 1), cut(right, idx[~mask], d + 1))
 
-    return grow(np.arange(X.shape[0]), 0)
+    return cut(nested, np.arange(X.shape[0]), 0)
 
 
 # --- flat trees and nested tuples --------------------------------------------

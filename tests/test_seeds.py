@@ -31,6 +31,21 @@ def test_forest_trees_bootstrap_from_their_streams(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_forest_trees_sample_features_from_their_streams(seed):
+    # after its bootstrap rows, a sampled tree takes its feature draws, one
+    # array per depth level, from the rest of its stream
+    rng = np.random.default_rng(4)
+    n, config = 40, TreeConfig(lam=0.5, max_depth=4, features_per_split="sqrt")
+    X, Y = rng.normal(size=(n, 10)), rng.uniform(size=(n, 3))
+    forest = fit_forest(X, Y, ForestConfig(n_trees=3, seed=seed, tree=config))
+    for tree_number, tree in enumerate(forest.trees, start=1):
+        stream = oracles.forest_tree_stream(seed, tree_number)
+        rows = stream.integers(0, n, size=n)
+        assert oracles.tree_bytes(tree) == \
+            oracles.level_order_build_tree(X[rows], Y[rows], config, stream)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_sub_forest_seeds(seed):
     X = np.arange(12.0).reshape(6, 2)
     selector = RegressionForestSelector(n_trees=1, max_depth=1, seed=seed).fit(X, np.ones((6, 3)))

@@ -185,7 +185,7 @@ class TestLockstep:
         assert len(trees) == len(jobs)
         for tree, (t, bootstrap, seed) in zip(trees, jobs):
             rows, rng = job_rows(n, bootstrap, seed)
-            expected = oracles.recursive_build_tree(X[rows], targets[t][rows], config, rng)
+            expected = oracles.level_order_build_tree(X[rows], targets[t][rows], config, rng)
             assert oracles.tree_bytes(tree) == expected
 
     def test_bad_jobs(self):
@@ -199,6 +199,68 @@ class TestLockstep:
         with pytest.raises(DomainError):
             build_trees(PURE_X, [PURE_Y, PURE_Y[:, :1]], [(0, np.arange(4), rng)], TreeConfig())
         assert build_trees(PURE_X, [PURE_Y], [], TreeConfig()) == []
+
+
+class TestLevelWiseGrowth:
+    """Every depth is one split-search pass over all trees' open nodes, and a
+    tree's feature draws depend on its own nodes alone."""
+
+    @staticmethod
+    def data(n=60, p=9, k=4, seed=5):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, p))
+        X[:, 1] = np.round(X[:, 1])  # a discrete column
+        return X, rng.uniform(size=(n, k))
+
+    @pytest.mark.parametrize("fps", ["sqrt", 3, "all"])
+    @pytest.mark.parametrize("bootstrap", [False, True])
+    def test_deep_tree_cut_at_d_is_the_depth_d_tree(self, fps, bootstrap):
+        X, Y = self.data()
+        n, deep = X.shape[0], 6
+        seeds = [11, 12, 13]
+        trees = build_trees(X, [Y], [(0, *job_rows(n, bootstrap, s)) for s in seeds],
+                            TreeConfig(lam=0.5, max_depth=deep, features_per_split=fps))
+        assert max(oracles.tree_depth(tree) for tree in trees) == deep
+        for d in range(deep):
+            shallow = build_trees(X, [Y], [(0, *job_rows(n, bootstrap, s)) for s in seeds],
+                                  TreeConfig(lam=0.5, max_depth=d, features_per_split=fps))
+            for tree, cut_at_d, seed in zip(trees, shallow, seeds):
+                rows, _ = job_rows(n, bootstrap, seed)
+                assert oracles.cut_tree(oracles.tree_bytes(tree), X[rows], Y[rows], d) == \
+                    oracles.tree_bytes(cut_at_d)
+
+    @pytest.mark.parametrize("fps", ["sqrt", "all"])
+    def test_one_pass_per_depth_and_no_tree_depends_on_its_partners(self, fps, monkeypatch):
+        X, Y = self.data()
+        targets = [Y, Y[::-1].copy()]
+        n, depth = X.shape[0], 5
+        config = TreeConfig(lam=0.3, max_depth=depth, features_per_split=fps)
+        jobs = [(t, b, seed) for seed, (t, b) in enumerate([(0, True), (1, False), (1, True),
+                                                            (0, False), (0, True)])]
+        passes = []
+        real = harris.tree._best_splits
+        monkeypatch.setattr(harris.tree, "_best_splits",
+                            lambda *args: passes.append(args[4].size) or real(*args))
+        together = build_trees(X, targets, [(t, *job_rows(n, b, seed)) for t, b, seed in jobs],
+                               config)
+        assert len(passes) == depth and passes[0] == len(jobs)
+        for tree, (t, b, seed) in zip(together, jobs):
+            passes.clear()
+            alone, = build_trees(X, targets, [(t, *job_rows(n, b, seed))], config)
+            assert len(passes) <= depth
+            assert oracles.tree_bytes(alone) == oracles.tree_bytes(tree)
+
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_leaf_means_equal_mean_over_axis_zero(self, k):
+        rng = np.random.default_rng(k)
+        # costs over ten orders of magnitude, so that summation order shows
+        labels = rng.uniform(size=(400, k)) * 10.0 ** rng.integers(-5, 6, size=(400, 1))
+        sizes = np.concatenate([np.arange(1, 301), rng.integers(1, 301, size=200)])
+        rows = rng.integers(0, 400, size=sizes.sum())  # rows repeat, as in a bootstrap
+        means = harris.tree._leaf_means(labels, rows, sizes)
+        starts = sizes.cumsum() - sizes
+        for mean, start, size in zip(means, starts.tolist(), sizes.tolist()):
+            assert mean.tobytes() == labels[rows[start:start + size]].mean(axis=0).tobytes()
 
 
 class TestSplitPointSeparatesItsValues:
