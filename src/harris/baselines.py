@@ -179,25 +179,23 @@ KMEANS_MAX_ITER = 100
 def _kmeans(Z, k, rng):
     """Plain Lloyd iterations with seeded restarts; lowest inertia wins.
 
-    A step is a few whole-array calls: the squared distances of every row to
-    every centroid come from one n x k*p tiled copy of Z, and every cluster's
-    sum from one weighted bincount over the (cluster, column) cells, which adds
-    a cluster's rows in row order from +0.0, as mean(axis=0) does for p >= 2.
-    Empty clusters are re-seeded in cluster order; a centroid that compares
-    equal to its new centre keeps its bytes.
+    A step is a few whole-array calls: the assignment from _nearest (Gram-form
+    distances, rows near a tie re-checked elementwise), and every cluster's
+    sum from one weighted bincount over the (cluster, column) cells, which
+    adds a cluster's rows in row order from +0.0, as mean(axis=0) does for
+    p >= 2. Empty clusters are re-seeded in cluster order; a centroid that
+    compares equal to its new centre keeps its bytes.
     """
     n, p = Z.shape
-    tiled = np.tile(Z, k)
-    diff = np.empty_like(tiled)
+    zz = (Z ** 2).sum(axis=1)
     weights = Z.ravel()
     cell_ids = np.arange(k * p).reshape(k, p)  # flat id of each (cluster, column) sum
     best_inertia = np.inf
     best = None
     for _ in range(KMEANS_RESTARTS):
         centroids = Z[rng.choice(n, size=k, replace=False)].copy()
+        assignment = _nearest(Z, zz, centroids)
         for _ in range(KMEANS_MAX_ITER):
-            d2 = _squared_distances(tiled, centroids, diff)
-            assignment = d2.argmin(axis=1)
             counts = np.bincount(assignment, minlength=k)
             sums = np.bincount(cell_ids[assignment].ravel(), weights=weights,
                                minlength=k * p).reshape(k, p)
@@ -206,25 +204,38 @@ def _kmeans(Z, k, rng):
                 centers[c] = Z[rng.integers(0, n)]  # re-seed an empty cluster
             moved = (centers != centroids).any(axis=1)
             if not moved.any():
-                break  # d2 and assignment already belong to the final centroids
+                break  # the assignment already belongs to the final centroids
             centroids[moved] = centers[moved]
-        else:
-            d2 = _squared_distances(tiled, centroids, diff)
-            assignment = d2.argmin(axis=1)
-        inertia = float(d2[np.arange(n), assignment].sum())
+            assignment = _nearest(Z, zz, centroids)
+        inertia = float(((Z - centroids[assignment]) ** 2).sum(axis=1).sum())
         if inertia < best_inertia:
             best_inertia = inertia
             best = (centroids.copy(), assignment.copy())
     return best
 
 
-def _squared_distances(tiled, centroids, out):
-    """n x k squared distances, bit-identical to
-    ((Z[:, None, :] - centroids[None]) ** 2).sum(axis=2): the same elementwise
-    steps, then the same contiguous sum over the p columns."""
-    np.subtract(tiled, centroids.reshape(1, -1), out=out)
-    np.multiply(out, out, out=out)
-    return out.reshape(out.shape[0], *centroids.shape).sum(axis=2)
+def _nearest(Z, zz, centroids, d=None):
+    """Each row's nearest centroid, ties to the lowest index: bit for bit
+    ((Z[:, None, :] - centroids[None]) ** 2).sum(axis=2).argmin(axis=1).
+
+    d is the Gram form, one n x k product Z @ (-2 c.T) + |c|^2 (each row's
+    |z|^2, zz, left out), unless given. Summed in any order, as BLAS may, d
+    and the elementwise distances stay within (p + 2) eps (zz_i + max |c|^2)
+    of the exact ones. A row keeps d's argmin only if its two smallest d are
+    more than 16 times that apart (tiny added for underflow); every other row,
+    a NaN or inf gap and k = 1 included, is recomputed elementwise, so BLAS's
+    summation order and thread count never show.
+    """
+    cc = (centroids ** 2).sum(axis=1)
+    if d is None:
+        d = Z @ (-2.0 * centroids.T) + cc
+    assignment = d.argmin(axis=1)
+    gap = np.sort(d, axis=1)[:, :2][:, -1] - d.min(axis=1)  # min, unlike sort, keeps a NaN
+    bound = 16 * (Z.shape[1] + 2) * np.finfo(float).eps * (zz + cc.max() + np.finfo(float).tiny)
+    rows = np.flatnonzero(~(gap > bound))
+    if rows.size:
+        assignment[rows] = ((Z[rows, None, :] - centroids[None]) ** 2).sum(axis=2).argmin(axis=1)
+    return assignment
 
 
 class SingleBestSelector(Selector):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from harris.baselines import (ClusterSelector, HarrisSelector, OracleSelector,
                               PairwiseVotingSelector, RegressionForestSelector,
-                              SingleBestSelector, _derived_seed, _kmeans)
+                              SingleBestSelector, _derived_seed, _kmeans, _nearest)
 from harris.errors import DomainError
 from harris.evaluation import cross_validate
 from harris.forest import (ForestConfig, HybridForest, fit_forest, forest_to_dict,
@@ -215,15 +215,19 @@ class TestClusterSelector:
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(2, 40),
-           st.sampled_from(["distinct", "few_points", "negative_zeros"]))
+           st.sampled_from(["distinct", "few_points", "negative_zeros", "grid", "scaled"]))
     def test_kmeans_matches_per_cluster_masks(self, seed, k, p, kind):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(k, 161))
         if kind == "few_points":  # fewer distinct points than clusters: some cluster goes empty
             distinct = max(1, k - 1)
             Z = rng.normal(size=(distinct, p))[rng.integers(0, distinct, size=n)]
+        elif kind == "grid":  # integers in -2..2: rows exactly equidistant from two centroids
+            Z = rng.integers(-2, 3, size=(n, p)).astype(float)
         else:
             Z = rng.normal(size=(n, p))
+        if kind == "scaled":
+            Z *= 10.0 ** int(rng.integers(-150, 151))
         if kind == "negative_zeros":  # whole columns and scattered cells of -0.0
             Z[:, rng.uniform(size=p) < 0.2] = -0.0
             Z[rng.uniform(size=Z.shape) < 0.2] = -0.0
@@ -249,6 +253,55 @@ class TestClusterSelector:
             for z in Z[assignment == c, 0]:
                 total += float(z)
             assert centroids[c, 0] == total / int((assignment == c).sum())
+
+    @staticmethod
+    def elementwise_nearest(Z, centroids):
+        return ((Z[:, None, :] - centroids[None]) ** 2).sum(axis=2).argmin(axis=1)
+
+    def test_equidistant_rows_go_to_the_lower_index(self):
+        # near 2**30 the Gram form cancels: its distances differ by rounding
+        # while the elementwise ones tie exactly
+        rng = np.random.default_rng(5)
+        Z = 2.0 ** 30 + rng.integers(-4, 5, size=(200, 1)).astype(float)
+        centroids = 2.0 ** 30 + np.array([[1.0], [-1.0], [3.0]])
+        gram = Z @ (-2.0 * centroids.T) + (centroids ** 2).sum(axis=1)
+        expected = self.elementwise_nearest(Z, centroids)
+        assert (gram.argmin(axis=1) != expected).any()
+        got = _nearest(Z, (Z ** 2).sum(axis=1), centroids)
+        assert got.tobytes() == expected.tobytes()
+        assert (got[Z[:, 0] == 2.0 ** 30] == 0).all()  # 1 from centroids 0 and 1 alike
+
+    def test_identical_centroids_go_to_the_lower_index(self):
+        rng = np.random.default_rng(6)
+        Z = rng.normal(size=(300, 7))
+        centroids = np.vstack([Z[3], Z[10], Z[3], Z[10], Z[3]])
+        got = _nearest(Z, (Z ** 2).sum(axis=1), centroids)
+        assert got.tobytes() == self.elementwise_nearest(Z, centroids).tobytes()
+        assert set(got.tolist()) == {0, 1}
+
+    @pytest.mark.parametrize("kind", ["grid", "normal"])
+    def test_noise_below_half_the_bound_leaves_the_assignment(self, kind):
+        """The stated bound, 16 (p + 2) eps (|z|^2 + max |c|^2 + tiny), has
+        room to spare: noise of up to half of it on each Gram-form distance,
+        enough to flip the Gram argmin of a tie, moves no row to another
+        centroid."""
+        rng = np.random.default_rng(8)
+        p = 5
+        if kind == "grid":  # exact arithmetic and many exact ties
+            Z = rng.integers(-2, 3, size=(400, p)).astype(float)
+        else:
+            Z = rng.normal(size=(400, p))
+        centroids = Z[rng.choice(400, size=6, replace=False)]
+        zz = (Z ** 2).sum(axis=1)
+        cc = (centroids ** 2).sum(axis=1)
+        bound = 16 * (p + 2) * np.finfo(float).eps * (zz + cc.max() + np.finfo(float).tiny)
+        expected = self.elementwise_nearest(Z, centroids)
+        for _ in range(20):
+            noise = (rng.uniform(size=(400, 6)) - 0.5) * bound[:, None]
+            d = Z @ (-2.0 * centroids.T) + cc + noise
+            assert _nearest(Z, zz, centroids, d).tobytes() == expected.tobytes()
+        if kind == "grid":
+            assert (d.argmin(axis=1) != expected).any()  # the noise broke ties
 
     def test_predicted_costs_are_cluster_means(self):
         X, Y = self.blobs()
