@@ -29,10 +29,14 @@ and YAML nested past the recursion limit.
 
 Speed: a data line without quotes is split with str.split and its fields are
 stripped only when it holds a space or an unprintable character, the only
-characters str.strip removes. The run table and the feature block are built
-with numpy from one comprehension each; a bad cell is then located by a
-per-row rescan, which runs only on that error path, so errors keep the
-file:line of the first offending row in file order.
+characters str.strip removes. The reader keeps no container per row, as one
+kept per row sets off a garbage collection every 700 rows, and the older
+generations' passes walk every row kept so far: a file's fields go into one
+flat list (column c is cells[c::width]) and its line numbers into a list of
+ints. The feature block is one float conversion and the run table is built
+with numpy from column slices; a bad cell is located by rescanning those
+columns, only on that error path, so errors keep the file:line of the first
+offending row in file order.
 """
 
 from __future__ import annotations
@@ -258,15 +262,18 @@ def _split_quoted(line: str) -> list[str]:
     return fields
 
 
-def _read_arff(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """Minimal ARFF reader: attribute names plus (line_number, fields) rows.
+def _read_arff(path: Path) -> tuple[list[str], list[int], list[str]]:
+    """Minimal ARFF reader: attribute names, the line number of each data row,
+    and the rows' fields in one flat list, so field c of row r is
+    cells[r * width + c] and column c is cells[c::width].
 
     Only the subset ASLib uses is supported: @relation/@attribute headers and
     comma-separated @data rows, with '%' comments and names or fields quoted
     with ' or ".
     """
     attributes: list[str] = []
-    rows: list[tuple[int, list[str]]] = []
+    linenos: list[int] = []
+    cells: list[str] = []
     with decoding_errors_as(ParseError, path, path.name), open(path, encoding="utf-8") as fh:
         lines = enumerate(fh, start=1)
         for lineno, raw in lines:
@@ -304,10 +311,11 @@ def _read_arff(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
                     fields = [f.strip() for f in fields]
             if len(fields) != width:
                 raise ParseError(f"{path.name}:{lineno}: expected {width} fields, got {len(fields)}")
-            rows.append((lineno, fields))
+            linenos.append(lineno)
+            cells += fields
     if not attributes:
         raise ParseError(f"{path.name}: no @attribute declarations")
-    return attributes, rows
+    return attributes, linenos, cells
 
 
 _NAN = float("nan")
@@ -328,32 +336,31 @@ def _float_or_nan(value: str, path: Path, lineno: int) -> float:
         raise ParseError(f"{path.name}:{lineno}: not a number: {value!r}") from None
 
 
-def _raise_bad_feature(rows, cols: list[int], path: Path) -> NoReturn:
+def _raise_bad_feature(linenos: list[int], values: list[str], path: Path) -> NoReturn:
     """Raise the error of the first feature cell, in file order, that is not
-    a number or is infinite."""
-    for lineno, fields in rows:
-        for c in cols:
-            if math.isinf(_float_or_nan(fields[c], path, lineno)):
-                raise ParseError(f"{path.name}:{lineno}: infinite feature value: {fields[c]!r}")
+    a number or is infinite; values holds the cells of these lines, row-major."""
+    p = len(values) // len(linenos)
+    for r, lineno in enumerate(linenos):
+        for value in values[r * p:(r + 1) * p]:
+            if math.isinf(_float_or_nan(value, path, lineno)):
+                raise ParseError(f"{path.name}:{lineno}: infinite feature value: {value!r}")
     raise AssertionError("no bad feature cell")
 
 
-def _raise_bad_run(rows, cols: tuple[int, int, int], index_of: dict, algo_index: dict,
-                   path: Path) -> NoReturn:
+def _raise_bad_run(linenos: list[int], insts: list[str], algos: list[str], perfs: list[str],
+                   index_of: dict, algo_index: dict, path: Path) -> NoReturn:
     """Raise the error of the first bad row of the runs file: an unknown
     algorithm, or a runtime that is not a number in the first row of its
     (instance, algorithm) pair. Rows of unknown instances are not read."""
-    r_inst, r_algo, r_perf = cols
     seen = set()
-    for lineno, fields in rows:
-        if fields[r_inst] not in index_of:
+    for lineno, inst, algo, perf in zip(linenos, insts, algos, perfs):
+        if inst not in index_of:
             continue
-        pair = (fields[r_inst], fields[r_algo])
-        if pair[1] not in algo_index:
-            raise ParseError(f"{path.name}:{lineno}: unknown algorithm {pair[1]!r}")
-        if pair not in seen:
-            seen.add(pair)
-            _float_or_nan(fields[r_perf], path, lineno)
+        if algo not in algo_index:
+            raise ParseError(f"{path.name}:{lineno}: unknown algorithm {algo!r}")
+        if (inst, algo) not in seen:
+            seen.add((inst, algo))
+            _float_or_nan(perf, path, lineno)
     raise AssertionError("no bad run row")
 
 
@@ -362,6 +369,33 @@ def _require_column(attributes: list[str], name: str, path: Path) -> int:
         if attr.lower() == name:
             return i
     raise ParseError(f"{path.name}: missing required column {name!r}")
+
+
+def _read_features(path: Path) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
+    """Feature names, instance ids in order of first appearance, and the
+    n x p block of each instance's first row; later repetitions are not
+    converted. The file's cells are freed when the call returns."""
+    attrs, linenos, cells = _read_arff(path)
+    w = len(attrs)
+    inst_col = _require_column(attrs, "instance_id", path)
+    rep_col = next((i for i, a in enumerate(attrs) if a.lower() == "repetition"), None)
+    skip = {inst_col} | ({rep_col} if rep_col is not None else set())
+    feature_cols = [i for i in range(w) if i not in skip]
+    if not feature_cols:
+        raise ParseError(f"{path.name}: no feature columns")
+    first_row: dict[str, int] = {}
+    for r, inst in enumerate(cells[inst_col::w]):
+        first_row.setdefault(inst, r)
+    if not first_row:
+        raise ParseError(f"{path.name}: no data rows")
+    values = [cells[r * w + c] for r in first_row.values() for c in feature_cols]
+    try:
+        features = np.array(_floats(values), dtype=float).reshape(len(first_row), -1)
+    except ValueError:
+        features = None
+    if features is None or np.isinf(features).any():
+        _raise_bad_feature([linenos[r] for r in first_row.values()], values, path)
+    return tuple(attrs[i] for i in feature_cols), tuple(first_row), features
 
 
 def _algorithms_from_description(meta: dict) -> list[str]:
@@ -418,37 +452,14 @@ def parse_scenario(directory) -> Scenario:
         perf_measure = perf_measure[0] if perf_measure else "runtime"
     perf_measure = str(perf_measure).strip().lower()
 
-    # Feature values: instance order is fixed here, and each instance keeps
-    # its first repetition only.
     fpath = paths[FEATURES_FILE]
-    fattrs, frows = _read_arff(fpath)
-    inst_col = _require_column(fattrs, "instance_id", fpath)
-    rep_col = next((i for i, a in enumerate(fattrs) if a.lower() == "repetition"), None)
-    skip = {inst_col} | ({rep_col} if rep_col is not None else set())
-    feature_cols = [i for i in range(len(fattrs)) if i not in skip]
-    if not feature_cols:
-        raise ParseError(f"{fpath.name}: no feature columns")
-    feature_names = tuple(fattrs[i] for i in feature_cols)
-
-    first_rows: dict[str, tuple[int, list[str]]] = {}
-    for row in frows:
-        first_rows.setdefault(row[1][inst_col], row)
-    if not first_rows:
-        raise ParseError(f"{fpath.name}: no data rows")
-    instance_ids = tuple(first_rows)
+    feature_names, instance_ids, features = _read_features(fpath)
     index_of = {inst: i for i, inst in enumerate(instance_ids)}
-    try:
-        features = np.array([_floats(map(fields.__getitem__, feature_cols))
-                             for _, fields in first_rows.values()], dtype=float)
-    except ValueError:
-        features = None
-    if features is None or np.isinf(features).any():
-        _raise_bad_feature(first_rows.values(), feature_cols, fpath)
     n = len(instance_ids)
 
     # Algorithm runs.
     rpath = paths[RUNS_FILE]
-    rattrs, rrows = _read_arff(rpath)
+    rattrs, rlines, rcells = _read_arff(rpath)
     r_inst = _require_column(rattrs, "instance_id", rpath)
     r_algo = _require_column(rattrs, "algorithm", rpath)
     r_status = _require_column(rattrs, "runstatus", rpath)
@@ -463,9 +474,9 @@ def parse_scenario(directory) -> Scenario:
             raise ParseError(f"{rpath.name}: no performance column found")
         r_perf = leftovers[0]
 
-    algorithm_names = _algorithms_from_description(meta)
-    if not algorithm_names:
-        algorithm_names = list(dict.fromkeys(fields[r_algo] for _, fields in rrows))
+    w = len(rattrs)
+    run_inst, run_algo, run_perf = rcells[r_inst::w], rcells[r_algo::w], rcells[r_perf::w]
+    algorithm_names = _algorithms_from_description(meta) or list(dict.fromkeys(run_algo))
     if len(algorithm_names) < 2:
         raise ParseError(f"{rpath.name}: need at least two algorithms")
     algo_index = {a: j for j, a in enumerate(algorithm_names)}
@@ -473,20 +484,20 @@ def parse_scenario(directory) -> Scenario:
 
     # Rows of unknown instances are reported below as a set mismatch; the
     # first row of each (instance, algorithm) pair wins.
-    run_inst = [fields[r_inst] for _, fields in rrows]
     row_i = np.array([index_of.get(inst, -1) for inst in run_inst], dtype=np.int64)
-    row_j = np.array([algo_index.get(fields[r_algo], -1) for _, fields in rrows], dtype=np.int64)
+    row_j = np.array([algo_index.get(algo, -1) for algo in run_algo], dtype=np.int64)
     known = row_i >= 0
     if (row_j[known] < 0).any():
-        _raise_bad_run(rrows, (r_inst, r_algo, r_perf), index_of, algo_index, rpath)
+        _raise_bad_run(rlines, run_inst, run_algo, run_perf, index_of, algo_index, rpath)
     pairs, first = np.unique(np.where(known, row_i * k + row_j, -1), return_index=True)
     read = pairs >= 0  # key -1 gathers the rows of unknown instances
     pairs, first = pairs[read], first[read].tolist()
     try:
-        runtime = np.array(_floats(rrows[r][1][r_perf] for r in first), dtype=float)
+        runtime = np.array(_floats(map(run_perf.__getitem__, first)), dtype=float)
     except ValueError:
-        _raise_bad_run(rrows, (r_inst, r_algo, r_perf), index_of, algo_index, rpath)
-    ok = np.array([rrows[r][1][r_status].strip().lower() == "ok" for r in first], dtype=bool)
+        _raise_bad_run(rlines, run_inst, run_algo, run_perf, index_of, algo_index, rpath)
+    status = rcells[r_status::w]
+    ok = np.array([status[r].strip().lower() == "ok" for r in first], dtype=bool)
     ok &= np.isfinite(runtime) & (runtime >= 0)
     # a pair without a finished run keeps the cutoff (missing-evaluation policy)
     performances = np.full(n * k, cutoff, dtype=float)
@@ -504,23 +515,23 @@ def parse_scenario(directory) -> Scenario:
 
     # CV folds.
     cpath = paths[CV_FILE]
-    cattrs, crows = _read_arff(cpath)
+    cattrs, clines, ccells = _read_arff(cpath)
     c_inst = _require_column(cattrs, "instance_id", cpath)
     c_fold = _require_column(cattrs, "fold", cpath)
     fold_of = np.zeros(n, dtype=int)
     have_fold = np.zeros(n, dtype=bool)
     cv_instances: set[str] = set()
-    for lineno, fields in crows:
-        inst = fields[c_inst]
+    w = len(cattrs)
+    for lineno, inst, cell in zip(clines, ccells[c_inst::w], ccells[c_fold::w]):
         cv_instances.add(inst)
         if inst not in index_of:
             continue
         try:
-            fold = float(fields[c_fold])
+            fold = float(cell)
         except ValueError:
             fold = None
         if fold is None or not fold.is_integer():
-            raise ParseError(f"{cpath.name}:{lineno}: not a fold id: {fields[c_fold]!r}")
+            raise ParseError(f"{cpath.name}:{lineno}: not a fold id: {cell!r}")
         fold = int(fold)
         if not 1 <= fold <= N_FOLDS:
             raise ParseError(f"{cpath.name}:{lineno}: fold {fold} outside 1..{N_FOLDS}")
