@@ -5,10 +5,11 @@ Every selector is fit on imputed features and min-max-scaled PAR10 costs
 algorithm names, as no selector's choice depends on them (train saves a
 forest with both), and checks them with tree.checked_training_data (n x p
 features, n x k costs, n, p, k >= 1, all finite), itself or in fit_forests. A
-selector writes fit and predicted_costs(x), k costs for a row it checks with
-tree.checked_query_row (p finite numbers); select(x), never overridden, is
-their argmin, ties to the lowest index. Scores that are not costs (satzilla's
-minus votes) set predicts_costs = False: no rank correlation is reported.
+selector writes fit and predicted_costs(x), a float array of k costs for a
+row it checks with tree.checked_query_row (p finite numbers); select(x),
+never overridden, is their argmin, ties to the lowest index. Scores that
+are not costs (satzilla's minus votes) set predicts_costs = False: no rank
+correlation is reported.
 Random streams come from tree.seed_sequence: sub-forest j from (seed, j),
 isac's k-means from (seed, 0x15AC).
 """

@@ -11,7 +11,6 @@ import sys
 from functools import partial, wraps
 
 import click
-import numpy as np
 from click.core import ParameterSource
 
 from . import __version__
@@ -262,7 +261,7 @@ def predict(model, features_csv):
             raise DomainError(f"{features_csv}:{line}: {e}") from None
     for x in vectors:
         predicted = predict_costs(forest, x)
-        choice = int(np.argmin(predicted))  # select_algorithm, without a second walk
+        choice = int(predicted.argmin())  # select_algorithm, without a second walk
         cost_text = ",".join(f"{c:.4f}" for c in forest.scale.invert(predicted))
         click.echo(f"{forest.algorithm_names[choice]}\t{cost_text}")
 

@@ -103,7 +103,7 @@ def cross_validate_cells(scenario: Scenario, cells: Sequence[tuple],
                                       f"costs for {len(true_costs)} algorithms")
                 if np.isnan(predicted).any():
                     raise DomainError(f"selector {selector.name!r} predicted NaN costs")
-                choice = int(np.argmin(predicted))  # Selector.select, without a second call
+                choice = int(predicted.argmin())  # Selector.select, without a second call
                 if selector.predicts_costs:
                     try:
                         # tau-b reads only the pairwise order, which ranking keeps

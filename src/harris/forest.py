@@ -5,15 +5,16 @@ first its bootstrap rows, then one array of feature draws per depth level,
 so forests are reproducible no matter in which order or beside which trees
 they are built. fit_forests grows every tree of several forests on one
 feature matrix in one tree.build_trees lockstep, level by level; each tree
-keeps only its bootstrap row indices. Prediction averages the trees'
-regression leaf labels, gathered with one index from a stack of all trees'
-labels that the forest builds on construction. A model file holds each
-tree.Tree as the plain dump of its lists, checked on load without recursion.
+keeps only its bootstrap row indices. On construction a forest derives one
+routing table over the split nodes of all its trees and one stack of all
+trees' regression leaf labels; prediction walks the table from each tree's
+root and averages the leaf rows it reaches, gathered with one take. A model
+file holds each tree.Tree as the plain dump of its lists, checked on load
+without recursion.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -63,16 +64,31 @@ class HybridForest:
     scale: ScaleParams
     algorithm_names: tuple[str, ...]
     n_features: int
-    # derived, not stored in the model file: every tree's regression leaf
-    # labels stacked in one array, and each tree's first row in it
+    # derived, not stored in the model file:
+    # every tree's regression leaf labels stacked in one array
     leaf_rows: np.ndarray = field(init=False, repr=False, compare=False)
-    leaf_base: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # one (feature, split, left, right) per split node of every tree, with
+    # forest-wide ids: a child c >= 0 is route[c], a child c < 0 is the leaf
+    # in row ~c of leaf_rows
+    route: tuple[tuple[int, float, int, int], ...] = field(init=False, repr=False,
+                                                           compare=False)
+    # each tree's root id in route; a one-leaf tree's root is ~(its leaf row)
+    roots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        route, roots, rows = [], [], 0
+        for tree in self.trees:
+            # the tree's split node c is route[nodes + c]; its leaf ~c is row
+            # rows + ~c of leaf_rows, stored as ~(rows + ~c) == c - rows
+            nodes = len(route)
+            route += [(f, s, l + nodes if l >= 0 else l - rows, r + nodes if r >= 0 else r - rows)
+                      for f, s, l, r in zip(tree.feature, tree.split, tree.left, tree.right)]
+            roots.append(nodes if tree.feature else ~rows)
+            rows += len(tree.regression)
         object.__setattr__(self, "leaf_rows",
                            np.concatenate([tree.regression for tree in self.trees]))
-        object.__setattr__(self, "leaf_base", tuple(itertools.accumulate(
-            (len(tree.regression) for tree in self.trees[:-1]), initial=0)))
+        object.__setattr__(self, "route", tuple(route))
+        object.__setattr__(self, "roots", tuple(roots))
 
 
 def fit_forest(features, labels, config: ForestConfig, *,
@@ -130,23 +146,28 @@ def predict_costs(forest: HybridForest, x) -> np.ndarray:
     check it: every selector and `harris predict` use tree.checked_query_row.
     """
     row = x if isinstance(x, list) else np.asarray(x, dtype=float).tolist()
+    route = forest.route
     ids = []
-    for tree, base in zip(forest.trees, forest.leaf_base):
-        feature, split, left, right = tree.feature, tree.split, tree.left, tree.right
-        i = 0 if feature else -1
+    for i in forest.roots:
         while i >= 0:
-            i = left[i] if row[feature[i]] <= split[i] else right[i]
-        ids.append(base + ~i)
+            feature, split, left, right = route[i]
+            i = left if row[feature] <= split else right
+        ids.append(~i)
     # the reduction np.mean(leaves, axis=0) runs, without building its input
-    return np.add.reduce(forest.leaf_rows[ids], axis=0) / len(ids)
+    return np.add.reduce(forest.leaf_rows.take(ids, 0), 0) / len(ids)
 
 
 def select_algorithm(forest: HybridForest, x) -> int:
     """Index of the predicted-cheapest algorithm; ties go to the lowest index."""
-    return int(np.argmin(predict_costs(forest, x)))
+    return int(predict_costs(forest, x).argmin())
 
 
 # --- model serialization ------------------------------------------------------
+
+def _is_number(value) -> bool:
+    """A JSON int or float: not a bool, not a string."""
+    return type(value) in (int, float)
+
 
 def _tree_from_dict(record: dict, n_features: int, k: int) -> Tree:
     """The Tree a model file stores, checked so that routing any row ends at
@@ -161,16 +182,18 @@ def _tree_from_dict(record: dict, n_features: int, k: int) -> Tree:
         raise ModelFormatError(f"feature, split, left and right need one entry per split node "
                                f"and size one more, got {s}, {len(split)}, {len(left)}, "
                                f"{len(right)} and {leaves}")
+    if not (isinstance(split, list) and all(_is_number(v) and math.isfinite(v) for v in split)):
+        raise ModelFormatError("split points must be finite numbers")
     split = [float(v) for v in split]
     rows = record["regression"]
     if not (isinstance(rows, list) and len(rows) == leaves
             and all(isinstance(r, list) and len(r) == k for r in rows)):
         raise ModelFormatError(f"regression must be {leaves} x {k}: "
                                f"a row per leaf, a column per algorithm name")
+    if not all(_is_number(v) for r in rows for v in r):
+        raise ModelFormatError("leaf labels must be numbers")
     if any(not 0 <= f < n_features for f in feature):
         raise ModelFormatError(f"feature ids must lie in 0..{n_features - 1}")
-    if not all(map(math.isfinite, split)):
-        raise ModelFormatError("split points must be finite")
     if min(size) < 1:
         raise ModelFormatError("leaf sizes must be >= 1")
     # every node but the root is a child once, and a split node's children
@@ -246,9 +269,10 @@ def forest_from_dict(data: dict) -> HybridForest:
                 checked.append(_tree_from_dict(record, n_features, len(names)))
             except ModelFormatError as exc:
                 raise ModelFormatError(f"tree {t}: {exc}") from None
-        scale = ScaleParams(min=float(data["scale"]["min"]), max=float(data["scale"]["max"]))
-        if not (math.isfinite(scale.min) and math.isfinite(scale.max)):
-            raise ModelFormatError("scale min and max must be finite")
+        bounds = data["scale"]["min"], data["scale"]["max"]
+        if not all(_is_number(v) and math.isfinite(v) for v in bounds):
+            raise ModelFormatError("scale min and max must be finite numbers")
+        scale = ScaleParams(min=float(bounds[0]), max=float(bounds[1]))
         return HybridForest(
             trees=tuple(checked),
             config=config,
@@ -258,7 +282,7 @@ def forest_from_dict(data: dict) -> HybridForest:
         )
     except KeyError as exc:
         raise ModelFormatError(f"model file lacks the key {exc}") from None
-    except (IndexError, TypeError, ValueError) as exc:
+    except (IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model file: {exc}") from None
 
 

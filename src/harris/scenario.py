@@ -13,7 +13,8 @@ A scenario directory holds four files:
 Instances keep the order of their first appearance in feature_values.arff
 across every matrix. A missing (instance, algorithm) evaluation is treated
 like an unfinished run: run_ok is false and the stored runtime is clamped to
-the cutoff, so PAR10 labeling later maps it to 10 * cutoff.
+the cutoff, so PAR10 labeling later maps it to 10 * cutoff. A field quoted
+with ' or " keeps the whitespace inside its quotes and loses that outside.
 
 Only the first feature row of an instance and the first run row of an
 (instance, algorithm) pair are read; later repetitions and run rows of
@@ -235,31 +236,60 @@ _ATTRIBUTE = re.compile(r"""@attribute\s+('[^']*'|"[^"]*"|\S+)\s+\S""", re.IGNOR
 
 
 def _split_quoted(line: str) -> list[str]:
-    """Split an ARFF data line on the commas outside '...' and "..." quotes.
+    """Split an ARFF data line on the commas outside '...' and "..." quotes,
+    and strip each field of the whitespace outside its quotes, then of any
+    quote left at its ends.
 
     Either quote style may appear on one line. A quote opens a field only at
-    its start (after spaces) and a backslash escapes the next character, as
-    in csv.reader with escapechar='\\'.
+    its start (after whitespace) and a backslash escapes the next character,
+    as in csv.reader with escapechar='\\'.
     """
-    fields, field, quote = [], "", None
+    fields, field, quote, kept = [], "", None, -1  # field[:kept] was quoted
     chars = iter(line)
     for ch in chars:
         if ch == "\\":
             field += next(chars, "")
         elif quote is not None:
             if ch == quote:
-                quote = None
+                quote, kept = None, len(field)
             else:
                 field += ch
         elif ch in "'\"" and not field.strip():
-            quote = ch
+            quote, field, kept = ch, "", 0
         elif ch == ",":
-            fields.append(field)
-            field = ""
+            fields.append(_outer_stripped(field, kept))
+            field, kept = "", -1
         else:
             field += ch
-    fields.append(field)
+    fields.append(_outer_stripped(field, kept))
     return fields
+
+
+def _outer_stripped(field: str, kept: int) -> str:
+    """field without the whitespace after its first kept characters, or
+    around it if kept < 0, and without quotes at its ends."""
+    return (field.strip() if kept < 0 else field[:kept] + field[kept:].rstrip()).strip("'\"")
+
+
+# a field csv.reader reads as quoted: its quoted part, then the tail it keeps
+_CSV_QUOTED = re.compile(r'"(?:[^"]|"")*"?([^,]*)')
+
+
+def _csv_stripped(line: str, fields: list[str]) -> list[str]:
+    """csv.reader's fields of a line, each stripped of the whitespace outside
+    its quotes, then of any quote left at its ends. csv.reader opens a quote
+    only at a field's first character, and what follows the closing quote up
+    to the next comma it appends as it stands."""
+    stripped, start = [], 0
+    for field in fields:
+        quoted = _CSV_QUOTED.match(line, start)
+        if quoted is None:
+            stripped.append(_outer_stripped(field, -1))
+            start += len(field) + 1
+        else:
+            stripped.append(_outer_stripped(field, len(field) - len(quoted[1])))
+            start = quoted.end() + 1
+    return stripped
 
 
 def _read_arff(path: Path) -> tuple[list[str], list[int], list[str]]:
@@ -298,10 +328,10 @@ def _read_arff(path: Path) -> tuple[list[str], list[int], list[str]]:
             if not line or line[0] == "%":
                 continue
             if "'" in line:
-                fields = [f.strip().strip("'\"") for f in _split_quoted(line)]
+                fields = _split_quoted(line)
             elif '"' in line:
                 try:
-                    fields = [f.strip().strip("'\"") for f in next(csv.reader([line]))]
+                    fields = _csv_stripped(line, next(csv.reader([line])))
                 except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
                     raise ParseError(f"{path.name}:{lineno}: unreadable data line: {exc}") from None
             else:

@@ -15,7 +15,6 @@ the sorted-slice k-means to the same bytes. The package's random streams are
 written out literally, without its seed_sequence helper.
 """
 
-import csv
 import math
 from pathlib import Path
 
@@ -667,10 +666,49 @@ def random_split_dataset(rng, max_n=20, max_p=3, max_k=4):
 
 # --- reference ASLib parser ---------------------------------------------------
 # The per-row scenario parser as it stood before the run table and feature block
-# were vectorised, kept verbatim (renamed) so that a property test can compare
-# the two on generated directories: same arrays, ids and names, and the same
-# error type and message for the same bad input. It shares only the unchanged
-# quoting, column and algorithm-list helpers with the package.
+# were vectorised, kept (renamed) so that a property test can compare the two
+# on generated directories: same arrays, ids and names, and the same error type
+# and message for the same bad input. Both strip a field of the whitespace
+# outside its quotes only. It shares the splitter of lines holding a ' and the
+# column and algorithm-list helpers with the package; any other line it splits
+# by csv's own states, independent of the package's csv.reader and regex.
+
+
+def _reference_csv_fields(line: str) -> list[str]:
+    """The fields csv.reader's default dialect reads from one line, each
+    stripped of the whitespace outside its quotes and then of quotes at its
+    ends. A quote opens a field only at its first character, "" inside it is
+    one quote, and what follows the closing quote is kept as it stands."""
+    fields, field, kept, state = [], "", -1, "start"  # field[:kept] was quoted
+    for ch in line:
+        if state == "quoted":
+            if ch == '"':
+                state = "closing"
+            else:
+                field += ch
+        elif state == "closing" and ch == '"':
+            field, state = field + ch, "quoted"
+        elif ch == ",":
+            if state == "closing":
+                kept = len(field)
+            fields.append(_reference_outer_stripped(field, kept))
+            field, kept, state = "", -1, "start"
+        elif state == "start" and ch == '"':
+            state = "quoted"
+        else:
+            if state == "closing":
+                kept = len(field)
+            field, state = field + ch, "plain"
+    if state in ("quoted", "closing"):  # an unclosed quote runs to the line's end
+        kept = len(field)
+    fields.append(_reference_outer_stripped(field, kept))
+    return fields
+
+
+def _reference_outer_stripped(field: str, kept: int) -> str:
+    if kept < 0:
+        return field.strip().strip("'\"")
+    return (field[:kept] + field[kept:].rstrip()).strip("'\"")
 
 
 def _reference_read_arff(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
@@ -703,10 +741,9 @@ def _reference_read_arff(path: Path) -> tuple[list[str], list[tuple[int, list[st
                     raise ParseError(f"{path.name}:{lineno}: unexpected header line {line!r}")
             else:
                 if "'" in line:
-                    fields = _split_quoted(line)
+                    fields = _split_quoted(line)  # stripped outside its quotes
                 else:
-                    fields = next(csv.reader([line]))
-                fields = [f.strip().strip("'\"") for f in fields]
+                    fields = _reference_csv_fields(line)
                 if len(fields) != len(attributes):
                     raise ParseError(
                         f"{path.name}:{lineno}: expected {len(attributes)} fields, got {len(fields)}"

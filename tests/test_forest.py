@@ -351,6 +351,12 @@ class TestSerialization:
         lambda d: d["config"].update(max_depth=-1),
         lambda d: d["config"].update(min_samples_split=1),
         lambda d: d["config"].update(features_per_split=0),
+        lambda d: d["trees"][0]["split"].__setitem__(0, "2.5"),
+        lambda d: d["trees"][0]["split"].__setitem__(0, True),
+        lambda d: d["trees"][0]["regression"][0].__setitem__(0, "0"),
+        lambda d: d["trees"][0]["regression"][0].__setitem__(0, True),
+        lambda d: d["scale"].update(min="0"),
+        lambda d: d["trees"][0]["split"].__setitem__(0, 10 ** 400),
     ], ids=["no-config", "no-lambda", "no-scale", "no-trees",
             "child-out-of-range", "negative-child", "node-cycle", "repeated-child",
             "feature-too-large", "negative-feature", "fractional-feature", "short-feature-list",
@@ -362,7 +368,9 @@ class TestSerialization:
             "string-bootstrap", "fractional-seed", "boolean-depth", "fractional-min-samples",
             "string-tree-count", "boolean-lambda", "string-lambda", "unknown-feature-rule",
             "fractional-features-per-split", "lambda-out-of-range", "no-tree-count",
-            "negative-depth", "min-samples-below-two", "zero-features-per-split"])
+            "negative-depth", "min-samples-below-two", "zero-features-per-split",
+            "string-split", "boolean-split", "string-leaf-label", "boolean-leaf-label",
+            "string-scale", "huge-integer-split"])
     def test_malformed_model_raises_model_format_error(self, tmp_path, damage):
         data = forest_to_dict(self.fitted())
         assert data["trees"][0]["feature"]  # the root is a split node

@@ -365,6 +365,30 @@ class TestReadArff:
         assert (cells[0::3], cells[1::3]) == (["a", "b, c", "d", "e,f", "g"],
                                               ["1", "2", "3", "4", "5"])
 
+    def test_quoted_fields_keep_only_their_inner_spaces(self, tmp_path):
+        path = tmp_path / "x.arff"
+        path.write_text("@relation x\n@attribute id string\n@attribute v numeric\n@data\n"
+                        "' a',1\n'a',2\n\"b \",3\n"
+                        "\t' a ' \t, 1\n\"b \" ,\" 2\"\n \"c \"\t,3\n\"d\"\"e \" x ,4\n")
+        assert _read_arff(path)[2] == [" a", "1", "a", "2", "b ", "3",
+                                       " a ", "1", "b ", " 2", "c ", "3", 'd"e  x', "4"]
+
+    def test_ids_differing_in_quoted_spaces_are_two_instances(self, tmp_path):
+        ids = ["a", " a"]
+        quoted = {(r, 0): ("", "'", "") for r in range(2)}
+        features = Table("f", ["instance_id", "repetition", "f0"],
+                         [[i, "1", v] for i, v in zip(ids, ["1.0", "2.0"])], dict(quoted))
+        runs = Table("r", ["instance_id", "repetition", "algorithm", "runtime", "runstatus"],
+                     [[i, "1", a, t, "ok"] for i, t in zip(ids, ["3", "4"]) for a in ("x", "y")],
+                     {(r, 0): ("", '"', "") for r in range(4)})
+        cv = Table("c", ["instance_id", "repetition", "fold"],
+                   [[i, "1", "1"] for i in ids], dict(quoted))
+        scn = parse_scenario(write_aslib(tmp_path / "s", "algorithm_cutoff_time: 100\n",
+                                         features, runs, cv))
+        assert scn.instance_ids == ("a", " a")
+        assert scn.features.tolist() == [[1.0], [2.0]]
+        assert scn.performances.tolist() == [[3.0, 3.0], [4.0, 4.0]]
+
     @pytest.mark.parametrize("quoted", ["'a,b',1", "\"a,b\",1"])
     def test_wrong_width_after_a_quoted_line_names_its_line(self, tmp_path, quoted):
         path = tmp_path / "x.arff"
