@@ -16,6 +16,7 @@ written out literally, without its seed_sequence helper.
 """
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from harris.errors import ConsistencyError, DomainError, ParseError
 from harris.losses import rank_vector
 from harris.scenario import (_ATTRIBUTE, CV_FILE, DESCRIPTION_FILE, FEATURES_FILE,
                              N_FOLDS, RUNS_FILE, Scenario, _algorithms_from_description,
-                             _require_column, _split_quoted)
+                             _require_column)
 
 # Two candidate split losses within this tolerance are treated as one
 # mathematical tie; resolved by lowest feature index, then lowest split point.
@@ -668,47 +669,34 @@ def random_split_dataset(rng, max_n=20, max_p=3, max_k=4):
 # The per-row scenario parser as it stood before the run table and feature block
 # were vectorised, kept (renamed) so that a property test can compare the two
 # on generated directories: same arrays, ids and names, and the same error type
-# and message for the same bad input. Both strip a field of the whitespace
-# outside its quotes only. It shares the splitter of lines holding a ' and the
-# column and algorithm-list helpers with the package; any other line it splits
-# by csv's own states, independent of the package's csv.reader and regex.
+# and message for the same bad input. It shares the column and algorithm-list
+# helpers with the package; it splits every data line with a regular grammar
+# of its own, independent of the package's line splitters.
+
+# One field of an ARFF data line: whitespace, then perhaps a part quoted with '
+# or ", where a backslash makes the next character literal, closed by the same
+# quote or running to the line's end, then a tail up to the next comma in which
+# quotes and backslashes are ordinary characters.
+_REFERENCE_FIELD = re.compile(r"""(\s*)(?:(['"])((?:\\.|(?!\2)[^\\])*)(?:\2|\\?\Z))?([^,]*)""",
+                              re.DOTALL)
 
 
-def _reference_csv_fields(line: str) -> list[str]:
-    """The fields csv.reader's default dialect reads from one line, each
-    stripped of the whitespace outside its quotes and then of quotes at its
-    ends. A quote opens a field only at its first character, "" inside it is
-    one quote, and what follows the closing quote is kept as it stands."""
-    fields, field, kept, state = [], "", -1, "start"  # field[:kept] was quoted
-    for ch in line:
-        if state == "quoted":
-            if ch == '"':
-                state = "closing"
-            else:
-                field += ch
-        elif state == "closing" and ch == '"':
-            field, state = field + ch, "quoted"
-        elif ch == ",":
-            if state == "closing":
-                kept = len(field)
-            fields.append(_reference_outer_stripped(field, kept))
-            field, kept, state = "", -1, "start"
-        elif state == "start" and ch == '"':
-            state = "quoted"
+def _reference_fields(line: str) -> list[str]:
+    """The fields of one ARFF data line: a quoted part keeps its whitespace
+    and commas, the rest of a field loses the whitespace at its ends, and then
+    quotes left at the field's ends are removed."""
+    fields, pos = [], 0
+    while True:
+        match = _REFERENCE_FIELD.match(line, pos)
+        before, quote, quoted, tail = match.groups()
+        if quote is None:
+            field = (before + tail).strip()
         else:
-            if state == "closing":
-                kept = len(field)
-            field, state = field + ch, "plain"
-    if state in ("quoted", "closing"):  # an unclosed quote runs to the line's end
-        kept = len(field)
-    fields.append(_reference_outer_stripped(field, kept))
-    return fields
-
-
-def _reference_outer_stripped(field: str, kept: int) -> str:
-    if kept < 0:
-        return field.strip().strip("'\"")
-    return (field[:kept] + field[kept:].rstrip()).strip("'\"")
+            field = re.sub(r"\\(.)", r"\1", quoted, flags=re.DOTALL) + tail.rstrip()
+        fields.append(field.strip("'\""))
+        if match.end() == len(line):
+            return fields
+        pos = match.end() + 1  # past the comma that ends this field
 
 
 def _reference_read_arff(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
@@ -740,10 +728,7 @@ def _reference_read_arff(path: Path) -> tuple[list[str], list[tuple[int, list[st
                 else:
                     raise ParseError(f"{path.name}:{lineno}: unexpected header line {line!r}")
             else:
-                if "'" in line:
-                    fields = _split_quoted(line)  # stripped outside its quotes
-                else:
-                    fields = _reference_csv_fields(line)
+                fields = _reference_fields(line)
                 if len(fields) != len(attributes):
                     raise ParseError(
                         f"{path.name}:{lineno}: expected {len(attributes)} fields, got {len(fields)}"

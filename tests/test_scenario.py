@@ -1,6 +1,8 @@
+import contextlib
 import gc
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,10 +12,12 @@ from hypothesis import strategies as st
 import oracles
 from aslib_writer import Table, render_arff, write_aslib
 from harris.errors import ConsistencyError, DomainError, EmptyScenarioError, ParseError
+from harris import scenario
 from harris.losses import rank_vector
-from harris.scenario import (ScaleParams, Scenario, _read_arff, column_medians,
-                             filter_unsolved, impute_features, par10, par10_matrix,
-                             parse_scenario, scale_performances)
+from harris.scenario import (ScaleParams, Scenario, _read_arff, _read_features,
+                             _split_quoted, column_medians, filter_unsolved,
+                             impute_features, par10, par10_matrix, parse_scenario,
+                             scale_performances)
 
 runtimes = st.floats(min_value=0, max_value=5000, allow_nan=False)
 
@@ -369,7 +373,7 @@ class TestReadArff:
         path = tmp_path / "x.arff"
         path.write_text("@relation x\n@attribute id string\n@attribute v numeric\n@data\n"
                         "' a',1\n'a',2\n\"b \",3\n"
-                        "\t' a ' \t, 1\n\"b \" ,\" 2\"\n \"c \"\t,3\n\"d\"\"e \" x ,4\n")
+                        "\t' a ' \t, 1\n\"b \" ,\" 2\"\n \"c \"\t,3\n\"d\\\"e \" x ,4\n")
         assert _read_arff(path)[2] == [" a", "1", "a", "2", "b ", "3",
                                        " a ", "1", "b ", " 2", "c ", "3", 'd"e  x', "4"]
 
@@ -397,12 +401,213 @@ class TestReadArff:
         with pytest.raises(ParseError, match=r"^x\.arff:8: expected 2 fields, got 3$"):
             _read_arff(path)
 
-    def test_overlong_double_quoted_field_names_its_line(self, tmp_path):
+    def test_overlong_double_quoted_field_is_read(self, tmp_path):
+        # csv.reader refused a field over csv.field_size_limit() (131,072
+        # characters); the ARFF reader has no such limit, quoted or not
         path = tmp_path / "x.arff"
         path.write_text("@relation x\n@attribute id string\n@attribute v numeric\n@data\n"
-                        "plain,1\n\"" + "a" * 140_000 + "\",2\n")
-        with pytest.raises(ParseError, match=r"^x\.arff:6: "):
-            _read_arff(path)
+                        "plain,1\n\"" + "a" * 140_000 + "\",2\n" + "b" * 140_000 + ",3\n")
+        assert _read_arff(path)[1:] == ([5, 6, 7], ["plain", "1", "a" * 140_000, "2",
+                                                    "b" * 140_000, "3"])
+
+
+class TestQuotingRule:
+    """One rule for every data line, whatever else the line holds: inside
+    quotes a backslash makes the next character literal, outside quotes it is
+    an ordinary character."""
+
+    def test_backslash_reads_alike_in_both_quote_styles(self, tmp_path):
+        path = tmp_path / "x.arff"
+        path.write_text("@relation x\n@attribute id string\n@attribute v string\n@data\n"
+                        "\"a\\\\b\",1\n\"a\\\\b\",'1'\n'a\\\\b',\"1\"\n"
+                        "'a\\'b',1\n\"a\\\"b\",1\n'a\\,b',1\n"
+                        "a\\\\b,1\na\\\\b,'1'\n")
+        assert _read_arff(path)[2] == ["a\\b", "1", "a\\b", "1", "a\\b", "1",
+                                       "a'b", "1", 'a"b', "1", "a,b", "1",
+                                       "a\\\\b", "1", "a\\\\b", "1"]
+
+    def test_doubled_quote_is_not_an_escape(self, tmp_path):
+        path = tmp_path / "x.arff"
+        path.write_text("@relation x\n@attribute id string\n@attribute v string\n@data\n"
+                        "\"d\"\"e\",1\n")
+        assert _read_arff(path)[2] == ['d"e', "1"]
+
+    @settings(max_examples=300)
+    @given(st.text(st.sampled_from("ab ,'\"\\\t\xa0%"), max_size=14).map(str.strip))
+    def test_splitter_matches_the_reference_grammar(self, line):
+        # the reader hands the splitter lines stripped of their outer whitespace
+        assert _split_quoted(line) == oracles._reference_fields(line)
+
+
+# --- plain sections against the per-line path ----------------------------------
+
+PLAIN_IDS = st.text(st.sampled_from("ab_9.-é中Ωx+"), min_size=1, max_size=4)
+PLAIN_CELLS = st.one_of(st.sampled_from(["?", "", "nan", "1e3", "-0.0", "+2.5", "1_0"]),
+                        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                        PLAIN_IDS)
+
+
+def arff_text(attributes, lines, ends, last_end=True):
+    """An ARFF file of these data lines, each ended as drawn; the header ends
+    its lines as the first data line does, and the last line may lack one."""
+    head = ["@relation t"] + [f"@attribute {a} string" for a in attributes] + ["@data"]
+    ends = [ends[0]] * len(head) + list(ends)
+    text = "".join(line + end for line, end in zip(head + lines, ends))
+    return text if last_end or not lines else text[:-len(ends[-1])]
+
+
+def per_line(path):
+    """_read_arff(path) read one line at a time, as a section that is not plain is."""
+    with mock.patch.object(scenario, "_plain_cells", return_value=None):
+        return _read_arff(path)
+
+
+def reference_read(path):
+    """oracles' reader, flattened to _read_arff's (names, line numbers, cells)."""
+    attributes, rows = oracles._reference_read_arff(path)
+    return attributes, [n for n, _ in rows], [c for _, fields in rows for c in fields]
+
+
+def read_outcome(read, path):
+    try:
+        return read(path)
+    except ParseError as exc:
+        return ParseError, str(exc)
+
+
+@st.composite
+def plain_files(draw, broken: bool):
+    """(attributes, data lines, line ends, last line ended) of a plain section:
+    drawn width, '?', empty and non-ASCII cells, '\n', '\r\n' or '\r' ends.
+    With `broken`, one line gains a comma, the last line loses one, or both,
+    which keeps the section's comma total right when they are two lines."""
+    width = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(PLAIN_CELLS, min_size=width, max_size=width),
+                         min_size=1, max_size=8))
+    lines = [",".join(row) for row in rows]
+    if broken:
+        r = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["more", "fewer", "both"]))
+        if kind != "fewer":
+            lines[r] += ",7"
+        if kind != "more" and "," in lines[-1]:
+            lines[-1] = lines[-1].replace(",", "", 1)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    return [f"c{c}" for c in range(width)], lines, ends, draw(st.booleans())
+
+
+class TestPlainSections:
+    """A plain data section is split in one call; it must read as the
+    per-line path and the reference reader read it, errors included."""
+
+    def check(self, drawn, plain=False):
+        attributes, lines, ends, last_end = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.arff"
+            path.write_text(arff_text(attributes, lines, ends, last_end), encoding="utf-8",
+                            newline="")
+            # a plain section never reaches the per-line path
+            with (mock.patch.object(scenario, "_split_lines", side_effect=AssertionError)
+                  if plain else contextlib.nullcontext()):
+                ours = read_outcome(_read_arff, path)
+            assert ours == read_outcome(per_line, path)
+            assert ours == read_outcome(reference_read, path)
+        return ours
+
+    @settings(deadline=None, max_examples=150)
+    @given(plain_files(broken=False))
+    def test_plain_section_reads_as_the_per_line_path(self, drawn):
+        # a row of one empty cell is a blank line, which is not plain
+        ours = self.check(drawn, plain="" not in drawn[1])
+        assert ours[0] == drawn[0]
+        assert len(ours[2]) == len(drawn[0]) * len(ours[1])
+
+    @settings(deadline=None, max_examples=150)
+    @given(plain_files(broken=True))
+    def test_wrong_comma_count_raises_as_the_per_line_path(self, drawn):
+        self.check(drawn)
+
+    @pytest.mark.parametrize("lines, message", [
+        (["a,1", "b,2,3", "c,4"], "t.arff:6: expected 2 fields, got 3"),
+        (["a,1", "b2", "c,4"], "t.arff:6: expected 2 fields, got 1"),
+        (["a,1", "b,2,3", "c4"], "t.arff:6: expected 2 fields, got 3"),
+        (["a,1", "b2", "c,4,5"], "t.arff:6: expected 2 fields, got 1"),
+    ], ids=["extra", "missing", "extra-then-missing", "missing-then-extra"])
+    def test_wrong_width_names_the_first_such_line(self, tmp_path, lines, message):
+        path = tmp_path / "t.arff"
+        path.write_text(arff_text(["id", "v"], lines, ["\n"] * len(lines)))
+        for read in (_read_arff, per_line, reference_read):
+            assert read_outcome(read, path) == (ParseError, message)
+
+    @pytest.mark.parametrize("lines, cells", [
+        (["a,1", "% b,2", "c,3"], ["a", "1", "c", "3"]),
+        (["a,1", "", "c,3"], ["a", "1", "c", "3"]),
+        (["a,1", "'b,x',2", "c,3"], ["a", "1", "b,x", "2", "c", "3"]),
+        (["a,1", '"b",2', "c,3"], ["a", "1", "b", "2", "c", "3"]),
+        (["a,1", "b, 2", "c,3"], ["a", "1", "b", "2", "c", "3"]),
+        (["a,1", "b,\t2", "c,3"], ["a", "1", "b", "2", "c", "3"]),
+        (["a,1", "b,2\x0b", "c,3"], ["a", "1", "b", "2", "c", "3"]),
+        (["a,1", "b%x,2", "c,3"], ["a", "1", "b%x", "2", "c", "3"]),
+        (["a,1", "b,2\xa0", "c,3"], ["a", "1", "b", "2", "c", "3"]),
+    ], ids=["comment-line", "blank-line", "single-quoted", "double-quoted", "space", "tab",
+            "vertical-tab", "percent-in-field", "no-break-space"])
+    def test_any_other_section_is_read_per_line(self, tmp_path, lines, cells):
+        path = tmp_path / "t.arff"
+        path.write_text(arff_text(["id", "v"], lines, ["\n"] * len(lines)), encoding="utf-8")
+        with mock.patch.object(scenario, "_split_lines", wraps=scenario._split_lines) as spy:
+            ours = _read_arff(path)
+        assert spy.call_count == 1
+        assert ours[2] == cells
+        assert ours == reference_read(path)
+
+
+class TestFeatureBlock:
+    """Without repetitions the feature block drops the id and repetition
+    columns in place; with them it gathers each instance's first row (a bad
+    cell in a later repetition is no error: TestParseScenario)."""
+
+    @pytest.mark.parametrize("attributes", [
+        ["instance_id", "repetition", "f0", "f1"],
+        ["repetition", "f0", "instance_id", "f1"],
+        ["f0", "f1", "instance_id", "repetition"],
+        ["f0", "instance_id", "f1"],
+    ], ids=["id-rep-first", "mixed", "id-rep-last", "no-repetition"])
+    def test_dropped_columns_give_the_gathered_block(self, tmp_path, attributes):
+        values = {"instance_id": ["i0", "i1", "i2"], "repetition": ["1"] * 3,
+                  "f0": ["1.5", "?", "-2"], "f1": ["", "1e3", "nan"]}
+        rows = [[values[a][r] for a in attributes] for r in range(3)]
+        once, again = tmp_path / "once.arff", tmp_path / "again.arff"
+        once.write_text(arff_text(attributes, [",".join(r) for r in rows], ["\n"] * 3))
+        # a later repetition of i1 makes the reader gather first rows instead
+        repeated = [v if a != "instance_id" else "i1" for a, v in zip(attributes, rows[0])]
+        again.write_text(arff_text(attributes, [",".join(r) for r in rows + [repeated]],
+                                   ["\n"] * 4))
+        names, ids, block = _read_features(once)
+        assert (names, ids) == (("f0", "f1"), ("i0", "i1", "i2"))
+        assert block.tobytes() == np.array([[1.5, np.nan], [np.nan, 1e3],
+                                            [-2.0, np.nan]]).tobytes()
+        again_names, again_ids, again_block = _read_features(again)
+        assert (again_names, again_ids) == (names, ids)
+        assert again_block.tobytes() == block.tobytes()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda runs: runs + "ghost,1,solver_a,1.0,ok\n",
+         "algorithm_runs.arff: instance set differs from feature_values.arff "
+         "(4 vs 3 instances)"),
+        (lambda runs: "\n".join(line for line in runs.split("\n")
+                                if not line.startswith("inst3")),
+         "algorithm_runs.arff: instance set differs from feature_values.arff "
+         "(2 vs 3 instances)"),
+    ], ids=["unknown-instance", "missing-instance"])
+    def test_run_rows_of_other_instances_are_a_consistency_error(self, aslib_dir_factory,
+                                                                 edit, message):
+        root = aslib_dir_factory()
+        runs = root / "algorithm_runs.arff"
+        runs.write_text(edit(runs.read_text()))
+        assert parse_outcome(parse_scenario, root) == (ConsistencyError, message)
+        assert parse_outcome(oracles.reference_parse_scenario, root) == (ConsistencyError,
+                                                                         message)
 
 
 # --- parser equivalence --------------------------------------------------------
