@@ -60,6 +60,8 @@ def scenario_options(func):
 
     @wraps(func)
     def wrapper(scenario_dir, synthetic, synthetic_n, synthetic_seed, drop_unsolved, **kwargs):
+        if synthetic and scenario_dir is not None:
+            raise click.UsageError("--scenario and --synthetic are mutually exclusive")
         if synthetic:
             scn = make_synthetic_scenario(n_instances=synthetic_n, seed=synthetic_seed)
         elif scenario_dir is not None:

@@ -13,14 +13,16 @@ boosting libraries do: each depth scores the candidate columns of every open
 node of every tree in one pass (one column-wise sort, prefix sums over the
 sorted rows, and the losses of every real split point of every column at
 once, in blocks of BLOCK_CELLS label cells), so a fit makes at most max_depth
-passes. Leaf checks run for a whole level in segment reductions, leaf labels
-are reduced once at the end, grouped by leaf size, and each tree's nodes are
-then numbered in preorder. A sampled tree draws one array of uniforms per
-level from its own generator, one row per open node, so its draws depend
-neither on the build order nor on the trees grown beside it, and a deep tree
-cut at depth d is the depth-d tree. best_split and build_tree are the
-one-node and one-tree cases. A leaf keeps its mean cost vector and its size:
-the Borda consensus scores splits, and prediction reads only the mean.
+passes. Leaf checks run for a whole level in segment reductions, and leaf
+labels are reduced once at the end, grouped by leaf size. Each tree keeps its
+nodes in the order they grew: by depth, then left to right. A sampled tree
+draws one array of uniforms per level from its own generator, one row per
+open node, so its draws depend neither on the build order nor on the trees
+grown beside it, and a deep tree cut at depth d is the depth-d tree, whose
+feature and split lists, and leaves above depth d, are prefixes of the deep
+tree's. best_split and build_tree are the one-node and one-tree cases. A
+leaf keeps its mean cost vector and its size: the Borda consensus scores
+splits, and prediction reads only the mean.
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ class TreeConfig:
 @dataclass(frozen=True, eq=False)
 class Tree:
     """A fitted tree as parallel lists over its split nodes and its leaves,
-    each in preorder.
+    each in level order: by depth, then left to right.
 
     Split node i sends a row left when row[feature[i]] <= split[i]. A child
     id c >= 0 (in left[i] or right[i]) is split node c; c < 0 is leaf ~c. The
@@ -412,7 +414,7 @@ def build_trees(features, targets, jobs, config: TreeConfig) -> list[Tree]:
     rows = np.concatenate([rows for _, rows, _ in jobs])
     srows = rows + np.repeat([t * n for t, _, _ in jobs], sizes)
     levels = []  # per level: node jobs, features (-1 at a leaf), split points, left child ids
-    leaf_parts = []  # per level: leaf ids, their stats rows and sizes
+    leaf_parts = []  # per level: its leaves' stats rows and sizes
     n_nodes = 0
     while sizes.size:
         starts = sizes.cumsum() - sizes
@@ -436,9 +438,8 @@ def build_trees(features, targets, jobs, config: TreeConfig) -> list[Tree]:
         left = np.full(sizes.size, -1)
         left[split] = n_nodes + sizes.size + 2 * np.arange(split.sum())
         levels.append((node_job, feature, point, left))
-        ids = np.arange(n_nodes, n_nodes + sizes.size)
         in_leaf = np.repeat(~split, sizes)
-        leaf_parts.append((ids[~split], srows[in_leaf], sizes[~split]))
+        leaf_parts.append((srows[in_leaf], sizes[~split]))
         n_nodes += sizes.size
 
         # each split node's rows, left side then right, make its two children
@@ -450,48 +451,36 @@ def build_trees(features, targets, jobs, config: TreeConfig) -> list[Tree]:
         rows, srows = rows[order], srows[order]
         sizes = np.bincount(child, minlength=2 * split.sum())
         node_job = node_job[split].repeat(2)
-    return _preorder_trees(levels, leaf_parts, stats.labels, len(jobs))
+    return _level_order_trees(levels, leaf_parts, stats.labels, len(jobs))
 
 
-def _preorder_trees(levels, leaf_parts, labels, n_jobs) -> list[Tree]:
+def _level_order_trees(levels, leaf_parts, labels, n_jobs) -> list[Tree]:
     """The Tree of each job from the levels build_trees grew, its split nodes
-    and its leaves each numbered in preorder, left before right.
+    and its leaves each in level order.
 
-    A node's preorder number is its parent's, plus one, plus (for a right
-    child) the nodes of its left sibling's subtree: subtree counts are summed
-    bottom-up and numbers handed down top-down, one level at a time, so
-    trees of any depth are numbered without recursion.
+    build_trees numbers nodes level by level and, within a level, tree by
+    tree, so a stable sort by job puts each tree's nodes in its own level
+    order; a node's id in its tree is its rank among that tree's split nodes,
+    or ~rank among its leaves.
     """
     node_job, feature, point, left = (np.concatenate(part) for part in zip(*levels))
-    bounds = np.cumsum([0] + [part[0].size for part in levels])
-    is_split = feature >= 0
-    split_ids = [lo + is_split[lo:hi].nonzero()[0] for lo, hi in zip(bounds[:-1], bounds[1:])]
-    n_splits, n_leaves = is_split.astype(np.intp), (~is_split).astype(np.intp)
-    for ids in reversed(split_ids):
-        for counts in (n_splits, n_leaves):
-            counts[ids] += counts[left[ids]] + counts[left[ids] + 1]
-    split_base = np.zeros(feature.size, dtype=np.intp)  # splits before the node's subtree
-    leaf_base = np.zeros(feature.size, dtype=np.intp)   # leaves before it
-    for ids in split_ids:
-        lo, hi = left[ids], left[ids] + 1
-        split_base[lo] = split_base[ids] + 1
-        split_base[hi] = split_base[lo] + n_splits[lo]
-        leaf_base[lo] = leaf_base[ids]
-        leaf_base[hi] = leaf_base[lo] + n_leaves[lo]
-    code = np.where(is_split, split_base, ~leaf_base)  # a child's id in its tree
-
-    splits = is_split.nonzero()[0]
-    splits = splits[np.lexsort((split_base[splits], node_job[splits]))]
-    leaf_ids, leaf_rows, leaf_sizes = (np.concatenate(part) for part in zip(*leaf_parts))
-    leaves = np.lexsort((leaf_base[leaf_ids], node_job[leaf_ids]))
-    regression = _leaf_means(labels, leaf_rows, leaf_sizes)[leaves]
-    leaf_sizes = leaf_sizes[leaves].tolist()
+    leaf_rows, leaf_sizes = (np.concatenate(part) for part in zip(*leaf_parts))
+    splits, leaves = (feature >= 0).nonzero()[0], (feature < 0).nonzero()[0]
+    splits = splits[np.argsort(node_job[splits], kind="stable")]
+    by_tree = np.argsort(node_job[leaves], kind="stable")  # leaf_rows run in id order
+    leaves = leaves[by_tree]
+    split_job, leaf_job = node_job[splits], node_job[leaves]
+    code = np.empty(feature.size, dtype=np.intp)  # a node's id in its tree
+    code[splits] = np.arange(splits.size) - split_job.searchsorted(split_job)
+    code[leaves] = ~(np.arange(leaves.size) - leaf_job.searchsorted(leaf_job))
+    regression = _leaf_means(labels, leaf_rows, leaf_sizes)[by_tree]
+    leaf_sizes = leaf_sizes[by_tree].tolist()
     columns = [feature[splits].tolist(), point[splits].tolist(),
                code[left[splits]].tolist(), code[left[splits] + 1].tolist()]
-    split_end = np.bincount(node_job[splits], minlength=n_jobs).cumsum().tolist()
-    leaf_end = np.bincount(node_job[leaf_ids], minlength=n_jobs).cumsum().tolist()
+    split_at, leaf_at = (job.searchsorted(np.arange(n_jobs + 1)).tolist()
+                         for job in (split_job, leaf_job))
     return [Tree(*(column[s0:s1] for column in columns), regression[l0:l1], leaf_sizes[l0:l1])
-            for s0, s1, l0, l1 in zip([0] + split_end, split_end, [0] + leaf_end, leaf_end)]
+            for s0, s1, l0, l1 in zip(split_at, split_at[1:], leaf_at, leaf_at[1:])]
 
 
 def build_tree(features, labels, config: TreeConfig, rng: np.random.Generator) -> Tree:

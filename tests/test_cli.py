@@ -175,6 +175,18 @@ class TestOptionsBuildTheRun:
         assert "--features-per-split" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "sweep", "train"])
+    def test_scenario_and_synthetic_is_usage_error(self, runner, tmp_path, command):
+        scenario_dir = tmp_path / "scenario"
+        write_with_unsolved(scenario_dir, make_synthetic_scenario(30, seed=1))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--synthetic", "--synthetic-n", "30",
+                                      "--scenario", str(scenario_dir), "--paper-tree",
+                                      "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "--scenario" in result.output and "--synthetic" in result.output
+        assert not out.exists()
+
 
 class TestPaperTree:
     COMMANDS = {

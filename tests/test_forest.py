@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -245,6 +246,25 @@ class TestSerialization:
         assert oracles.tree_depth(loaded.trees[0]) == oracles.tree_depth(forest.trees[0])
         for x in X[::7].tolist() + [[-1.0], [1e9]]:
             assert predict_costs(loaded, x).tobytes() == predict_costs(forest, x).tobytes()
+
+    def test_preorder_trees_predict_and_round_trip_alike(self, tmp_path):
+        # older model files number each tree's split nodes and leaves in
+        # preorder; such a forest predicts the same bytes
+        scn = make_synthetic_scenario(120, seed=3)
+        forest = fit_forest(scn.features, scn.performances,
+                            ForestConfig(n_trees=6, seed=4, tree=TreeConfig(max_depth=6)))
+        preorder = replace(forest, trees=tuple(oracles.flat_tree(oracles.tree_bytes(tree))
+                                               for tree in forest.trees))
+        assert forest_to_dict(preorder) != forest_to_dict(forest)
+        path = tmp_path / "preorder.json"
+        save_forest(preorder, path)
+        loaded = load_forest(path)
+        assert forest_to_dict(loaded) == forest_to_dict(preorder)
+        rows = np.random.default_rng(8).uniform(-0.5, 1.5, size=(200, scn.features.shape[1]))
+        for x in [*scn.features, *rows]:
+            expected = predict_costs(forest, x).tobytes()
+            assert predict_costs(preorder, x).tobytes() == expected
+            assert predict_costs(loaded, x).tobytes() == expected
 
     @pytest.mark.parametrize("config", [
         single_tree_config(lam=0.5, max_depth=0),

@@ -20,6 +20,15 @@ def default_rng():
     return np.random.default_rng(12345)
 
 
+def breadth_first(tree):
+    """(depth, id) of each node of tree, met breadth first, left before right."""
+    met = [(0, 0 if tree.feature else -1)]
+    for depth, i in met:  # the loop reaches the children it appends
+        if i >= 0:
+            met += [(depth + 1, tree.left[i]), (depth + 1, tree.right[i])]
+    return met
+
+
 def route(tree, x):
     """The regression label predict_costs reads for x from a one-tree forest."""
     return predict_costs(oracles.forest_of([tree], n_features=len(x)), x)
@@ -188,6 +197,17 @@ class TestLockstep:
             expected = oracles.level_order_build_tree(X[rows], targets[t][rows], config, rng)
             assert oracles.tree_bytes(tree) == expected
 
+    @settings(deadline=None, max_examples=100)
+    @given(lockstep_cases())
+    def test_nodes_are_numbered_in_level_order(self, case):
+        X, targets, jobs, config = case
+        n = X.shape[0]
+        for tree in build_trees(X, targets, [(t, *job_rows(n, b, seed)) for t, b, seed in jobs],
+                                config):
+            ids = [i for _, i in breadth_first(tree)]
+            assert [i for i in ids if i >= 0] == list(range(len(tree.feature)))
+            assert [~i for i in ids if i < 0] == list(range(len(tree.size)))
+
     def test_bad_jobs(self):
         rng = np.random.default_rng(0)
         with pytest.raises(DomainError):
@@ -228,6 +248,25 @@ class TestLevelWiseGrowth:
                 rows, _ = job_rows(n, bootstrap, seed)
                 assert oracles.cut_tree(oracles.tree_bytes(tree), X[rows], Y[rows], d) == \
                     oracles.tree_bytes(cut_at_d)
+
+    @pytest.mark.parametrize("fps", ["sqrt", 3, "all"])
+    @pytest.mark.parametrize("bootstrap", [False, True])
+    def test_shallow_tree_is_a_prefix_of_the_deep_tree(self, fps, bootstrap):
+        X, Y = self.data()
+        n, deep = X.shape[0], 6
+        jobs = [(0, *job_rows(n, bootstrap, seed)) for seed in range(20, 30)]
+        trees = build_trees(X, [Y], jobs, TreeConfig(lam=0.5, max_depth=deep,
+                                                     features_per_split=fps))
+        for d in range(deep):
+            jobs = [(0, *job_rows(n, bootstrap, seed)) for seed in range(20, 30)]
+            shallow = build_trees(X, [Y], jobs, TreeConfig(lam=0.5, max_depth=d,
+                                                           features_per_split=fps))
+            for tree, cut in zip(trees, shallow):
+                assert tree.feature[:len(cut.feature)] == cut.feature
+                assert tree.split[:len(cut.split)] == cut.split
+                above = sum(depth < d for depth, i in breadth_first(cut) if i < 0)
+                assert tree.size[:above] == cut.size[:above]
+                assert tree.regression[:above].tobytes() == cut.regression[:above].tobytes()
 
     @pytest.mark.parametrize("fps", ["sqrt", "all"])
     def test_one_pass_per_depth_and_no_tree_depends_on_its_partners(self, fps, monkeypatch):
