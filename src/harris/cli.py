@@ -44,6 +44,15 @@ def _fail_on(func):
     return wrapper
 
 
+def _given_flags(*names):
+    """The flags, as --help shows them, of the named params that the command
+    line set, so an option that another one overrides can refuse them."""
+    ctx = click.get_current_context()
+    return ["/".join(param.opts + param.secondary_opts) for param in ctx.command.params
+            if param.name in names
+            and ctx.get_parameter_source(param.name) == ParameterSource.COMMANDLINE]
+
+
 def scenario_options(func):
     """The scenario flags; func is called with the scenario they name as
     `scn`, unsolved instances dropped unless --keep-unsolved."""
@@ -65,6 +74,8 @@ def scenario_options(func):
         if synthetic:
             scn = make_synthetic_scenario(n_instances=synthetic_n, seed=synthetic_seed)
         elif scenario_dir is not None:
+            if given := _given_flags("synthetic_n", "synthetic_seed"):
+                raise click.UsageError(f"{given[0]} applies to --synthetic only, not to --scenario")
             scn = parse_scenario(scenario_dir)
         else:
             raise click.UsageError("provide --scenario DIR or --synthetic")
@@ -107,12 +118,8 @@ def forest_options(func):
     def wrapper(n_trees, bootstrap, features_per_split, paper_tree, seed,
                 lam=TreeConfig.lam, depth=TreeConfig.max_depth, **kwargs):
         if paper_tree:
-            ctx = click.get_current_context()
-            for param in ctx.command.params:
-                if (param.name in _PAPER_TREE_FIXES
-                        and ctx.get_parameter_source(param.name) == ParameterSource.COMMANDLINE):
-                    flag = "/".join(param.opts + param.secondary_opts)
-                    raise click.UsageError(f"--paper-tree fixes {flag}; do not pass both")
+            if given := _given_flags(*_PAPER_TREE_FIXES):
+                raise click.UsageError(f"--paper-tree fixes {given[0]}; do not pass both")
             return func(config=single_tree_config(lam, depth, seed), **kwargs)
         if features_per_split not in ("all", "sqrt"):
             try:

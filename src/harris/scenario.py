@@ -13,9 +13,10 @@ A scenario directory holds four files:
 Instances keep the order of their first appearance in feature_values.arff
 across every matrix. A missing (instance, algorithm) evaluation is treated
 like an unfinished run: run_ok is false and the stored runtime is clamped to
-the cutoff, so PAR10 labeling later maps it to 10 * cutoff. A field quoted
-with ' or " keeps the whitespace inside its quotes and loses that outside;
-inside quotes, and only there, a backslash makes the next character literal.
+the cutoff, so PAR10 labeling later maps it to 10 * cutoff. One quoted-part
+pattern serves header names and data fields: a name or field quoted with ' or
+" keeps the whitespace inside its quotes and loses that outside, and inside
+quotes, and only there, a backslash makes the next character literal.
 
 Only the first feature row of an instance and the first run row of an
 (instance, algorithm) pair are read; later repetitions and run rows of
@@ -239,49 +240,35 @@ def read_csv_rows(path) -> list[tuple[int, list[str]]]:
             raise DomainError(f"{path}:{reader.line_num}: unreadable CSV line: {exc}") from None
 
 
-_ATTRIBUTE = re.compile(r"""@attribute\s+('[^']*'|"[^"]*"|\S+)\s+\S""", re.IGNORECASE)
+# The one quoting rule of names and fields: a part quoted with ' or " opens
+# only at the start of a name or field (after whitespace) and runs to the same
+# quote or the line's end; inside it, and only there, a backslash makes the
+# next character literal ("a backslash will escape individual characters",
+# https://waikato.github.io/weka-wiki/formats_and_processing/arff_stable/),
+# and one that ends the line is dropped.
+_QUOTED = r"""(?P<quote>['"])(?P<text>(?:\\(?:.|$)|(?!(?P=quote))[^\\])*)"""
+_ESCAPE = re.compile(r"\\(.?)")
+# a name: a closed quoted part, else the first word; a data field: whitespace,
+# a quoted part or none, the rest (quotes and backslashes ordinary), a comma
+_ATTRIBUTE = re.compile(rf"@attribute\s+(?:{_QUOTED}(?P=quote)|(\S+))\s+\S", re.IGNORECASE)
+_FIELD = re.compile(rf"\s*(?:{_QUOTED}(?P=quote)?)?([^,]*)(,?)")
+
+
+def _unquoted(text: str, rest: str) -> str:
+    """A name or field as read: its quoted text unescaped, then the rest
+    without its trailing whitespace, without the quotes left at the ends."""
+    if "\\" in text:  # a test that spares most fields the slower sub call
+        text = _ESCAPE.sub(r"\1", text)
+    return (text + rest.rstrip()).strip("'\"")
 
 
 def _split_quoted(line: str) -> list[str]:
-    """Split an ARFF data line on the commas outside '...' and "..." quotes,
-    and strip each field of the whitespace outside its quotes, then of any
-    quote left at its ends.
-
-    Either quote style may appear on one line. A quote opens a quoted part
-    only at a field's start (after whitespace), the same quote closes it, and
-    what follows up to the next comma is kept, quotes and all. Inside quotes a
-    backslash makes the next character literal, so \\' and \\" do not close
-    the field and \\\\ is one backslash ("a backslash will escape individual
-    characters", https://waikato.github.io/weka-wiki/formats_and_processing/arff_stable/);
-    outside quotes it is an ordinary character, as on a line without quotes.
-    """
-    fields, field, quote, kept = [], "", None, -1  # field[:kept] was quoted
-    chars = iter(line)
-    for ch in chars:
-        if quote is not None:
-            if ch == "\\":
-                field += next(chars, "")
-            elif ch == quote:
-                quote, kept = None, len(field)
-            else:
-                field += ch
-        elif ch in "'\"" and kept < 0 and not field.strip():
-            quote, field, kept = ch, "", 0
-        elif ch == ",":
-            fields.append(_outer_stripped(field, kept))
-            field, kept = "", -1
-        else:
-            field += ch
-    if quote is not None:  # an unclosed quote runs to the line's end
-        kept = len(field)
-    fields.append(_outer_stripped(field, kept))
-    return fields
-
-
-def _outer_stripped(field: str, kept: int) -> str:
-    """field without the whitespace after its first kept characters, or
-    around it if kept < 0, and without quotes at its ends."""
-    return (field.strip() if kept < 0 else field[:kept] + field[kept:].rstrip()).strip("'\"")
+    """The fields of an ARFF data line, split on the commas outside quotes."""
+    fields = []
+    for _, text, rest, comma in _FIELD.findall(line):
+        fields.append(_unquoted(text, rest))
+        if not comma:
+            return fields
 
 
 def _read_arff(path: Path) -> tuple[list[str], list[int], list[str]]:
@@ -304,7 +291,8 @@ def _read_arff(path: Path) -> tuple[list[str], list[int], list[str]]:
                 match = _ATTRIBUTE.match(line)
                 if match is None:
                     raise ParseError(f"{path.name}:{lineno}: malformed @attribute line")
-                attributes.append(match.group(1).strip("'\""))
+                _, text, word = match.groups("")
+                attributes.append(_unquoted(text, word))
             elif lowered.startswith("@data"):
                 break
             elif not lowered.startswith("@relation"):

@@ -24,8 +24,8 @@ import yaml
 
 from harris.errors import ConsistencyError, DomainError, ParseError
 from harris.losses import rank_vector
-from harris.scenario import (_ATTRIBUTE, CV_FILE, DESCRIPTION_FILE, FEATURES_FILE,
-                             N_FOLDS, RUNS_FILE, Scenario, _algorithms_from_description,
+from harris.scenario import (CV_FILE, DESCRIPTION_FILE, FEATURES_FILE, N_FOLDS,
+                             RUNS_FILE, Scenario, _algorithms_from_description,
                              _require_column)
 
 # Two candidate split losses within this tolerance are treated as one
@@ -670,8 +670,8 @@ def random_split_dataset(rng, max_n=20, max_p=3, max_k=4):
 # were vectorised, kept (renamed) so that a property test can compare the two
 # on generated directories: same arrays, ids and names, and the same error type
 # and message for the same bad input. It shares the column and algorithm-list
-# helpers with the package; it splits every data line with a regular grammar
-# of its own, independent of the package's line splitters.
+# helpers with the package; it reads every header name and splits every data
+# line with regular grammars of its own, independent of the package's.
 
 # One field of an ARFF data line: whitespace, then perhaps a part quoted with '
 # or ", where a backslash makes the next character literal, closed by the same
@@ -679,6 +679,14 @@ def random_split_dataset(rng, max_n=20, max_p=3, max_k=4):
 # quotes and backslashes are ordinary characters.
 _REFERENCE_FIELD = re.compile(r"""(\s*)(?:(['"])((?:\\.|(?!\2)[^\\])*)(?:\2|\\?\Z))?([^,]*)""",
                               re.DOTALL)
+
+
+# An @attribute line: its name, then whitespace and a type. The name is a part
+# quoted as in a data field and closed by its own quote, which then reads as
+# that data field does; failing that, it is the first word without the quotes
+# at its ends.
+_REFERENCE_ATTRIBUTE = re.compile(
+    r"""@attribute\s+(?:((['"])(?:\\.|(?!\2)[^\\])*\2)|(\S+))\s+\S""", re.IGNORECASE)
 
 
 def _reference_fields(line: str) -> list[str]:
@@ -717,10 +725,12 @@ def _reference_read_arff(path: Path) -> tuple[list[str], list[tuple[int, list[st
             if not in_data:
                 lowered = line.lower()
                 if lowered.startswith("@attribute"):
-                    match = _ATTRIBUTE.match(line)
+                    match = _REFERENCE_ATTRIBUTE.match(line)
                     if match is None:
                         raise ParseError(f"{path.name}:{lineno}: malformed @attribute line")
-                    attributes.append(match.group(1).strip("'\""))
+                    quoted, _, word = match.groups()
+                    attributes.append(_reference_fields(quoted)[0] if quoted
+                                      else word.strip("'\""))
                 elif lowered.startswith("@data"):
                     in_data = True
                 elif lowered.startswith("@relation"):

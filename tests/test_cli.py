@@ -187,6 +187,21 @@ class TestOptionsBuildTheRun:
         assert "--scenario" in result.output and "--synthetic" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "sweep", "train"])
+    @pytest.mark.parametrize("option", [("--synthetic-n", "7"), ("--synthetic-seed", "9"),
+                                        ("--synthetic-n", "500")])
+    def test_synthetic_options_with_scenario_are_usage_errors(self, runner, tmp_path,
+                                                               command, option):
+        # --scenario names the data, so these would be ignored, the default too
+        scenario_dir = tmp_path / "scenario"
+        write_with_unsolved(scenario_dir, make_synthetic_scenario(30, seed=1))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--scenario", str(scenario_dir), *option,
+                                      "--paper-tree", "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert option[0] in result.output and "--scenario" in result.output
+        assert not out.exists()
+
 
 class TestPaperTree:
     COMMANDS = {
