@@ -16,7 +16,8 @@ like an unfinished run: run_ok is false and the stored runtime is clamped to
 the cutoff, so PAR10 labeling later maps it to 10 * cutoff. One quoted-part
 pattern serves header names and data fields: a name or field quoted with ' or
 " keeps the whitespace inside its quotes and loses that outside, and inside
-quotes, and only there, a backslash makes the next character literal.
+quotes, and only there, a backslash makes the next character literal, an
+escaped quote at either end of the value included.
 
 Only the first feature row of an instance and the first run row of an
 (instance, algorithm) pair are read; later repetitions and run rows of
@@ -30,21 +31,30 @@ algorithm_cutoff_time that is not a positive finite number ('.inf', '.nan'
 and 'true' included), an algorithm list that is neither a list nor a string,
 and YAML nested past the recursion limit.
 
-Speed: a data section is read in one call. A plain one, one whose lines are
-printable, not empty, free of quotes, '%' and spaces, and hold width - 1
-commas each, is split into its fields with one str.split, after one numpy
-pass over its bytes has checked those conditions. Any other section (a
-comment or blank line, a quoted field, whitespace, a wrong field count) is
-read one line at a time, with the same fields and the same errors. No
-container is kept per row, as one kept per row sets off a garbage collection
-every 700 rows, and the older generations' passes walk every row kept so far:
-a file's fields go into one flat list (column c is cells[c::width]) and its
-line numbers into a list of ints. Without repetitions the feature block drops
-the id and repetition columns from that list in place and converts the rest
-in one np.fromiter pass; the run table and the folds are built with numpy
-from column slices. A bad cell is located by rescanning those columns, only
-on that error path, so errors keep the file:line of the first offending row
-in file order.
+Speed and memory: a data section is read in one call and kept as its UTF-8
+bytes. A plain one, one whose lines are printable, not empty, free of quotes,
+'%' and spaces, and hold width - 1 commas each, is checked for those
+conditions by one numpy pass over its bytes, then split in blocks of whole
+rows of at most BLOCK_FIELDS fields (one row if a row holds more), one
+str.split per block, each block only when its reader asks for it. Any other
+section (a comment or blank line, a quoted field, whitespace, a wrong field
+count) is read one line at a time into a single block, with the same fields
+and the same errors. Either way every error of the file's format is raised
+before any cell is converted. Each reader reduces a block to arrays before it
+asks for the next, so a parse holds a file's bytes, one block of strings
+and the arrays it returns, not one string per field of a file. No container
+is kept per row, as one kept per row sets off a garbage collection every 700
+rows, and the older generations' passes walk every row kept so far: a block's
+fields go into one flat list (column c is cells[c::width]) beside its line
+numbers. Without repetitions the feature reader drops the id and repetition
+columns from a block's list in place and converts the rest in one
+np.fromiter pass; the run table is built with numpy from each block's column
+slices, the pairs of earlier blocks marked in a bool array, and the folds
+from the joined columns of the small cv.arff. A bad cell is located by
+rescanning its block's columns, only on that error path; earlier blocks
+converted cleanly, so errors keep the file:line of the first offending row
+in file order, and a run table's instance-set mismatch is reported after
+its last block.
 """
 
 from __future__ import annotations
@@ -54,8 +64,9 @@ import csv
 import math
 import re
 import warnings
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import compress, islice, repeat
 from pathlib import Path
 from typing import NoReturn
 
@@ -65,6 +76,11 @@ import yaml
 from .errors import ConsistencyError, DomainError, EmptyScenarioError, ParseError
 
 N_FOLDS = 10
+# a plain data section is split in blocks of whole rows holding at most this
+# many fields (one row if a row holds more), each reduced before the next; a
+# block of 4,096 short fields takes about 300 KB as strings, and parsed faster
+# than blocks of 32,768 or 65,536 fields
+BLOCK_FIELDS = 1 << 12
 
 DESCRIPTION_FILE = "description.txt"
 FEATURES_FILE = "feature_values.arff"
@@ -254,12 +270,23 @@ _ATTRIBUTE = re.compile(rf"@attribute\s+(?:{_QUOTED}(?P=quote)|(\S+))\s+\S", re.
 _FIELD = re.compile(rf"\s*(?:{_QUOTED}(?P=quote)?)?([^,]*)(,?)")
 
 
+_QUOTES = "'\""
+# a quoted part's text up to the unescaped quotes at its end and the backslash
+# that may end the line after them (an escape is one unit)
+_OPEN_END = re.compile(r"((?:\\(?:.|$)|[^\\])*?)['\"]*\\?")
+
+
 def _unquoted(text: str, rest: str) -> str:
     """A name or field as read: its quoted text unescaped, then the rest
-    without its trailing whitespace, without the quotes left at the ends."""
-    if "\\" in text:  # a test that spares most fields the slower sub call
-        text = _ESCAPE.sub(r"\1", text)
-    return (text + rest.rstrip()).strip("'\"")
+    without its trailing whitespace, without the unescaped quotes at the ends
+    (an escaped quote is literal wherever it sits)."""
+    rest = rest.rstrip()
+    if "\\" not in text:  # a test that spares most fields the slower path
+        return (text + rest).strip(_QUOTES)
+    text, rest = text.lstrip(_QUOTES), rest.rstrip(_QUOTES)
+    if not rest:
+        text = _OPEN_END.fullmatch(text)[1]
+    return _ESCAPE.sub(r"\1", text) + rest
 
 
 def _split_quoted(line: str) -> list[str]:
@@ -271,10 +298,20 @@ def _split_quoted(line: str) -> list[str]:
             return fields
 
 
-def _read_arff(path: Path) -> tuple[list[str], list[int], list[str]]:
-    """Minimal ARFF reader: attribute names, the line number of each data row,
-    and the rows' fields in one flat list, so field c of row r is
-    cells[r * width + c] and column c is cells[c::width].
+# A data block: the line numbers of its rows and their fields in one flat list,
+# so field c of row r is cells[r * width + c] and column c is cells[c::width].
+Block = tuple[Sequence[int], list[str]]
+
+
+def _read_arff(path: Path) -> tuple[list[str], Iterator[Block]]:
+    """Minimal ARFF reader: attribute names and the data rows in blocks of
+    whole rows, in file order.
+
+    The whole file is read and checked before this returns, so every error
+    of the file's format is raised here, before any cell is converted. A
+    plain data section is then split one block at a time as the blocks are
+    iterated, each of at most BLOCK_FIELDS fields (one row if a row holds
+    more); any other section is read one line at a time into one block.
 
     Only the subset ASLib uses is supported: @relation/@attribute headers and
     comma-separated @data rows, with '%' comments and names or fields quoted
@@ -299,16 +336,18 @@ def _read_arff(path: Path) -> tuple[list[str], list[int], list[str]]:
                 raise ParseError(f"{path.name}:{lineno}: unexpected header line {line!r}")
         else:
             raise ParseError(f"{path.name}: no @data section")
-        section = fh.read()  # universal newlines, as in the loop: lines end in "\n"
+        # universal newlines, as in the loop: lines end in "\n"; the text itself
+        # is dropped at once, so that only its UTF-8 bytes are held
+        data = fh.read().encode()
     width, first = len(attributes), lineno + 1
-    cells = _plain_cells(section.removesuffix("\n"), width)
-    if cells is None:
-        linenos, cells = _split_lines(section.split("\n"), first, width, path)
+    bounds = _plain_bounds(data, width)
+    if bounds is None:
+        blocks = iter([_split_lines(data.decode().split("\n"), first, width, path)])
     else:
-        linenos = list(range(first, first + len(cells) // width))
+        blocks = _plain_blocks(data, bounds, first, width)
     if not attributes:
         raise ParseError(f"{path.name}: no @attribute declarations")
-    return attributes, linenos, cells
+    return attributes, blocks
 
 
 # the bytes of a plain data section: printable ASCII but ' " % and space, a
@@ -317,26 +356,37 @@ _PLAIN_BYTES = bytes(c for c in range(256)
                      if c == 10 or (32 < c < 127 and chr(c) not in "'\"%") or c > 127)
 
 
-def _plain_cells(section: str, width: int) -> list[str] | None:
-    """The fields of a plain data section, split in one call, or None if it is
-    not plain. A section is plain when it has lines, none of them empty, each
-    with width - 1 commas, all printable and holding no quote, '%' or space:
-    then no line is a comment, no field needs stripping, and the section's
-    fields are those of its lines, in order."""
-    data = section.encode()
-    if not data or data.translate(None, _PLAIN_BYTES):
+def _plain_bounds(data: bytes, width: int) -> np.ndarray | None:
+    """The byte offsets around the lines of a plain data section, UTF-8
+    encoded (-1, each line end, then the end of the last line; a line end
+    that ends the section ends no line), or None if it is not plain. A
+    section is plain when it has lines, none of them empty, each with
+    width - 1 commas, all printable and holding no quote, '%' or space: then
+    no line is a comment, no field needs stripping, and the section's fields
+    are those of its lines, in order."""
+    size = len(data) - data.endswith(b"\n")
+    if not size or data.translate(None, _PLAIN_BYTES):
         return None
-    if not section.isascii() and not section.replace("\n", "").isprintable():
+    if not data.isascii() and not data.decode().replace("\n", "").isprintable():
         return None
-    codes = np.frombuffer(data, np.uint8)
-    ends = np.flatnonzero(codes == 10)
-    bounds = np.concatenate(([-1], ends, [codes.size]))  # around each line
+    codes = np.frombuffer(data, np.uint8, size)
+    bounds = np.concatenate(([-1], np.flatnonzero(codes == 10), [size]))
     if np.diff(bounds).min() < 2:
         return None  # an empty line
     commas = np.searchsorted(np.flatnonzero(codes == 44), bounds)
     if (np.diff(commas) != width - 1).any():
         return None
-    return section.replace("\n", ",").split(",")
+    return bounds
+
+
+def _plain_blocks(data: bytes, bounds: np.ndarray, first: int, width: int) -> Iterator[Block]:
+    """The rows of a plain section in blocks of at most BLOCK_FIELDS fields
+    (one row if a row holds more), each split in one call when it is reached."""
+    rows, lines = max(1, BLOCK_FIELDS // width), bounds.size - 1
+    for start in range(0, lines, rows):
+        stop = min(start + rows, lines)
+        piece = data[bounds[start] + 1:bounds[stop]].decode()
+        yield range(first + start, first + stop), piece.replace("\n", ",").split(",")
 
 
 def _split_lines(lines: list[str], first: int, width: int,
@@ -383,7 +433,7 @@ def _float_or_nan(value: str, path: Path, lineno: int) -> float:
         raise ParseError(f"{path.name}:{lineno}: not a number: {value!r}") from None
 
 
-def _raise_bad_feature(linenos: list[int], values: list[str], path: Path) -> NoReturn:
+def _raise_bad_feature(linenos: Sequence[int], values: list[str], path: Path) -> NoReturn:
     """Raise the error of the first feature cell, in file order, that is not
     a number or is infinite; values holds the cells of these lines, row-major."""
     p = len(values) // len(linenos)
@@ -394,19 +444,22 @@ def _raise_bad_feature(linenos: list[int], values: list[str], path: Path) -> NoR
     raise AssertionError("no bad feature cell")
 
 
-def _raise_bad_run(linenos: list[int], insts: list[str], algos: list[str], perfs: list[str],
-                   index_of: dict, algo_index: dict, path: Path) -> NoReturn:
-    """Raise the error of the first bad row of the runs file: an unknown
-    algorithm, or a runtime that is not a number in the first row of its
-    (instance, algorithm) pair. Rows of unknown instances are not read."""
-    seen = set()
+def _raise_bad_run(linenos: Sequence[int], insts: list[str], algos: list[str],
+                   perfs: list[str], index_of: dict, algo_index: dict, filled: np.ndarray,
+                   path: Path) -> NoReturn:
+    """Raise the error of the first bad row of a block of the runs file: an
+    unknown algorithm, or a runtime that is not a number in the first row of
+    its (instance, algorithm) pair; filled[j * n + i] marks the pairs (i, j)
+    of earlier blocks. Rows of unknown instances are not read."""
+    n, seen = len(index_of), set()
     for lineno, inst, algo, perf in zip(linenos, insts, algos, perfs):
         if inst not in index_of:
             continue
         if algo not in algo_index:
             raise ParseError(f"{path.name}:{lineno}: unknown algorithm {algo!r}")
-        if (inst, algo) not in seen:
-            seen.add((inst, algo))
+        key = algo_index[algo] * n + index_of[inst]
+        if not filled[key] and key not in seen:
+            seen.add(key)
             _float_or_nan(perf, path, lineno)
     raise AssertionError("no bad run row")
 
@@ -440,8 +493,8 @@ def _require_column(attributes: list[str], name: str, path: Path) -> int:
 def _read_features(path: Path) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
     """Feature names, instance ids in order of first appearance, and the
     n x p block of each instance's first row; later repetitions are not
-    converted. The file's cells are freed when the call returns."""
-    attrs, linenos, cells = _read_arff(path)
+    converted. Each block of the file is converted before the next is split."""
+    attrs, blocks = _read_arff(path)
     w = len(attrs)
     inst_col = _require_column(attrs, "instance_id", path)
     rep_col = next((i for i, a in enumerate(attrs) if a.lower() == "repetition"), None)
@@ -449,26 +502,34 @@ def _read_features(path: Path) -> tuple[tuple[str, ...], tuple[str, ...], np.nda
     feature_cols = [i for i in range(w) if i not in skip]
     if not feature_cols:
         raise ParseError(f"{path.name}: no feature columns")
-    ids = cells[inst_col::w]
-    if not ids:
+    order: dict[str, None] = {}
+    parts = []  # the converted rows of each block
+    for linenos, cells in blocks:
+        ids = cells[inst_col::w]
+        start = len(order)
+        order.update(dict.fromkeys(ids))
+        if len(order) - start == len(ids):
+            # every row is its instance's first: drop the other columns
+            for width, c in enumerate(sorted(skip, reverse=True)):
+                del cells[c::w - width]
+            values = cells
+        else:
+            first_row: dict[str, int] = {}
+            for r, inst in enumerate(ids):
+                first_row.setdefault(inst, r)
+            new = [first_row[inst] for inst in islice(order, start, None)]
+            linenos = [linenos[r] for r in new]
+            values = [cells[r * w + c] for r in new for c in feature_cols]
+        try:
+            block = _floats(values)
+        except ValueError:
+            block = None
+        if block is None or np.isinf(block).any():
+            _raise_bad_feature(linenos, values, path)  # earlier blocks converted cleanly
+        parts.append(block)
+    if not order:
         raise ParseError(f"{path.name}: no data rows")
-    order = dict.fromkeys(ids)
-    if len(order) == len(ids):  # every row is its instance's first: drop the other columns
-        for width, c in enumerate(sorted(skip, reverse=True)):
-            del cells[c::w - width]
-        values = cells
-    else:
-        first_row: dict[str, int] = {}
-        for r, inst in enumerate(ids):
-            first_row.setdefault(inst, r)
-        linenos = [linenos[r] for r in first_row.values()]
-        values = [cells[r * w + c] for r in first_row.values() for c in feature_cols]
-    try:
-        features = _floats(values).reshape(len(order), -1)
-    except ValueError:
-        features = None
-    if features is None or np.isinf(features).any():
-        _raise_bad_feature(linenos, values, path)
+    features = np.concatenate(parts).reshape(len(order), -1)
     return tuple(attrs[i] for i in feature_cols), tuple(order), features
 
 
@@ -487,6 +548,118 @@ def _algorithms_from_description(meta: dict) -> list[str]:
             raise ParseError(f"{DESCRIPTION_FILE}: {key} must be a list or a comma-separated string")
         names.extend(p for p in (str(v).strip() for v in value) if p)
     return list(dict.fromkeys(names))  # first occurrence order
+
+
+def _require_two_algorithms(names, path: Path) -> None:
+    if len(names) < 2:
+        raise ParseError(f"{path.name}: need at least two algorithms")
+
+
+def _read_runs(path: Path, meta: dict, perf_measure: str, index_of: dict, cutoff: float,
+               fpath: Path) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Algorithm names, then runtimes and run_ok (n x k) from the first row
+    of each (instance, algorithm) pair of the runs file; a pair without a
+    finished run keeps the cutoff (missing-evaluation policy). Each block of
+    the file is reduced before the next is split; rows of unknown instances
+    are reported after the last block as a set mismatch."""
+    attrs, blocks = _read_arff(path)
+    r_inst = _require_column(attrs, "instance_id", path)
+    r_algo = _require_column(attrs, "algorithm", path)
+    r_status = _require_column(attrs, "runstatus", path)
+    lowered = [a.lower() for a in attrs]
+    if perf_measure in lowered:
+        r_perf = lowered.index(perf_measure)
+    else:
+        reserved = {r_inst, r_algo, r_status}
+        reserved |= {i for i, a in enumerate(lowered) if a == "repetition"}
+        leftovers = [i for i in range(len(attrs)) if i not in reserved]
+        if not leftovers:
+            raise ParseError(f"{path.name}: no performance column found")
+        r_perf = leftovers[0]
+    listed = _algorithms_from_description(meta)
+    algo_index = {a: j for j, a in enumerate(listed)}
+    if listed:
+        _require_two_algorithms(listed, path)
+
+    w, n = len(attrs), len(index_of)
+    filled = np.zeros(n * len(listed), dtype=bool)  # filled[j * n + i]: pair (i, j) is read
+    unknown: set[str] = set()  # instance ids that are not in the features file
+    done, times = [], []  # per block: the keys of the finished first runs, their runtimes
+    for linenos, cells in blocks:
+        insts, algos, perfs = cells[r_inst::w], cells[r_algo::w], cells[r_perf::w]
+        if not listed:  # the names come from this file, in order of first appearance
+            for algo in dict.fromkeys(algos):
+                algo_index.setdefault(algo, len(algo_index))
+            filled = np.concatenate((filled, np.zeros(n * len(algo_index) - filled.size, bool)))
+        row_i = np.array(list(map(index_of.get, insts, repeat(-1))), dtype=np.int64)
+        row_j = np.array(list(map(algo_index.get, algos, repeat(-1))), dtype=np.int64)
+        known = row_i >= 0
+        if not known.all():
+            unknown.update(compress(insts, ~known))
+        bad = (row_j[known] < 0).any()
+        if not bad:
+            keys, first = np.unique(np.where(known, row_j * n + row_i, -1), return_index=True)
+            # key -1 gathers the rows of unknown instances; a pair of an
+            # earlier block keeps its first row
+            new = keys >= 0
+            new[new] = ~filled[keys[new]]
+            keys, first = keys[new], first[new].tolist()
+            try:
+                runtime = _floats(list(map(perfs.__getitem__, first)))
+            except ValueError:
+                bad = True
+        if bad:
+            names = set(algo_index)
+            if len(names) < 2:  # a later block may still name a second algorithm
+                for _, rest in blocks:
+                    names.update(rest[r_algo::w])
+            _require_two_algorithms(names, path)
+            _raise_bad_run(linenos, insts, algos, perfs, index_of, algo_index, filled, path)
+        status = cells[r_status::w]
+        finished = {s for s in set(status) if s.strip().lower() == "ok"}
+        ok = np.fromiter(map(finished.__contains__, map(status.__getitem__, first)), bool,
+                         len(first))
+        ok &= np.isfinite(runtime) & (runtime >= 0)
+        filled[keys] = True
+        done.append(keys[ok])
+        times.append(runtime[ok])
+    _require_two_algorithms(algo_index, path)
+    k = len(algo_index)
+    performances = np.full(n * k, cutoff, dtype=float)
+    run_ok = np.zeros(n * k, dtype=bool)
+    keys = np.concatenate(done)
+    at = keys % n * k + keys // n
+    performances[at] = np.minimum(np.concatenate(times), cutoff)
+    run_ok[at] = True
+    seen = filled.reshape(k, n).any(axis=0)
+    if unknown or not seen.all():
+        raise ConsistencyError(f"{path.name}: instance set differs from {fpath.name} "
+                               f"({np.count_nonzero(seen) + len(unknown)} vs {n} instances)")
+    return tuple(algo_index), performances.reshape(n, k), run_ok.reshape(n, k)
+
+
+def _read_folds(path: Path, index_of: dict, fpath: Path) -> np.ndarray:
+    """The fold of each instance, from its first cv.arff row; every row of a
+    known instance is checked. The file's blocks are joined: it holds two
+    short columns per instance, the smallest of the three files."""
+    attrs, blocks = _read_arff(path)
+    c_inst = _require_column(attrs, "instance_id", path)
+    c_fold = _require_column(attrs, "fold", path)
+    w, n = len(attrs), len(index_of)
+    linenos, insts, cells = [], [], []
+    for block_lines, block in blocks:
+        linenos += block_lines
+        insts += block[c_inst::w]
+        cells += block[c_fold::w]
+    cv_i = np.array(list(map(index_of.get, insts, repeat(-1))), dtype=np.int64)
+    try:
+        folds = np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        folds = None
+    if (folds is None or not np.isin(folds, np.arange(1, N_FOLDS + 1)).all()
+            or not (cv_i >= 0).all() or not np.bincount(cv_i, minlength=n).all()):
+        _raise_bad_folds(linenos, insts, cells, index_of, path, fpath)
+    return folds[np.unique(cv_i, return_index=True)[1]].astype(int)  # first row wins
 
 
 def parse_scenario(directory) -> Scenario:
@@ -528,90 +701,19 @@ def parse_scenario(directory) -> Scenario:
 
     fpath = paths[FEATURES_FILE]
     feature_names, instance_ids, features = _read_features(fpath)
-    n = len(instance_ids)
-    index_of = dict(zip(instance_ids, range(n)))
-
-    # Algorithm runs.
-    rpath = paths[RUNS_FILE]
-    rattrs, rlines, rcells = _read_arff(rpath)
-    r_inst = _require_column(rattrs, "instance_id", rpath)
-    r_algo = _require_column(rattrs, "algorithm", rpath)
-    r_status = _require_column(rattrs, "runstatus", rpath)
-    lowered = [a.lower() for a in rattrs]
-    if perf_measure in lowered:
-        r_perf = lowered.index(perf_measure)
-    else:
-        reserved = {r_inst, r_algo, r_status}
-        reserved |= {i for i, a in enumerate(lowered) if a == "repetition"}
-        leftovers = [i for i in range(len(rattrs)) if i not in reserved]
-        if not leftovers:
-            raise ParseError(f"{rpath.name}: no performance column found")
-        r_perf = leftovers[0]
-
-    w = len(rattrs)
-    run_inst, run_algo, run_perf = rcells[r_inst::w], rcells[r_algo::w], rcells[r_perf::w]
-    algorithm_names = _algorithms_from_description(meta) or list(dict.fromkeys(run_algo))
-    if len(algorithm_names) < 2:
-        raise ParseError(f"{rpath.name}: need at least two algorithms")
-    algo_index = {a: j for j, a in enumerate(algorithm_names)}
-    k = len(algorithm_names)
-
-    # Rows of unknown instances are reported below as a set mismatch; the
-    # first row of each (instance, algorithm) pair wins.
-    row_i = np.array(list(map(index_of.get, run_inst, repeat(-1))), dtype=np.int64)
-    row_j = np.array(list(map(algo_index.get, run_algo, repeat(-1))), dtype=np.int64)
-    known = row_i >= 0
-    if (row_j[known] < 0).any():
-        _raise_bad_run(rlines, run_inst, run_algo, run_perf, index_of, algo_index, rpath)
-    pairs, first = np.unique(np.where(known, row_i * k + row_j, -1), return_index=True)
-    read = pairs >= 0  # key -1 gathers the rows of unknown instances
-    pairs, first = pairs[read], first[read].tolist()
-    try:
-        runtime = _floats(list(map(run_perf.__getitem__, first)))
-    except ValueError:
-        _raise_bad_run(rlines, run_inst, run_algo, run_perf, index_of, algo_index, rpath)
-    status = rcells[r_status::w]
-    finished = {s for s in set(status) if s.strip().lower() == "ok"}
-    ok = np.fromiter(map(finished.__contains__, map(status.__getitem__, first)), bool, len(first))
-    ok &= np.isfinite(runtime) & (runtime >= 0)
-    # a pair without a finished run keeps the cutoff (missing-evaluation policy)
-    performances = np.full(n * k, cutoff, dtype=float)
-    run_ok = np.zeros(n * k, dtype=bool)
-    done = pairs[ok]
-    performances[done] = np.minimum(runtime[ok], cutoff)
-    run_ok[done] = True
-    performances, run_ok = performances.reshape(n, k), run_ok.reshape(n, k)
-    if not (known.all() and np.bincount(row_i, minlength=n).all()):
-        raise ConsistencyError(
-            f"{rpath.name}: instance set differs from {fpath.name} "
-            f"({len(set(run_inst))} vs {n} instances)"
-        )
-
-    # CV folds.
-    cpath = paths[CV_FILE]
-    cattrs, clines, ccells = _read_arff(cpath)
-    c_inst = _require_column(cattrs, "instance_id", cpath)
-    c_fold = _require_column(cattrs, "fold", cpath)
-    w = len(cattrs)
-    cv_inst, cv_fold = ccells[c_inst::w], ccells[c_fold::w]
-    cv_i = np.array(list(map(index_of.get, cv_inst, repeat(-1))), dtype=np.int64)
-    try:
-        folds = np.fromiter(map(float, cv_fold), float, len(cv_fold))
-    except ValueError:
-        folds = None
-    if (folds is None or not np.isin(folds, np.arange(1, N_FOLDS + 1)).all()
-            or not (cv_i >= 0).all() or not np.bincount(cv_i, minlength=n).all()):
-        _raise_bad_folds(clines, cv_inst, cv_fold, index_of, cpath, fpath)
-    fold_of = folds[np.unique(cv_i, return_index=True)[1]].astype(int)  # first row wins
+    index_of = dict(zip(instance_ids, range(len(instance_ids))))
+    algorithm_names, performances, run_ok = _read_runs(paths[RUNS_FILE], meta, perf_measure,
+                                                       index_of, cutoff, fpath)
+    fold_of = _read_folds(paths[CV_FILE], index_of, fpath)
 
     return Scenario(
         name=str(meta.get("scenario_id", root.name)),
-        algorithm_names=tuple(algorithm_names),
+        algorithm_names=algorithm_names,
         feature_names=feature_names,
         features=features,
         performances=performances,
         run_ok=run_ok,
         cutoff=cutoff,
         fold_of=fold_of,
-        instance_ids=tuple(instance_ids),
+        instance_ids=instance_ids,
     )

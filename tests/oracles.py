@@ -692,16 +692,22 @@ _REFERENCE_ATTRIBUTE = re.compile(
 def _reference_fields(line: str) -> list[str]:
     """The fields of one ARFF data line: a quoted part keeps its whitespace
     and commas, the rest of a field loses the whitespace at its ends, and then
-    quotes left at the field's ends are removed."""
+    quotes left at the field's ends are removed, but not an escaped one."""
     fields, pos = [], 0
     while True:
         match = _REFERENCE_FIELD.match(line, pos)
         before, quote, quoted, tail = match.groups()
         if quote is None:
-            field = (before + tail).strip()
+            fields.append((before + tail).strip().strip("'\""))
         else:
-            field = re.sub(r"\\(.)", r"\1", quoted, flags=re.DOTALL) + tail.rstrip()
-        fields.append(field.strip("'\""))
+            # (character, escaped) for each character of the field
+            units = [(c[-1], len(c) == 2) for c in re.findall(r"\\.|.", quoted, re.DOTALL)]
+            units += [(c, False) for c in tail.rstrip()]
+            while units and units[0][0] in "'\"" and not units[0][1]:
+                del units[0]
+            while units and units[-1][0] in "'\"" and not units[-1][1]:
+                del units[-1]
+            fields.append("".join(c for c, _ in units))
         if match.end() == len(line):
             return fields
         pos = match.end() + 1  # past the comma that ends this field

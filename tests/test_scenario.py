@@ -2,12 +2,13 @@ import contextlib
 import gc
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -307,20 +308,8 @@ class TestParseScenario:
         # every 700 rows. On this directory the reader that kept a list and a
         # tuple per row ran 80 generation-0 collections per parse_scenario
         # (Python 3.11) and 72 in its three file reads alone (3.10 and 3.11);
-        # the flat cell list runs none in either.
-        n, k, p = 3000, 8, 40
-        rng = np.random.default_rng(0)
-        insts = [f"i{i:05d}" for i in range(n)]
-        features = Table("f", ["instance_id", "repetition"] + [f"f{c}" for c in range(p)],
-                         [[inst, "1", *map(repr, row)]
-                          for inst, row in zip(insts, rng.normal(size=(n, p)).tolist())])
-        runs = Table("r", ["instance_id", "repetition", "algorithm", "runtime", "runstatus"],
-                     [[inst, "1", f"a{j}", repr(t), "ok"]
-                      for inst, row in zip(insts, rng.uniform(0, 100, (n, k)).tolist())
-                      for j, t in enumerate(row)])
-        cv = Table("c", ["instance_id", "repetition", "fold"],
-                   [[inst, "1", str(i % 10 + 1)] for i, inst in enumerate(insts)])
-        root = write_aslib(tmp_path / "wide", "algorithm_cutoff_time: 100\n", features, runs, cv)
+        # one flat cell list per block runs none in either.
+        root, shape = write_wide_scenario(tmp_path / "wide")
         starts = [0, 0, 0]
 
         def count(phase, info):
@@ -331,8 +320,53 @@ class TestParseScenario:
             scn = parse_scenario(root)
         finally:
             gc.callbacks.remove(count)
-        assert (scn.n_instances, scn.n_algorithms, scn.n_features) == (n, k, p)
+        assert (scn.n_instances, scn.n_algorithms, scn.n_features) == shape
         assert starts[0] <= 8, starts
+
+    def test_parse_memory_stays_bounded(self, tmp_path):
+        # Whole-file field lists, one string per field of a file, took the
+        # traced peak of this parse to 18.0 MB (Python 3.11; its feature file
+        # alone holds 126,000 fields, about 9 MB as strings). Blocks of
+        # BLOCK_FIELDS fields keep it at 5.5 MB: the file's bytes, one block,
+        # and the arrays returned.
+        root, shape = write_wide_scenario(tmp_path / "wide")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            scn = parse_scenario(root)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (scn.n_instances, scn.n_algorithms, scn.n_features) == shape
+        assert peak < 10 * 2**20, peak
+
+
+def write_wide_scenario(root):
+    """A 3,000 x 40 plain directory whose algorithm names come from its runs
+    file: its path and (n, k, p)."""
+    n, k, p = 3000, 8, 40
+    rng = np.random.default_rng(0)
+    insts = [f"i{i:05d}" for i in range(n)]
+    features = Table("f", ["instance_id", "repetition"] + [f"f{c}" for c in range(p)],
+                     [[inst, "1", *map(repr, row)]
+                      for inst, row in zip(insts, rng.normal(size=(n, p)).tolist())])
+    runs = Table("r", ["instance_id", "repetition", "algorithm", "runtime", "runstatus"],
+                 [[inst, "1", f"a{j}", repr(t), "ok"]
+                  for inst, row in zip(insts, rng.uniform(0, 100, (n, k)).tolist())
+                  for j, t in enumerate(row)])
+    cv = Table("c", ["instance_id", "repetition", "fold"],
+               [[inst, "1", str(i % 10 + 1)] for i, inst in enumerate(insts)])
+    return write_aslib(root, "algorithm_cutoff_time: 100\n", features, runs, cv), (n, k, p)
+
+
+def read_arff(path):
+    """_read_arff(path) with its blocks joined: names, line numbers, cells."""
+    names, blocks = _read_arff(path)
+    linenos, cells = [], []
+    for block_lines, block in blocks:
+        linenos += block_lines
+        cells += block
+    return names, linenos, cells
 
 
 class TestReadArff:
@@ -341,14 +375,14 @@ class TestReadArff:
         path.write_text("@relation x\n@attribute 'my feat' numeric\n"
                         "@attribute \"other feat\" numeric\n@attribute plain numeric\n"
                         "@data\n1,2,3\n")
-        names, _, _ = _read_arff(path)
+        names, _, _ = read_arff(path)
         assert names == ["my feat", "other feat", "plain"]
 
     def test_quoted_fields_keep_their_commas(self, tmp_path):
         path = tmp_path / "x.arff"
         path.write_text("@relation x\n@attribute id string\n@attribute v numeric\n@data\n"
                         "'a,b',1\n\"c,d\",2\nplain,3\n\"c,d\",'a,b'\n")
-        _, linenos, cells = _read_arff(path)
+        _, linenos, cells = read_arff(path)
         assert linenos == [5, 6, 7, 8]
         assert cells == ["a,b", "1", "c,d", "2", "plain", "3", "c,d", "a,b"]
 
@@ -356,14 +390,14 @@ class TestReadArff:
         path = tmp_path / "x.arff"
         path.write_text("@relation x\n@attribute id string\n@attribute v numeric\n@data\n"
                         "a,1\n\n% b,2\nc,3\n  \t\n%\nd,4\n")
-        assert _read_arff(path) == (["id", "v"], [5, 8, 11], ["a", "1", "c", "3", "d", "4"])
+        assert read_arff(path) == (["id", "v"], [5, 8, 11], ["a", "1", "c", "3", "d", "4"])
 
     def test_quoted_lines_among_plain_ones(self, tmp_path):
         path = tmp_path / "x.arff"
         path.write_text("@relation x\n@attribute id string\n@attribute v numeric\n"
                         "@attribute s string\n@data\n"
                         "a,1,x\n'b, c' , 2,y\nd,3 ,z\n\"e,f\",4,\"w\"\ng,5,v\n")
-        _, linenos, cells = _read_arff(path)
+        _, linenos, cells = read_arff(path)
         assert linenos == [6, 7, 8, 9, 10]
         assert cells == ["a", "1", "x", "b, c", "2", "y", "d", "3", "z", "e,f", "4", "w",
                          "g", "5", "v"]
@@ -375,7 +409,7 @@ class TestReadArff:
         path.write_text("@relation x\n@attribute id string\n@attribute v numeric\n@data\n"
                         "' a',1\n'a',2\n\"b \",3\n"
                         "\t' a ' \t, 1\n\"b \" ,\" 2\"\n \"c \"\t,3\n\"d\\\"e \" x ,4\n")
-        assert _read_arff(path)[2] == [" a", "1", "a", "2", "b ", "3",
+        assert read_arff(path)[2] == [" a", "1", "a", "2", "b ", "3",
                                        " a ", "1", "b ", " 2", "c ", "3", 'd"e  x', "4"]
 
     def test_ids_differing_in_quoted_spaces_are_two_instances(self, tmp_path):
@@ -400,7 +434,7 @@ class TestReadArff:
         path.write_text("@relation x\n@attribute id string\n@attribute v numeric\n@data\n"
                         f"p,0\n{quoted}\n\nq,2,3\nr,4\n")
         with pytest.raises(ParseError, match=r"^x\.arff:8: expected 2 fields, got 3$"):
-            _read_arff(path)
+            read_arff(path)
 
     def test_overlong_double_quoted_field_is_read(self, tmp_path):
         # csv.reader refused a field over csv.field_size_limit() (131,072
@@ -408,7 +442,7 @@ class TestReadArff:
         path = tmp_path / "x.arff"
         path.write_text("@relation x\n@attribute id string\n@attribute v numeric\n@data\n"
                         "plain,1\n\"" + "a" * 140_000 + "\",2\n" + "b" * 140_000 + ",3\n")
-        assert _read_arff(path)[1:] == ([5, 6, 7], ["plain", "1", "a" * 140_000, "2",
+        assert read_arff(path)[1:] == ([5, 6, 7], ["plain", "1", "a" * 140_000, "2",
                                                     "b" * 140_000, "3"])
 
 
@@ -423,33 +457,50 @@ class TestQuotingRule:
                         "\"a\\\\b\",1\n\"a\\\\b\",'1'\n'a\\\\b',\"1\"\n"
                         "'a\\'b',1\n\"a\\\"b\",1\n'a\\,b',1\n"
                         "a\\\\b,1\na\\\\b,'1'\n")
-        assert _read_arff(path)[2] == ["a\\b", "1", "a\\b", "1", "a\\b", "1",
+        assert read_arff(path)[2] == ["a\\b", "1", "a\\b", "1", "a\\b", "1",
                                        "a'b", "1", 'a"b', "1", "a,b", "1",
                                        "a\\\\b", "1", "a\\\\b", "1"]
+
+    def test_escaped_quote_at_an_end_is_kept(self, tmp_path):
+        # an escaped quote is literal wherever it sits; the unescaped quotes
+        # at a field's ends, of either style, are still dropped
+        path = tmp_path / "x.arff"
+        path.write_text("@relation x\n@attribute id string\n@attribute v string\n@data\n"
+                        "'it\\'',1\n\"say \\\"hi\\\"\",2\n'\\'x',3\n\"\\'\",4\n"
+                        "'\\\"'\",5\n\"'a\",6\n'a\\'''',7\n'b\\'' x',8\n")
+        assert read_arff(path)[2] == ["it'", "1", 'say "hi"', "2", "'x", "3", "'", "4",
+                                      '"', "5", "a", "6", "a'", "7", "b' x", "8"]
+        assert reference_read(path) == read_arff(path)
 
     def test_doubled_quote_is_not_an_escape(self, tmp_path):
         path = tmp_path / "x.arff"
         path.write_text("@relation x\n@attribute id string\n@attribute v string\n@data\n"
                         "\"d\"\"e\",1\n")
-        assert _read_arff(path)[2] == ['d"e', "1"]
+        assert read_arff(path)[2] == ['d"e', "1"]
 
     # besides the space, characters that str.strip and \s both read as
     # whitespace: a splitter that tests for ' ' alone misreads them
     @settings(max_examples=300)
     @given(st.text(st.sampled_from("ab ,'\"\\\t\xa0%\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u3000"),
                    max_size=24).map(str.strip))
+    # escaped quotes at an end, and a quote left last once the backslash that
+    # ends an unclosed quoted part is dropped
+    @example("'it\\'',\"\\\"a\\\"\"")
+    @example("'a\\b\"\\")
+    @example("\"a'\\")
     def test_splitter_matches_the_reference_grammar(self, line):
         # the reader hands the splitter lines stripped of their outer whitespace
         assert _split_quoted(line) == oracles._reference_fields(line)
 
     @pytest.mark.parametrize("name, value", [
-        ("'it\\'s'", "it's"), ('"say \\"hi\\""', 'say "hi'), ("'a\\\\b'", "a\\b"),
-        ("'\\'x'", "x"), ("\"a\\,b c\"", "a,b c"), ("'it\\'s' ", "it's")])
+        ("'it\\'s'", "it's"), ('"say \\"hi\\""', 'say "hi"'), ("'a\\\\b'", "a\\b"),
+        ("'\\'x'", "'x"), ("\"a\\,b c\"", "a,b c"), ("'it\\'s' ", "it's"),
+        ("'it\\''", "it'"), ("\"x\\\"'\"", 'x"'), ("'\\\\'", "\\")])
     def test_quoted_name_reads_as_the_same_data_field(self, tmp_path, name, value):
         path = tmp_path / "x.arff"
         path.write_text(f"@relation x\n@attribute {name} string\n@data\n{name}\n")
-        assert _read_arff(path) == ([value], [4], [value])
-        assert reference_read(path) == _read_arff(path)
+        assert read_arff(path) == ([value], [4], [value])
+        assert reference_read(path) == read_arff(path)
 
     @settings(max_examples=300)
     @given(st.text(st.sampled_from("ab '\"\t,%"), max_size=16))
@@ -464,7 +515,7 @@ class TestQuotingRule:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "x.arff"
             path.write_text(f"@relation x\n{line}\n@data\n", encoding="utf-8")
-            for read in (_read_arff, reference_read):
+            for read in (read_arff, reference_read):
                 outcome = read_outcome(read, path)
                 assert (outcome if match is None else outcome[0]) == expected
 
@@ -487,13 +538,13 @@ def arff_text(attributes, lines, ends, last_end=True):
 
 
 def per_line(path):
-    """_read_arff(path) read one line at a time, as a section that is not plain is."""
-    with mock.patch.object(scenario, "_plain_cells", return_value=None):
-        return _read_arff(path)
+    """read_arff(path) read one line at a time, as a section that is not plain is."""
+    with mock.patch.object(scenario, "_plain_bounds", return_value=None):
+        return read_arff(path)
 
 
 def reference_read(path):
-    """oracles' reader, flattened to _read_arff's (names, line numbers, cells)."""
+    """oracles' reader, flattened to read_arff's (names, line numbers, cells)."""
     attributes, rows = oracles._reference_read_arff(path)
     return attributes, [n for n, _ in rows], [c for _, fields in rows for c in fields]
 
@@ -527,9 +578,15 @@ def plain_files(draw, broken: bool):
     return [f"c{c}" for c in range(width)], lines, ends, draw(st.booleans())
 
 
+# the block bounds a check parses with: the package's, then blocks of one, two
+# and three rows of five fields, as the runs file has
+BOUNDS = (scenario.BLOCK_FIELDS, 1, 10, 15)
+
+
 class TestPlainSections:
-    """A plain data section is split in one call; it must read as the
-    per-line path and the reference reader read it, errors included."""
+    """A plain data section is split in blocks of whole rows; it must read as
+    the per-line path and the reference reader read it, errors included, with
+    blocks of every bound in BOUNDS."""
 
     def check(self, drawn, plain=False):
         attributes, lines, ends, last_end = drawn
@@ -537,13 +594,15 @@ class TestPlainSections:
             path = Path(tmp) / "t.arff"
             path.write_text(arff_text(attributes, lines, ends, last_end), encoding="utf-8",
                             newline="")
-            # a plain section never reaches the per-line path
-            with (mock.patch.object(scenario, "_split_lines", side_effect=AssertionError)
-                  if plain else contextlib.nullcontext()):
-                ours = read_outcome(_read_arff, path)
-            assert ours == read_outcome(per_line, path)
-            assert ours == read_outcome(reference_read, path)
-        return ours
+            expected = read_outcome(reference_read, path)
+            assert read_outcome(per_line, path) == expected
+            for bound in BOUNDS:
+                # a plain section never reaches the per-line path
+                with (mock.patch.object(scenario, "_split_lines", side_effect=AssertionError)
+                      if plain else contextlib.nullcontext()), \
+                        mock.patch.object(scenario, "BLOCK_FIELDS", bound):
+                    assert read_outcome(read_arff, path) == expected
+        return expected
 
     @settings(deadline=None, max_examples=150)
     @given(plain_files(broken=False))
@@ -567,7 +626,7 @@ class TestPlainSections:
     def test_wrong_width_names_the_first_such_line(self, tmp_path, lines, message):
         path = tmp_path / "t.arff"
         path.write_text(arff_text(["id", "v"], lines, ["\n"] * len(lines)))
-        for read in (_read_arff, per_line, reference_read):
+        for read in (read_arff, per_line, reference_read):
             assert read_outcome(read, path) == (ParseError, message)
 
     @pytest.mark.parametrize("lines, cells", [
@@ -586,7 +645,7 @@ class TestPlainSections:
         path = tmp_path / "t.arff"
         path.write_text(arff_text(["id", "v"], lines, ["\n"] * len(lines)), encoding="utf-8")
         with mock.patch.object(scenario, "_split_lines", wraps=scenario._split_lines) as spy:
-            ours = _read_arff(path)
+            ours = read_arff(path)
         assert spy.call_count == 1
         assert ours[2] == cells
         assert ours == reference_read(path)
@@ -650,8 +709,9 @@ NUMBER_CELLS = st.one_of(
     st.sampled_from(["?", "", "nan", "-0.0", "+2.5", "1e3", "1_0", " 7 "]),
 )
 # cells the parser never converts: later repetitions, rows of unknown instances
-UNREAD_CELLS = st.one_of(NUMBER_CELLS, st.sampled_from(["oops", "inf", "-inf", "1e999"]))
+UNREAD_WORDS = st.sampled_from(["oops", "inf", "-inf", "1e999"])
 NAMES = ["i0", "i1", "inst 2", "x_3", "i4", "I5", "n6"]
+STATUSES = ["ok", "ok", "OK", " ok", "Ok\t", "timeout", "memout", "crash"]
 
 
 @st.composite
@@ -670,29 +730,37 @@ def decorated(draw, relation, attributes, rows):
 
 
 @st.composite
-def scenario_dirs(draw, broken: bool):
+def scenario_dirs(draw, broken: bool, plain: bool = False):
     """Text of an ASLib directory: repeated instances in all three files,
     missing and repeated runs, shuffled rows and run columns. With `broken`,
     the draw may also add a non-numeric cell, a wrong field count, an unknown
-    algorithm, or rows of unknown instances."""
+    algorithm, or rows of unknown instances. With `plain`, no cell holds
+    whitespace and no table is decorated, so every data section whose field
+    counts are right is plain."""
+    names, statuses, number_cells = NAMES, STATUSES, NUMBER_CELLS
+    if plain:
+        names = [name.replace(" ", "") for name in NAMES]
+        statuses = [status for status in STATUSES if status == status.strip()]
+        number_cells = NUMBER_CELLS.filter(lambda cell: cell == cell.strip())
+    unread_cells = st.one_of(number_cells, UNREAD_WORDS)
     n = draw(st.integers(1, 5))
     k = draw(st.integers(2, 4))
     p = draw(st.integers(1, 3))
-    insts = NAMES[:n]
+    insts = names[:n]
     algos = [f"a{j}" for j in range(k)]
 
     frows = draw(st.permutations([[inst, str(rep + 1)] for inst in insts
                                   for rep in range(draw(st.integers(1, 2)))]))
     seen = set()
     for row in frows:  # the first row of an instance in file order is the one read
-        cells = UNREAD_CELLS if row[0] in seen else NUMBER_CELLS
+        cells = unread_cells if row[0] in seen else number_cells
         seen.add(row[0])
         row += [draw(cells) for _ in range(p)]
     fattrs = ["instance_id", "repetition"] + [f"f{c}" for c in range(p)]
 
     run_cols = draw(st.permutations(["instance_id", "repetition", "algorithm", "runtime",
                                      "runstatus"]))
-    status = st.sampled_from(["ok", "ok", "OK", " ok", "Ok\t", "timeout", "memout", "crash"])
+    status = st.sampled_from(statuses)
     listed = draw(st.booleans())
     runs = []
     for i, inst in enumerate(insts):
@@ -704,7 +772,7 @@ def scenario_dirs(draw, broken: bool):
     seen = set()
     for inst, algo, rep in draw(st.permutations(runs)):
         cell = {"instance_id": inst, "repetition": str(rep + 1), "algorithm": algo,
-                "runtime": draw(UNREAD_CELLS if (inst, algo) in seen else NUMBER_CELLS),
+                "runtime": draw(unread_cells if (inst, algo) in seen else number_cells),
                 "runstatus": draw(status)}
         seen.add((inst, algo))
         rrows.append([cell[c] for c in run_cols])
@@ -746,10 +814,9 @@ def scenario_dirs(draw, broken: bool):
             else:
                 draw(st.sampled_from(crows))[2] = draw(st.sampled_from(["0", "11", "x"]))
 
-    return (description,
-            draw(decorated("features", fattrs, frows)),
-            draw(decorated("runs", run_cols, rrows)),
-            draw(decorated("cv", cv_cols, crows)))
+    tables = [("features", fattrs, frows), ("runs", run_cols, rrows), ("cv", cv_cols, crows)]
+    return (description, *(Table(*table) if plain else draw(decorated(*table))
+                           for table in tables))
 
 
 def parse_outcome(parse, root):
@@ -764,15 +831,23 @@ def parse_outcome(parse, root):
             [(a.dtype.str, a.shape, a.tobytes()) for a in arrays])
 
 
+def same_outcome_in_blocks(root):
+    """parse_outcome of parse_scenario(root) with each block bound in BOUNDS,
+    checked equal to the reference parser's, which it returns."""
+    expected = parse_outcome(oracles.reference_parse_scenario, root)
+    for bound in BOUNDS:
+        with mock.patch.object(scenario, "BLOCK_FIELDS", bound):
+            assert parse_outcome(parse_scenario, root) == expected
+    return expected
+
+
 class TestParserEquivalence:
-    """parse_scenario against the per-row reference parser of tests/oracles.py."""
+    """parse_scenario against the per-row reference parser of tests/oracles.py,
+    with blocks of every bound in BOUNDS."""
 
     def check(self, texts):
         with tempfile.TemporaryDirectory() as tmp:
-            root = write_aslib(Path(tmp) / "scn", *texts)
-            ours = parse_outcome(parse_scenario, root)
-            assert ours == parse_outcome(oracles.reference_parse_scenario, root)
-        return ours
+            return same_outcome_in_blocks(write_aslib(Path(tmp) / "scn", *texts))
 
     @settings(deadline=None, max_examples=100)
     @given(scenario_dirs(broken=False))
@@ -824,9 +899,7 @@ class TestLineEndingEquivalence:
             (root / "description.txt").write_text(description, encoding="utf-8")
             for name, text in texts.items():
                 (root / name).write_text(text, encoding="utf-8", newline="")
-            ours = parse_outcome(parse_scenario, root)
-            assert ours == parse_outcome(oracles.reference_parse_scenario, root)
-        return ours
+            return same_outcome_in_blocks(root)
 
     @settings(deadline=None, max_examples=60)
     @given(odd_line_dirs(broken=False))
@@ -849,3 +922,123 @@ class TestLineEndingEquivalence:
         outcome = (ParseError, "feature_values.arff:9: not a number: 'oops'")
         assert parse_outcome(parse_scenario, root) == outcome
         assert parse_outcome(oracles.reference_parse_scenario, root) == outcome
+
+
+# --- blocks --------------------------------------------------------------------
+
+class TestPlainDirectories:
+    """parse_scenario against the reference parser on directories whose every
+    section is plain, and so split in blocks, with every bound in BOUNDS."""
+
+    check = TestParserEquivalence.check
+
+    @settings(deadline=None, max_examples=100)
+    @given(scenario_dirs(broken=False, plain=True))
+    def test_same_scenario_on_plain_directories(self, texts):
+        outcome = self.check(texts)
+        assert not isinstance(outcome[0], type), outcome
+
+    @settings(deadline=None, max_examples=100)
+    @given(scenario_dirs(broken=True, plain=True))
+    def test_same_error_on_plain_broken_directories(self, texts):
+        self.check(texts)
+
+
+BOUNDARY_INSTS = ["i0", "i1", "i2", "i3", "i4"]
+
+
+def _insert(row):
+    return lambda rows, r: rows.insert(r, list(row))
+
+
+def _put(col, value):
+    return lambda rows, r: rows[r].__setitem__(col, value)
+
+
+class TestBlockBoundaries:
+    """A row that changes what the parser reads, put at every position of its
+    file, so that with blocks of one, two and three rows it falls before, on
+    and after the edge of a block; every outcome is the reference parser's."""
+
+    def tables(self):
+        features = [[inst, "1", f"{i}.5", "?" if i == 2 else str(-i), "1e3"]
+                    for i, inst in enumerate(BOUNDARY_INSTS)]
+        runs = [[inst, "1", algo, f"{i + 2 * j}.25", "timeout" if (i + j) % 3 == 2 else "ok"]
+                for i, inst in enumerate(BOUNDARY_INSTS) for j, algo in enumerate(["a0", "a1"])]
+        cv = [[inst, "1", str(i + 1)] for i, inst in enumerate(BOUNDARY_INSTS)]
+        return {"features": features, "runs": runs, "cv": cv}
+
+    def outcomes(self, tmp_path, description, tables):
+        root = write_aslib(tmp_path, description,
+                           Table("f", ["instance_id", "repetition", "f0", "f1", "f2"],
+                                 tables["features"]),
+                           Table("r", ["instance_id", "repetition", "algorithm", "runtime",
+                                       "runstatus"], tables["runs"]),
+                           Table("c", ["instance_id", "repetition", "fold"], tables["cv"]))
+        return same_outcome_in_blocks(root)
+
+    @pytest.mark.parametrize("table, edit, inserts, error", [
+        ("features", _insert(["i1", "2", "oops", "inf", ""]), True, None),
+        ("features", _put(3, "oops"), False, ParseError),
+        ("runs", _insert(["i1", "2", "a1", "99", "ok"]), True, None),
+        ("runs", _insert(["i1", "2", "a1", "oops", "ok"]), True, None),
+        ("runs", _put(3, "oops"), False, ParseError),
+        ("runs", _insert(["ghost", "1", "zz", "oops", "ok"]), True, ConsistencyError),
+        ("runs", _put(2, "zz"), False, ParseError),
+        ("cv", _insert(["ghost", "1", "99"]), True, ConsistencyError),
+        ("cv", _put(2, "11"), False, ParseError),
+    ], ids=["repeated-instance", "bad-feature", "later-run",
+            "bad-later-run", "bad-runtime", "unknown-instance", "unknown-algorithm",
+            "unknown-cv-instance", "bad-fold"])
+    def test_row_at_every_position(self, tmp_path, table, edit, inserts, error):
+        description = "algorithm_cutoff_time: 50\nalgorithms_deterministic: a0,a1\n"
+        kinds = set()
+        for r in range(len(self.tables()[table]) + inserts):
+            tables = self.tables()
+            edit(tables[table], r)
+            outcome = self.outcomes(tmp_path / str(r), description, tables)
+            kinds.add(outcome[0] if isinstance(outcome[0], type) else None)
+        # an inserted repetition or later run is read only where it comes first
+        assert error in kinds and len(kinds) <= 1 + (error is None)
+
+    @pytest.mark.parametrize("second", [False, True], ids=["one-algorithm", "second-at-end"])
+    def test_bad_runtime_before_the_second_algorithm_name(self, tmp_path, second):
+        # without an algorithm list the names come from the runs file, block
+        # by block; a bad runtime is reported only once a second name is seen
+        runs = [[inst, "1", "a0", "1.0", "ok"] for inst in BOUNDARY_INSTS]
+        runs += [["i0", "1", "a1", "2.0", "ok"]] if second else []
+        for r in range(len(BOUNDARY_INSTS)):
+            tables = {**self.tables(), "runs": [list(row) for row in runs]}
+            tables["runs"][r][3] = "oops"
+            outcome = self.outcomes(tmp_path / str(r), "algorithm_cutoff_time: 50\n", tables)
+            message = (f"algorithm_runs.arff:{9 + r}: not a number: 'oops'" if second
+                       else "algorithm_runs.arff: need at least two algorithms")
+            assert outcome == (ParseError, message)
+
+
+class TestBlockShape:
+    @settings(deadline=None, max_examples=150)
+    @given(plain_files(broken=False), st.integers(1, 12))
+    def test_blocks_hold_whole_rows_and_line_numbers_run_on(self, drawn, bound):
+        attributes, lines, ends, last_end = drawn
+        assume("" not in lines)  # a row of one empty cell is a blank line: not plain
+        width = len(attributes)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.arff"
+            path.write_text(arff_text(attributes, lines, ends, last_end), encoding="utf-8",
+                            newline="")
+            with mock.patch.object(scenario, "BLOCK_FIELDS", bound):
+                names, blocks = _read_arff(path)
+                blocks = list(blocks)
+            expected = reference_read(path)
+        rows = len(lines)
+        per_block = max(1, bound // width)  # one row when a row holds more fields
+        assert [len(linenos) for linenos, _ in blocks[:-1]] == [per_block] * (len(blocks) - 1)
+        assert 1 <= len(blocks[-1][0]) <= per_block
+        for linenos, cells in blocks:
+            assert len(cells) == width * len(linenos)
+            assert len(cells) <= bound or len(linenos) == 1
+        first = len(attributes) + 3  # after @relation, the attributes and @data
+        assert [n for linenos, _ in blocks for n in linenos] == list(range(first, first + rows))
+        assert (names, [n for linenos, _ in blocks for n in linenos],
+                [c for _, cells in blocks for c in cells]) == expected
