@@ -14,7 +14,7 @@ from .forest import (ForestConfig, HybridForest, fit_forest, load_forest,
                      single_tree_config)
 from .losses import Ranking, kendall_tau_b, rank_vector
 from .scenario import (ScaleParams, Scenario, column_medians, filter_unsolved,
-                       impute_features, par10, par10_matrix, parse_scenario,
+                       impute_features, par10_matrix, parse_scenario,
                        scale_performances)
 from .synthetic import make_synthetic_scenario
 from .tree import Tree, TreeConfig, best_split, build_tree

@@ -50,11 +50,12 @@ numbers. Without repetitions the feature reader drops the id and repetition
 columns from a block's list in place and converts the rest in one
 np.fromiter pass; the run table is built with numpy from each block's column
 slices, the pairs of earlier blocks marked in a bool array, and the folds
-from the joined columns of the small cv.arff. A bad cell is located by
-rescanning its block's columns, only on that error path; earlier blocks
-converted cleanly, so errors keep the file:line of the first offending row
-in file order, and a run table's instance-set mismatch is reported after
-its last block.
+from the joined columns of the small cv.arff. A block's one conversion also
+gives the positions of the cells float() refuses, and its reader raises the
+block's first bad row from them and its arrays; earlier blocks converted
+cleanly, so errors keep the file:line of the first offending row in file
+order, and a run table's instance-set mismatch is reported after its last
+block.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from itertools import compress, islice, repeat
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 import yaml
@@ -131,18 +131,6 @@ class Scenario:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
-
-
-def par10(runtime: float, finished: bool, cutoff: float) -> float:
-    """PAR10 cost of a single run: the runtime if it finished below the
-    cutoff, 10 * cutoff otherwise."""
-    if runtime < 0:
-        raise DomainError(f"runtime must be nonnegative, got {runtime}")
-    if cutoff <= 0:
-        raise DomainError(f"cutoff must be positive, got {cutoff}")
-    if finished and runtime < cutoff:
-        return float(runtime)
-    return 10.0 * float(cutoff)
 
 
 def par10_matrix(scenario: Scenario) -> np.ndarray:
@@ -419,68 +407,21 @@ def _split_lines(lines: list[str], first: int, width: int,
 _MISSING = {"?": "nan", "": "nan"}
 
 
-def _floats(values: list[str]) -> np.ndarray:
-    """float() of each ARFF cell, '?' and '' (missing) as NaN, as one array;
-    a bad cell raises a bare ValueError, and the caller rescans for its
-    file:line."""
-    return np.fromiter(map(float, map(_MISSING.get, values, values)), float, len(values))
-
-
-def _float_or_nan(value: str, path: Path, lineno: int) -> float:
+def _floats(values: list[str]) -> tuple[np.ndarray, list[int]]:
+    """float() of each ARFF cell, '?' and '' (missing) as NaN, as one array,
+    and the positions, in order, of the cells float() refuses, NaN in the
+    array; only a list holding such a cell is converted cell by cell."""
     try:
-        return float(_MISSING.get(value, value))
+        return np.fromiter(map(float, map(_MISSING.get, values, values)), float,
+                           len(values)), []
     except ValueError:
-        raise ParseError(f"{path.name}:{lineno}: not a number: {value!r}") from None
-
-
-def _raise_bad_feature(linenos: Sequence[int], values: list[str], path: Path) -> NoReturn:
-    """Raise the error of the first feature cell, in file order, that is not
-    a number or is infinite; values holds the cells of these lines, row-major."""
-    p = len(values) // len(linenos)
-    for r, lineno in enumerate(linenos):
-        for value in values[r * p:(r + 1) * p]:
-            if math.isinf(_float_or_nan(value, path, lineno)):
-                raise ParseError(f"{path.name}:{lineno}: infinite feature value: {value!r}")
-    raise AssertionError("no bad feature cell")
-
-
-def _raise_bad_run(linenos: Sequence[int], insts: list[str], algos: list[str],
-                   perfs: list[str], index_of: dict, algo_index: dict, filled: np.ndarray,
-                   path: Path) -> NoReturn:
-    """Raise the error of the first bad row of a block of the runs file: an
-    unknown algorithm, or a runtime that is not a number in the first row of
-    its (instance, algorithm) pair; filled[j * n + i] marks the pairs (i, j)
-    of earlier blocks. Rows of unknown instances are not read."""
-    n, seen = len(index_of), set()
-    for lineno, inst, algo, perf in zip(linenos, insts, algos, perfs):
-        if inst not in index_of:
-            continue
-        if algo not in algo_index:
-            raise ParseError(f"{path.name}:{lineno}: unknown algorithm {algo!r}")
-        key = algo_index[algo] * n + index_of[inst]
-        if not filled[key] and key not in seen:
-            seen.add(key)
-            _float_or_nan(perf, path, lineno)
-    raise AssertionError("no bad run row")
-
-
-def _raise_bad_folds(linenos: list[int], insts: list[str], cells: list[str], index_of: dict,
-                     path: Path, fpath: Path) -> NoReturn:
-    """Raise the error of the first cv.arff row of a known instance whose fold
-    is not an integer in 1..N_FOLDS or, if there is none, the instance-set
-    mismatch with the features file. Rows of unknown instances are not read."""
-    for lineno, inst, cell in zip(linenos, insts, cells):
-        if inst not in index_of:
-            continue
+        out, refused = np.full(len(values), np.nan), []
+    for at, value in enumerate(values):
         try:
-            fold = float(cell)
+            out[at] = float(_MISSING.get(value, value))
         except ValueError:
-            fold = None
-        if fold is None or not fold.is_integer():
-            raise ParseError(f"{path.name}:{lineno}: not a fold id: {cell!r}")
-        if not 1 <= fold <= N_FOLDS:
-            raise ParseError(f"{path.name}:{lineno}: fold {int(fold)} outside 1..{N_FOLDS}")
-    raise ConsistencyError(f"{path.name}: instance set differs from {fpath.name}")
+            refused.append(at)
+    return out, refused
 
 
 def _require_column(attributes: list[str], name: str, path: Path) -> int:
@@ -520,12 +461,13 @@ def _read_features(path: Path) -> tuple[tuple[str, ...], tuple[str, ...], np.nda
             new = [first_row[inst] for inst in islice(order, start, None)]
             linenos = [linenos[r] for r in new]
             values = [cells[r * w + c] for r in new for c in feature_cols]
-        try:
-            block = _floats(values)
-        except ValueError:
-            block = None
-        if block is None or np.isinf(block).any():
-            _raise_bad_feature(linenos, values, path)  # earlier blocks converted cleanly
+        block, refused = _floats(values)
+        infinite = np.flatnonzero(np.isinf(block))[:1].tolist()
+        if refused or infinite:  # the first bad cell; earlier blocks converted cleanly
+            at = min(refused[:1] + infinite)
+            what = "not a number" if refused[:1] == [at] else "infinite feature value"
+            raise ParseError(f"{path.name}:{linenos[at // len(feature_cols)]}: "
+                             f"{what}: {values[at]!r}")
         parts.append(block)
     if not order:
         raise ParseError(f"{path.name}: no data rows")
@@ -596,25 +538,24 @@ def _read_runs(path: Path, meta: dict, perf_measure: str, index_of: dict, cutoff
         known = row_i >= 0
         if not known.all():
             unknown.update(compress(insts, ~known))
-        bad = (row_j[known] < 0).any()
-        if not bad:
-            keys, first = np.unique(np.where(known, row_j * n + row_i, -1), return_index=True)
-            # key -1 gathers the rows of unknown instances; a pair of an
-            # earlier block keeps its first row
-            new = keys >= 0
-            new[new] = ~filled[keys[new]]
-            keys, first = keys[new], first[new].tolist()
-            try:
-                runtime = _floats(list(map(perfs.__getitem__, first)))
-            except ValueError:
-                bad = True
-        if bad:
+        keys, first = np.unique(np.where(known, row_j * n + row_i, -1), return_index=True)
+        # negative keys gather the rows of unknown instances and algorithms; a
+        # pair of an earlier block keeps its first row
+        new = keys >= 0
+        new[new] = ~filled[keys[new]]
+        keys, first = keys[new], first[new].tolist()
+        runtime, refused = _floats(list(map(perfs.__getitem__, first)))
+        stray = np.flatnonzero(known & (row_j < 0))[:1].tolist()  # unknown algorithms
+        if refused or stray:  # the first bad row in file order, not in key order
+            r = min(stray + [first[at] for at in refused])
             names = set(algo_index)
             if len(names) < 2:  # a later block may still name a second algorithm
                 for _, rest in blocks:
                     names.update(rest[r_algo::w])
             _require_two_algorithms(names, path)
-            _raise_bad_run(linenos, insts, algos, perfs, index_of, algo_index, filled, path)
+            what = (f"unknown algorithm {algos[r]!r}" if stray == [r]
+                    else f"not a number: {perfs[r]!r}")
+            raise ParseError(f"{path.name}:{linenos[r]}: {what}")
         status = cells[r_status::w]
         finished = {s for s in set(status) if s.strip().lower() == "ok"}
         ok = np.fromiter(map(finished.__contains__, map(status.__getitem__, first)), bool,
@@ -652,13 +593,15 @@ def _read_folds(path: Path, index_of: dict, fpath: Path) -> np.ndarray:
         insts += block[c_inst::w]
         cells += block[c_fold::w]
     cv_i = np.array(list(map(index_of.get, insts, repeat(-1))), dtype=np.int64)
-    try:
-        folds = np.fromiter(map(float, cells), float, len(cells))
-    except ValueError:
-        folds = None
-    if (folds is None or not np.isin(folds, np.arange(1, N_FOLDS + 1)).all()
-            or not (cv_i >= 0).all() or not np.bincount(cv_i, minlength=n).all()):
-        _raise_bad_folds(linenos, insts, cells, index_of, path, fpath)
+    folds = _floats(cells)[0]  # a cell that is not a number is NaN: not a fold id
+    bad = np.flatnonzero((cv_i >= 0) & ~np.isin(folds, np.arange(1, N_FOLDS + 1)))
+    if bad.size:  # the first row of a known instance whose fold is not in 1..N_FOLDS
+        r = bad[0]
+        if not folds[r].is_integer():
+            raise ParseError(f"{path.name}:{linenos[r]}: not a fold id: {cells[r]!r}")
+        raise ParseError(f"{path.name}:{linenos[r]}: fold {int(folds[r])} outside 1..{N_FOLDS}")
+    if not (cv_i >= 0).all() or not np.bincount(cv_i, minlength=n).all():
+        raise ConsistencyError(f"{path.name}: instance set differs from {fpath.name}")
     return folds[np.unique(cv_i, return_index=True)[1]].astype(int)  # first row wins
 
 

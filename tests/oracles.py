@@ -3,16 +3,17 @@
 Everything here recomputes results from first principles (counting ranks,
 O(k^2) pair counts, plain exhaustive enumeration) rather than reusing the
 package's search or metric code, so tests compare two genuinely separate
-routes. The paper's scalar definitions (spearman and MSE losses, the hybrid
-node loss, mean label and Borda consensus) live here too: the package only
-evaluates them in batched form inside split search. The split enumerator
-reuses only those scalar losses, which are themselves verified against the
-brute-force metrics in this module. The reference scenario parser is the
-package's earlier per-row parser, kept to pin the vectorised one to the same
-arrays and the same errors; likewise the level-order tree growth in plain
-per-node Python and the per-cluster-mask k-means pin the lockstep growth and
-the sorted-slice k-means to the same bytes. The package's random streams are
-written out literally, without its seed_sequence helper.
+routes. The paper's scalar definitions (spearman and MSE losses, the PAR10
+cost of one run, the hybrid node loss, mean label and Borda consensus) live
+here too: the package only evaluates them in batched form, inside split
+search and par10_matrix. The split enumerator reuses only those scalar
+losses, which are themselves verified against the brute-force metrics in
+this module. The reference scenario parser is the package's earlier per-row
+parser, kept to pin the vectorised one to the same arrays and the same
+errors; likewise the level-order tree growth in plain per-node Python and
+the per-cluster-mask k-means pin the lockstep growth and the sorted-slice
+k-means to the same bytes. The package's random streams are written out
+literally, without its seed_sequence helper.
 """
 
 import math
@@ -150,6 +151,18 @@ def mse_loss(y, y_hat):
         raise DomainError(f"cost vectors differ in length: {a.size} vs {b.size}")
     d = a - b
     return float(d @ d) / a.size
+
+
+def par10(runtime: float, finished: bool, cutoff: float) -> float:
+    """PAR10 cost of a single run: the runtime if it finished below the
+    cutoff, 10 * cutoff otherwise."""
+    if runtime < 0:
+        raise DomainError(f"runtime must be nonnegative, got {runtime}")
+    if cutoff <= 0:
+        raise DomainError(f"cutoff must be positive, got {cutoff}")
+    if finished and runtime < cutoff:
+        return float(runtime)
+    return 10.0 * float(cutoff)
 
 
 def node_loss(labels, reg_label, rank_label, lam):
@@ -820,7 +833,13 @@ def reference_parse_scenario(directory) -> Scenario:
             continue  # keep the first repetition only
         index_of[inst] = len(instance_ids)
         instance_ids.append(inst)
-        feature_rows.append([_reference_float_or_nan(fields[c], fpath, lineno) for c in feature_cols])
+        row = []
+        for c in feature_cols:
+            value = _reference_float_or_nan(fields[c], fpath, lineno)
+            if math.isinf(value):
+                raise ParseError(f"{fpath.name}:{lineno}: infinite feature value: {fields[c]!r}")
+            row.append(value)
+        feature_rows.append(row)
     if not instance_ids:
         raise ParseError(f"{fpath.name}: no data rows")
     features = np.asarray(feature_rows, dtype=float)
@@ -895,10 +914,14 @@ def reference_parse_scenario(directory) -> Scenario:
         cv_instances.add(inst)
         if inst not in index_of:
             continue
+        # a fold id is an integer-valued number: '3.0' is fold 3, '1.7' is none
         try:
-            fold = int(float(fields[c_fold]))
+            fold = float(fields[c_fold])
         except ValueError:
-            raise ParseError(f"{cpath.name}:{lineno}: not a fold id: {fields[c_fold]!r}") from None
+            fold = math.nan
+        if not fold.is_integer():
+            raise ParseError(f"{cpath.name}:{lineno}: not a fold id: {fields[c_fold]!r}")
+        fold = int(fold)
         if not 1 <= fold <= N_FOLDS:
             raise ParseError(f"{cpath.name}:{lineno}: fold {fold} outside 1..{N_FOLDS}")
         i = index_of[inst]

@@ -22,10 +22,10 @@ from harris.evaluation import (DEFAULT_DEPTH_GRID, DEFAULT_LAMBDA_GRID,
                                average_rank, cross_validate, read_report_csv, sweep)
 from harris.forest import single_tree_config
 from harris.losses import kendall_tau_b, rank_vector
-from harris.scenario import par10, parse_scenario
+from harris.scenario import Scenario, par10_matrix, parse_scenario
 from harris.synthetic import make_synthetic_scenario
 from harris.tree import TreeConfig, best_split, build_tree
-from oracles import node_loss, spearman_loss
+from oracles import node_loss, par10, spearman_loss
 
 
 @contextmanager
@@ -131,6 +131,12 @@ def test_criterion_5_par10_definition():
         assert par10(1200.0, False, 1200.0) == 12000.0
         assert par10(7200.0, False, 7200.0) == 72000.0
         assert par10(100.0, True, 1200.0) == 100.0
+        # the package's batched form: a timeout, a finished run, one at the cutoff
+        scn = Scenario(name="par10", algorithm_names=("a", "b", "c"), feature_names=("f",),
+                       features=np.zeros((1, 1)), performances=np.array([[1200.0, 100.0, 1200.0]]),
+                       run_ok=np.array([[False, True, True]]), cutoff=1200.0,
+                       fold_of=np.ones(1, dtype=int), instance_ids=("i",))
+        assert par10_matrix(scn).tolist() == [[12000.0, 100.0, 12000.0]]
 
 
 def test_criterion_6_reference_average_ranks():

@@ -18,8 +18,9 @@ from harris import scenario
 from harris.losses import rank_vector
 from harris.scenario import (ScaleParams, Scenario, _read_arff, _read_features,
                              _split_quoted, column_medians, filter_unsolved,
-                             impute_features, par10, par10_matrix, parse_scenario,
+                             impute_features, par10_matrix, parse_scenario,
                              scale_performances)
+from oracles import par10
 
 runtimes = st.floats(min_value=0, max_value=5000, allow_nan=False)
 
@@ -32,6 +33,8 @@ DEMO_FEATURES = (
 
 
 class TestPar10:
+    """The PAR10 oracle of one run, and par10_matrix against it."""
+
     def test_below_threshold(self):
         assert par10(100.0, True, 1200.0) == 100.0
 
@@ -58,6 +61,23 @@ class TestPar10:
         assert par10(lo, True, cutoff) <= par10(hi, True, cutoff)
         if lo < cutoff:
             assert par10(hi, False, cutoff) > par10(lo, True, cutoff)
+
+    @given(st.floats(min_value=0.5, max_value=5000), st.integers(1, 4), st.integers(2, 4),
+           st.data())
+    def test_matrix_matches_the_oracle(self, cutoff, n, k, data):
+        # runtimes below, at and above the cutoff, finished or not
+        cells = st.one_of(st.just(cutoff), st.floats(min_value=0, max_value=2 * cutoff))
+        runtimes = data.draw(st.lists(cells, min_size=n * k, max_size=n * k))
+        finished = data.draw(st.lists(st.booleans(), min_size=n * k, max_size=n * k))
+        scn = Scenario(name="p", algorithm_names=tuple(f"a{j}" for j in range(k)),
+                       feature_names=("f",), features=np.zeros((n, 1)),
+                       performances=np.reshape(runtimes, (n, k)),
+                       run_ok=np.reshape(finished, (n, k)), cutoff=cutoff,
+                       fold_of=np.ones(n, dtype=int),
+                       instance_ids=tuple(f"i{i}" for i in range(n)))
+        expected = [par10(t, ok, cutoff) for t, ok in zip(runtimes, finished)]
+        costs = par10_matrix(scn)
+        assert costs.dtype == float and costs.ravel().tolist() == expected
 
 
 class TestFilterUnsolved:
@@ -710,6 +730,11 @@ NUMBER_CELLS = st.one_of(
 )
 # cells the parser never converts: later repetitions, rows of unknown instances
 UNREAD_WORDS = st.sampled_from(["oops", "inf", "-inf", "1e999"])
+# a broken directory's bad cells: not numbers, infinite (an error in a feature
+# cell only), and fold cells that are not an integer in 1..10
+BAD_NUMBERS = ["oops", "1.2.3", "--1"]
+INFINITIES = ["inf", "-inf", "1e999"]
+BAD_FOLDS = ["0", "11", "x", "1.7", "inf", "nan", "?", ""]
 NAMES = ["i0", "i1", "inst 2", "x_3", "i4", "I5", "n6"]
 STATUSES = ["ok", "ok", "OK", " ok", "Ok\t", "timeout", "memout", "crash"]
 
@@ -733,16 +758,18 @@ def decorated(draw, relation, attributes, rows):
 def scenario_dirs(draw, broken: bool, plain: bool = False):
     """Text of an ASLib directory: repeated instances in all three files,
     missing and repeated runs, shuffled rows and run columns. With `broken`,
-    the draw may also add a non-numeric cell, a wrong field count, an unknown
-    algorithm, or rows of unknown instances. With `plain`, no cell holds
-    whitespace and no table is decorated, so every data section whose field
-    counts are right is plain."""
+    the draw may also add a non-numeric or infinite feature cell, a
+    non-numeric runtime, a wrong field count, an unknown algorithm, a fold
+    that is not an integer in 1..10, or rows of unknown instances. With
+    `plain`, no cell holds whitespace and no table is decorated, so every
+    data section whose field counts are right is plain."""
     names, statuses, number_cells = NAMES, STATUSES, NUMBER_CELLS
     if plain:
         names = [name.replace(" ", "") for name in NAMES]
         statuses = [status for status in STATUSES if status == status.strip()]
         number_cells = NUMBER_CELLS.filter(lambda cell: cell == cell.strip())
     unread_cells = st.one_of(number_cells, UNREAD_WORDS)
+    runtime_cells = st.one_of(number_cells, st.just("inf"))  # inf: an unfinished run
     n = draw(st.integers(1, 5))
     k = draw(st.integers(2, 4))
     p = draw(st.integers(1, 3))
@@ -772,7 +799,7 @@ def scenario_dirs(draw, broken: bool, plain: bool = False):
     seen = set()
     for inst, algo, rep in draw(st.permutations(runs)):
         cell = {"instance_id": inst, "repetition": str(rep + 1), "algorithm": algo,
-                "runtime": draw(unread_cells if (inst, algo) in seen else number_cells),
+                "runtime": draw(unread_cells if (inst, algo) in seen else runtime_cells),
                 "runstatus": draw(status)}
         seen.add((inst, algo))
         rrows.append([cell[c] for c in run_cols])
@@ -795,9 +822,10 @@ def scenario_dirs(draw, broken: bool, plain: bool = False):
                               min_size=1, max_size=2))
         for kind in sorted(kinds, key=lambda kind: kind == "width"):  # widths last
             if kind == "cell":
-                rows, col = draw(st.sampled_from([(frows, 2 + draw(st.integers(0, p - 1))),
-                                                  (rrows, run_cols.index("runtime"))]))
-                draw(st.sampled_from(rows))[col] = draw(st.sampled_from(["oops", "1.2.3", "--1"]))
+                rows, col, bad = draw(st.sampled_from([
+                    (frows, 2 + draw(st.integers(0, p - 1)), BAD_NUMBERS + INFINITIES),
+                    (rrows, run_cols.index("runtime"), BAD_NUMBERS)]))
+                draw(st.sampled_from(rows))[col] = draw(st.sampled_from(bad))
             elif kind == "width":
                 row = draw(st.sampled_from(draw(st.sampled_from([frows, rrows, crows]))))
                 if draw(st.booleans()):
@@ -812,7 +840,7 @@ def scenario_dirs(draw, broken: bool, plain: bool = False):
                          "runtime": "oops", "runstatus": "ok", "fold": "99"}
                 rows.insert(draw(st.integers(0, len(rows))), [ghost[c] for c in cols])
             else:
-                draw(st.sampled_from(crows))[2] = draw(st.sampled_from(["0", "11", "x"]))
+                draw(st.sampled_from(crows))[2] = draw(st.sampled_from(BAD_FOLDS))
 
     tables = [("features", fattrs, frows), ("runs", run_cols, rrows), ("cv", cv_cols, crows)]
     return (description, *(Table(*table) if plain else draw(decorated(*table))
@@ -1014,6 +1042,29 @@ class TestBlockBoundaries:
             message = (f"algorithm_runs.arff:{9 + r}: not a number: 'oops'" if second
                        else "algorithm_runs.arff: need at least two algorithms")
             assert outcome == (ParseError, message)
+
+    @pytest.mark.parametrize("table, first, then, message", [
+        ("runs", _put(3, "oops"), _put(3, "oops"), "not a number: 'oops'"),
+        ("runs", _put(3, "oops"), _put(2, "zz"), "not a number: 'oops'"),
+        ("runs", _put(2, "zz"), _put(3, "oops"), "unknown algorithm 'zz'"),
+        ("features", _put(3, "-inf"), _put(2, "oops"), "infinite feature value: '-inf'"),
+        ("features", _put(3, "oops"), _put(2, "-inf"), "not a number: 'oops'"),
+    ], ids=["two-bad-runtimes", "unknown-algorithm-after", "unknown-algorithm-before",
+            "bad-feature-after-infinite", "infinite-after-bad-feature"])
+    def test_first_bad_row_in_file_order(self, tmp_path, table, first, then, message):
+        # two bad rows at every pair of neighbouring positions, so that they
+        # share a block for every bound in BOUNDS but 1 somewhere; the runs
+        # come in falling (instance, algorithm) key order, so the later of
+        # two bad runtimes has the smaller key
+        description = "algorithm_cutoff_time: 50\nalgorithms_deterministic: a0,a1\n"
+        fname = {"features": "feature_values.arff", "runs": "algorithm_runs.arff"}[table]
+        for r in range(len(self.tables()[table]) - 1):
+            tables = self.tables()
+            tables["runs"].sort(key=lambda row: (row[2], row[0]), reverse=True)
+            first(tables[table], r)
+            then(tables[table], r + 1)
+            outcome = self.outcomes(tmp_path / str(r), description, tables)
+            assert outcome == (ParseError, f"{fname}:{9 + r}: {message}")
 
 
 class TestBlockShape:
