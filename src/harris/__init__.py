@@ -7,8 +7,8 @@ from .baselines import (ClusterSelector, HarrisSelector, OracleSelector,
                         Selector, SingleBestSelector)
 from .errors import (ConsistencyError, DomainError, EmptyScenarioError,
                      ModelFormatError, ParseError, UndefinedMetric)
-from .evaluation import (AggregateRecord, FoldRecord, average_rank, cross_validate,
-                         cross_validate_cells, read_report_csv, sweep, write_report_csv)
+from .evaluation import (ReportRow, average_rank, cross_validate, cross_validate_cells,
+                         read_report_csv, sweep, write_report_csv)
 from .forest import (ForestConfig, HybridForest, fit_forest, load_forest,
                      predict_costs, save_forest, select_algorithm,
                      single_tree_config)

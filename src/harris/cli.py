@@ -169,8 +169,8 @@ def _print_summary(scenario, aggregates):
                f"k={scenario.n_algorithms} p={scenario.n_features} cutoff={scenario.cutoff}")
     click.echo(f"{'selector':<12} {'PAR10 (mean +/- std)':<28} {'tau-b':>8}")
     for agg in aggregates:
-        par10 = f"{agg.par10_mean:.2f} +/- {agg.par10_std:.2f}"
-        click.echo(f"{agg.selector:<12} {par10:<28} {_fmt_cell(agg.tau_mean, 3):>8}")
+        par10 = f"{agg.par10:.2f} +/- {agg.par10_std:.2f}"
+        click.echo(f"{agg.selector:<12} {par10:<28} {_fmt_cell(agg.tau, 3):>8}")
 
 
 @click.group()
@@ -205,8 +205,8 @@ def evaluate(scn, config, selectors, baseline_trees, baseline_depth, isac_cluste
         return name
 
     names = _comma_list("--selectors", selectors, known)
-    fold_records, aggregates = cross_validate_cells(scn, [cells[name] for name in names])
-    write_report_csv(output, fold_records, aggregates)
+    fold_rows, aggregates = cross_validate_cells(scn, [cells[name] for name in names])
+    write_report_csv(output, fold_rows, aggregates)
     _print_summary(scn, aggregates)
     click.echo(f"wrote {output}")
 
@@ -223,13 +223,13 @@ def evaluate(scn, config, selectors, baseline_trees, baseline_depth, isac_cluste
               show_default=True, help="Report CSV path.")
 def sweep_cmd(scn, config, lambdas, depths, output):
     """Cross-validate the hybrid forest over a lambda x depth grid."""
-    fold_records, aggregates = sweep(scn, _comma_list("--lambdas", lambdas, float),
-                                     _comma_list("--depths", depths, int), config=config)
-    write_report_csv(output, fold_records, aggregates)
-    best = min(aggregates, key=lambda a: a.par10_mean)
+    fold_rows, aggregates = sweep(scn, _comma_list("--lambdas", lambdas, float),
+                                  _comma_list("--depths", depths, int), config=config)
+    write_report_csv(output, fold_rows, aggregates)
+    best = min(aggregates, key=lambda a: a.par10)
     click.echo(f"{len(aggregates)} grid cells written to {output}")
     click.echo(f"best cell: lambda={best.lam} depth={best.depth} "
-               f"PAR10={best.par10_mean:.2f} +/- {best.par10_std:.2f}")
+               f"PAR10={best.par10:.2f} +/- {best.par10_std:.2f}")
 
 
 @main.command()

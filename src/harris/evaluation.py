@@ -33,48 +33,36 @@ from .tree import TreeConfig
 DEFAULT_LAMBDA_GRID = tuple(i / 10 for i in range(11))
 DEFAULT_DEPTH_GRID = (2, 4, 6, 8, 10)
 
-REPORT_SCHEMA_VERSION = 1
-REPORT_COLUMNS = (
-    "scenario", "selector", "lambda", "depth", "fold", "row_type",
-    "par10", "par10_std", "tau", "tau_std", "n_instances",
-)
+REPORT_COLUMNS = ("scenario", "selector", "lambda", "depth", "fold", "row_type",
+                  "par10", "par10_std", "tau", "tau_std", "n_instances")
 
 
 @dataclass(frozen=True)
-class FoldRecord:
+class ReportRow:
+    """One report CSV row, row_type aside: a fold row has par10_std and tau_std
+    None, an aggregate row (mean and sample std over folds) has fold None."""
     scenario: str
     selector: str
     lam: Optional[float]
     depth: Optional[int]
-    fold: int
+    fold: Optional[int]
     par10: float
+    par10_std: Optional[float]
     tau: Optional[float]
-    n_instances: int
-
-
-@dataclass(frozen=True)
-class AggregateRecord:
-    scenario: str
-    selector: str
-    lam: Optional[float]
-    depth: Optional[int]
-    par10_mean: float
-    par10_std: float
-    tau_mean: Optional[float]
     tau_std: Optional[float]
     n_instances: int
 
 
 def cross_validate_cells(scenario: Scenario, cells: Sequence[tuple],
-                         ) -> tuple[list[FoldRecord], list[AggregateRecord]]:
+                         ) -> tuple[list[ReportRow], list[ReportRow]]:
     """Evaluate (selector_factory, lam, depth) cells on the scenario's folds;
-    lam and depth only label a cell's records. In every fold each cell fits a
+    lam and depth only label a cell's rows. In every fold each cell fits a
     fresh selector, selects on the test rows, and is scored by the selected
     algorithm's PAR10 in original units plus the per-instance tau-b where
-    defined. Returns the fold records cell by cell and one aggregate per cell."""
+    defined. Returns the fold rows cell by cell and one aggregate per cell."""
     costs = par10_matrix(scenario)
     folds = sorted(int(f) for f in np.unique(scenario.fold_of))
-    records: list[list[FoldRecord]] = [[] for _ in cells]
+    rows: list[list[ReportRow]] = [[] for _ in cells]
 
     for fold in folds:
         test_mask = scenario.fold_of == fold
@@ -88,7 +76,7 @@ def cross_validate_cells(scenario: Scenario, cells: Sequence[tuple],
         for shared in (train_features, test_features, scaled_train):
             shared.setflags(write=False)
 
-        for (selector_factory, lam, depth), cell_records in zip(cells, records):
+        for (selector_factory, lam, depth), cell_rows in zip(cells, rows):
             selector = selector_factory()
             is_oracle = isinstance(selector, OracleSelector)
             selector.fit(train_features, scaled_train)
@@ -112,50 +100,37 @@ def cross_validate_cells(scenario: Scenario, cells: Sequence[tuple],
                         pass
                 fold_costs.append(float(true_costs[choice]))
 
-            cell_records.append(FoldRecord(
-                scenario=scenario.name,
-                selector=selector.name,
-                lam=lam,
-                depth=depth,
-                fold=fold,
-                par10=float(np.mean(fold_costs)),
-                tau=float(np.mean(fold_taus)) if fold_taus else None,
-                n_instances=len(fold_costs),
-            ))
+            tau = float(np.mean(fold_taus)) if fold_taus else None
+            cell_rows.append(ReportRow(scenario.name, selector.name, lam, depth, fold,
+                                       float(np.mean(fold_costs)), None, tau, None,
+                                       len(fold_costs)))
 
-    return [r for cell in records for r in cell], [_aggregate(cell) for cell in records]
+    return [r for cell in rows for r in cell], [_aggregate(cell) for cell in rows]
 
 
 def cross_validate(scenario: Scenario, selector_factory: Callable[[], Selector], *,
                    lam: Optional[float] = None,
-                   depth: Optional[int] = None) -> tuple[list[FoldRecord], AggregateRecord]:
+                   depth: Optional[int] = None) -> tuple[list[ReportRow], ReportRow]:
     """Evaluate one selector under the scenario's fold split: the one-cell
     case of cross_validate_cells."""
-    fold_records, (aggregate,) = cross_validate_cells(scenario, [(selector_factory, lam, depth)])
-    return fold_records, aggregate
+    fold_rows, (aggregate,) = cross_validate_cells(scenario, [(selector_factory, lam, depth)])
+    return fold_rows, aggregate
 
 
-def _aggregate(fold_records: Sequence[FoldRecord]) -> AggregateRecord:
-    first = fold_records[0]
-    par10s = np.array([r.par10 for r in fold_records])
-    taus = [r.tau for r in fold_records if r.tau is not None]
-    return AggregateRecord(
-        scenario=first.scenario,
-        selector=first.selector,
-        lam=first.lam,
-        depth=first.depth,
-        par10_mean=float(par10s.mean()),
-        par10_std=float(par10s.std(ddof=1)) if par10s.size > 1 else 0.0,
-        tau_mean=float(np.mean(taus)) if taus else None,
-        tau_std=(float(np.std(taus, ddof=1)) if len(taus) > 1 else 0.0) if taus else None,
-        n_instances=sum(r.n_instances for r in fold_records),
-    )
+def _aggregate(fold_rows: Sequence[ReportRow]) -> ReportRow:
+    par10s = np.array([r.par10 for r in fold_rows])
+    taus = [r.tau for r in fold_rows if r.tau is not None]
+    tau_std = (float(np.std(taus, ddof=1)) if len(taus) > 1 else 0.0) if taus else None
+    return replace(fold_rows[0], fold=None, par10=float(par10s.mean()),
+                   par10_std=float(par10s.std(ddof=1)) if par10s.size > 1 else 0.0,
+                   tau=float(np.mean(taus)) if taus else None, tau_std=tau_std,
+                   n_instances=sum(r.n_instances for r in fold_rows))
 
 
 def sweep(scenario: Scenario, lambdas: Iterable[float] = DEFAULT_LAMBDA_GRID,
           depths: Iterable[int] = DEFAULT_DEPTH_GRID, *,
           config: ForestConfig = ForestConfig(tree=TreeConfig(features_per_split="sqrt")),
-          ) -> tuple[list[FoldRecord], list[AggregateRecord]]:
+          ) -> tuple[list[ReportRow], list[ReportRow]]:
     """Cross-validate the hybrid forest over the full lambda x depth grid.
 
     Every cell uses `config` with its tree's lambda and max depth replaced.
@@ -188,7 +163,7 @@ def average_rank(par10_by_scenario: Mapping[str, Mapping[str, float]]) -> dict[s
     return dict(zip(selectors, means))
 
 
-# --- CSV report schema (version 1) -------------------------------------------
+# --- report CSV --------------------------------------------------------------
 
 def _fmt(value) -> str:
     if value is None:
@@ -198,40 +173,34 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _fold_row(r: FoldRecord) -> list[str]:
-    return [r.scenario, r.selector, _fmt(r.lam), _fmt(r.depth), str(r.fold), "fold",
-            _fmt(r.par10), "", _fmt(r.tau), "", str(r.n_instances)]
+def _csv_fields(r: ReportRow) -> list[str]:
+    return [r.scenario, r.selector, _fmt(r.lam), _fmt(r.depth), _fmt(r.fold),
+            "aggregate" if r.fold is None else "fold", _fmt(r.par10), _fmt(r.par10_std),
+            _fmt(r.tau), _fmt(r.tau_std), _fmt(r.n_instances)]
 
 
-def _aggregate_row(r: AggregateRecord) -> list[str]:
-    return [r.scenario, r.selector, _fmt(r.lam), _fmt(r.depth), "", "aggregate",
-            _fmt(r.par10_mean), _fmt(r.par10_std), _fmt(r.tau_mean), _fmt(r.tau_std),
-            str(r.n_instances)]
-
-
-def _sort_key(row: list[str]):
-    return (row[0], row[1], row[2], row[3], row[5], int(row[4]) if row[4] else 0)
-
-
-def write_report_csv(path, fold_records: Sequence[FoldRecord],
-                     aggregates: Sequence[AggregateRecord]) -> None:
-    """Write fold and aggregate rows in the documented column order.
+def write_report_csv(path, fold_rows: Sequence[ReportRow],
+                     aggregates: Sequence[ReportRow]) -> None:
+    """Write fold and aggregate rows in the REPORT_COLUMNS order.
 
     Rows are sorted deterministically, so identical inputs yield identical
-    bytes; see README for the version-1 schema.
+    bytes; see README for the schema.
     """
-    rows = [_fold_row(r) for r in fold_records] + [_aggregate_row(r) for r in aggregates]
-    rows.sort(key=_sort_key)
+    lines = sorted((_csv_fields(r) for r in (*fold_rows, *aggregates)),
+                   key=lambda f: (*f[:4], f[5], int(f[4]) if f[4] else 0))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
+        # minimal quoting leaves a lone \r bare, and a reader ends the row there
+        quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(REPORT_COLUMNS)
-        writer.writerows(rows)
+        for fields in lines:
+            (quote_all if any("\r" in f for f in fields) else writer).writerow(fields)
 
 
-def read_report_csv(path) -> list[dict[str, str]]:
-    """Read a report CSV back as dict rows, validating the schema header, the
-    field count of each row and the par10 of each aggregate row (a finite
-    number); a bad row raises DomainError naming file:line."""
+def read_report_csv(path) -> list[ReportRow]:
+    """Read a report CSV back as ReportRows, checking the header and every
+    field: row_type must be "fold" exactly when the fold column is set. A bad
+    row raises DomainError naming file:line."""
     lines = read_csv_rows(path)
     if not lines or tuple(lines[0][1]) != REPORT_COLUMNS:
         raise DomainError(f"unsupported report schema in {path}")
@@ -239,31 +208,41 @@ def read_report_csv(path) -> list[dict[str, str]]:
     for line, fields in lines[1:]:
         where = f"{path}:{line}"
         if len(fields) != len(REPORT_COLUMNS):
-            raise DomainError(
-                f"{where}: expected {len(REPORT_COLUMNS)} fields, got {len(fields)}")
-        row = dict(zip(REPORT_COLUMNS, fields))
-        if row["row_type"] == "aggregate":
-            try:
-                par10 = float(row["par10"])
-            except ValueError:
-                par10 = math.nan
-            if not math.isfinite(par10):
-                raise DomainError(f"{where}: par10 must be a finite number, "
-                                  f"got {row['par10']!r}")
+            raise DomainError(f"{where}: expected {len(REPORT_COLUMNS)} fields, got {len(fields)}")
+        text = dict(zip(REPORT_COLUMNS, fields))
+        field = partial(_number, where, text)
+        row = ReportRow(text["scenario"], text["selector"], field("lambda"), field("depth", int),
+                        field("fold", int), field("par10", optional=False), field("par10_std"),
+                        field("tau"), field("tau_std"), field("n_instances", int, optional=False))
+        if text["row_type"] != ("aggregate" if row.fold is None else "fold"):
+            raise DomainError(f"{where}: row_type {text['row_type']!r} does not match "
+                              f"fold {text['fold']!r}")
         rows.append(row)
     return rows
 
 
-def best_cells_by_scenario(rows: Iterable[dict[str, str]]) -> dict[str, dict[str, float]]:
+def _number(where: str, text: dict[str, str], column: str, kind=float, optional=True):
+    """The column's field as a finite float or an int; None if optional and empty."""
+    if optional and text[column] == "":
+        return None
+    try:
+        value = kind(text[column])
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        what = "an integer" if kind is int else "a finite number"
+        raise DomainError(f"{where}: {column} must be {what}, got {text[column]!r}")
+    return value
+
+
+def best_cells_by_scenario(rows: Iterable[ReportRow]) -> dict[str, dict[str, float]]:
     """Collapse aggregate report rows to the best PAR10 per (scenario,
     selector); with sweep output this realizes tuned-selection reporting."""
     table: dict[str, dict[str, float]] = {}
     for row in rows:
-        if row["row_type"] != "aggregate":
+        if row.fold is not None:
             continue
-        value = float(row["par10"])
-        cells = table.setdefault(row["scenario"], {})
-        name = row["selector"]
-        if name not in cells or value < cells[name]:
-            cells[name] = value
+        cells = table.setdefault(row.scenario, {})
+        if row.selector not in cells or row.par10 < cells[row.selector]:
+            cells[row.selector] = row.par10
     return table

@@ -50,12 +50,15 @@ def kendall_tau_b(r1: Ranking, r2: Ranking) -> float:
     """Kendall's tau-b between two rankings, with tie correction.
 
     Counts all k(k-1)/2 pairs: (concordant - discordant) over the geometric
-    mean of the pairs untied in each ranking, clipped to [-1, 1]. Raises
+    mean of the pairs untied in each ranking, clipped to [-1, 1]. Both must
+    be 1-D, so two matrices are not scored as one ranking. Raises
     UndefinedMetric when either ranking is fully tied (the tie-corrected
     denominator vanishes); callers report such instances as missing.
     """
-    a = np.asarray(r1, dtype=float).ravel()
-    b = np.asarray(r2, dtype=float).ravel()
+    a = np.asarray(r1, dtype=float)
+    b = np.asarray(r2, dtype=float)
+    if a.ndim != 1 or b.ndim != 1:
+        raise DomainError(f"rankings must be 1-D, got shapes {a.shape} and {b.shape}")
     if a.shape != b.shape:
         raise DomainError(f"rank vectors differ in length: {a.size} vs {b.size}")
     if a.size < 2:

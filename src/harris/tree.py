@@ -116,12 +116,14 @@ class TreeConfig:
             raise DomainError(f"min_samples_split must be >= 2, got {self.min_samples_split}")
         if isinstance(self.features_per_split, str):
             if self.features_per_split not in ("all", "sqrt"):
-                raise DomainError(f"features_per_split must be an int, 'all' or 'sqrt'")
+                raise DomainError("features_per_split must be an int, 'all' or 'sqrt', "
+                                  f"got {self.features_per_split!r}")
         else:
             object.__setattr__(self, "features_per_split",
                                checked_int("features_per_split", self.features_per_split))
             if self.features_per_split < 1:
-                raise DomainError("features_per_split must be >= 1")
+                raise DomainError("features_per_split must be >= 1, "
+                                  f"got {self.features_per_split!r}")
 
     def resolve_features_per_split(self, n_features: int) -> int:
         if self.features_per_split == "all":

@@ -184,10 +184,8 @@ def test_criterion_7_aslib_smoke(tmp_path):
         rows = read_report_csv(out)
         oracle_folds, oracle_agg = cross_validate(scn, lambda: OracleSelector())
         for row in rows:
-            if row["row_type"] != "aggregate":
-                continue
-            value = float(row["par10"])
-            assert oracle_agg.par10_mean - 1e-9 <= value <= 10.0 * scn.cutoff
+            if row.fold is None:
+                assert oracle_agg.par10 - 1e-9 <= row.par10 <= 10.0 * scn.cutoff
         elapsed = time.monotonic() - started
         assert elapsed < 600.0, f"smoke run took {elapsed:.0f}s"
 

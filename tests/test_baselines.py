@@ -142,7 +142,7 @@ class TestPairwiseVoting:
         folds, agg = cross_validate(
             scn, lambda: PairwiseVotingSelector(n_trees=2, max_depth=2, seed=0))
         assert all(r.tau is None for r in folds)
-        assert agg.tau_mean is None and agg.tau_std is None
+        assert agg.tau is None and agg.tau_std is None
 
     def test_single_algorithm_rejected(self):
         with pytest.raises(DomainError):

@@ -49,9 +49,9 @@ class TestEvaluate:
             extra=["--baseline-trees", "3", "--baseline-depth", "2"]))
         assert result.exit_code == 0, result.output
         rows = read_report_csv(out)
-        fold_rows = [r for r in rows if r["row_type"] == "fold"]
+        fold_rows = [r for r in rows if r.fold is not None]
         assert len(fold_rows) == 4 * 10
-        assert {r["selector"] for r in fold_rows} == {"harris", "rfr", "isac", "satzilla"}
+        assert {r.selector for r in fold_rows} == {"harris", "rfr", "isac", "satzilla"}
 
     def test_oracle_summary_matches_fixture(self, runner, tmp_path):
         out = tmp_path / "eval.csv"
@@ -61,8 +61,8 @@ class TestEvaluate:
         costs = par10_matrix(scn)
         expected = np.mean([costs[scn.fold_of == f].min(axis=1).mean()
                             for f in sorted(set(scn.fold_of))])
-        agg = next(r for r in read_report_csv(out) if r["row_type"] == "aggregate")
-        assert float(agg["par10"]) == pytest.approx(expected)
+        agg = next(r for r in read_report_csv(out) if r.fold is None)
+        assert agg.par10 == pytest.approx(expected)
 
     def test_missing_scenario_path(self, runner, tmp_path):
         result = runner.invoke(main, ["evaluate", "--scenario", str(tmp_path / "nope")])
@@ -235,9 +235,9 @@ class TestSweep:
             "--lambdas", "0,1", "--depths", "1,2,3", "--seed", "2", "-o", str(out)])
         assert result.exit_code == 0, result.output
         rows = read_report_csv(out)
-        aggregates = [r for r in rows if r["row_type"] == "aggregate"]
+        aggregates = [r for r in rows if r.fold is None]
         assert len(aggregates) == 6
-        assert len([r for r in rows if r["row_type"] == "fold"]) == 60
+        assert len([r for r in rows if r.fold is not None]) == 60
 
     def test_repeat_run_is_byte_identical(self, runner, tmp_path):
         args = ["sweep", "--synthetic", "--synthetic-n", "90", "--paper-tree",
@@ -256,8 +256,8 @@ class TestSweep:
         result = runner.invoke(main, ["evaluate", *common, "--selectors", "harris",
                                       "--lambda", "0.5", "--depth", "3", "-o", str(eval_csv)])
         assert result.exit_code == 0, result.output
-        swept = [r for r in read_report_csv(sweep_csv) if r["selector"] == "harris"]
-        assert swept == [r for r in read_report_csv(eval_csv) if r["selector"] == "harris"]
+        swept = [r for r in read_report_csv(sweep_csv) if r.selector == "harris"]
+        assert swept == [r for r in read_report_csv(eval_csv) if r.selector == "harris"]
         assert len(swept) == 11
 
     @pytest.mark.parametrize("option", [("--lambda", "0.1"), ("--depth", "7")])
@@ -362,8 +362,7 @@ class TestTrainPredict:
         result = runner.invoke(main, ["evaluate", *tree_args, "--selectors", "harris,oracle",
                                       "-o", str(out)])
         assert result.exit_code == 0, result.output
-        par10 = {r["selector"]: float(r["par10"]) for r in read_report_csv(out)
-                 if r["row_type"] == "aggregate"}
+        par10 = {r.selector: r.par10 for r in read_report_csv(out) if r.fold is None}
         assert par10["harris"] == par10["oracle"] == 10.0
 
     def test_wrong_feature_count(self, runner, tmp_path):

@@ -1,19 +1,37 @@
+import re
+import tempfile
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from harris import evaluation
 from harris.baselines import HarrisSelector, OracleSelector, Selector, SingleBestSelector
 from harris.cli import main
 from harris.errors import DomainError, UndefinedMetric
-from harris.evaluation import (REPORT_COLUMNS, average_rank, best_cells_by_scenario,
-                               cross_validate, cross_validate_cells, read_report_csv, sweep,
-                               write_report_csv)
+from harris.evaluation import (REPORT_COLUMNS, ReportRow, average_rank,
+                               best_cells_by_scenario, cross_validate, cross_validate_cells,
+                               read_report_csv, sweep, write_report_csv)
 from harris.forest import single_tree_config
 from harris.losses import kendall_tau_b, rank_vector
 from harris.scenario import column_medians, filter_unsolved, par10_matrix
 from harris.synthetic import make_synthetic_scenario
+
+# names with commas, quotes and line breaks (a lone \r too); numbers from the
+# subnormals to 1e308 of either sign, and None in every optional field
+NAMES = st.text(st.sampled_from("ab ,'\"\n\r\té"), max_size=8)
+NUMBERS = st.floats(min_value=-1e308, max_value=1e308)
+COUNTS = st.integers(min_value=-10**18, max_value=10**18)
+REPORT_ROWS = st.builds(
+    ReportRow, scenario=NAMES, selector=NAMES, lam=st.none() | NUMBERS,
+    depth=st.none() | COUNTS, fold=st.none() | COUNTS, par10=NUMBERS,
+    par10_std=st.none() | NUMBERS, tau=st.none() | NUMBERS, tau_std=st.none() | NUMBERS,
+    n_instances=COUNTS)
 
 
 class RecordingSelector(Selector):
@@ -44,9 +62,8 @@ class TestCrossValidate:
         for record in folds:
             test_rows = scn.fold_of == record.fold
             assert record.par10 == pytest.approx(costs[test_rows].min(axis=1).mean())
-        assert agg.par10_mean == pytest.approx(
-            np.mean([r.par10 for r in folds]))
-        assert agg.tau_mean == pytest.approx(1.0)
+        assert agg.par10 == pytest.approx(np.mean([r.par10 for r in folds]))
+        assert agg.tau == pytest.approx(1.0)
 
     def test_selector_writing_only_fit_and_predicted_costs(self):
         class CostsOnly(Selector):
@@ -133,14 +150,14 @@ class TestCrossValidate:
         log = []
         folds, agg = cross_validate(scn, lambda: RecordingSelector(log))
         assert all(r.tau is None for r in folds)
-        assert agg.tau_mean is None and agg.tau_std is None
+        assert agg.tau is None and agg.tau_std is None
 
     def test_harris_matches_oracle_on_separable_fixture(self):
         scn = make_synthetic_scenario(200, seed=1)
         _, oracle_agg = cross_validate(scn, lambda: OracleSelector())
         config = single_tree_config(lam=0.5, max_depth=2, seed=0)
         folds, agg = cross_validate(scn, lambda: HarrisSelector(config), lam=0.5, depth=2)
-        assert agg.par10_mean == pytest.approx(oracle_agg.par10_mean)
+        assert agg.par10 == pytest.approx(oracle_agg.par10)
         assert all(r.tau == pytest.approx(1.0) for r in folds)
 
     def test_every_instance_tested_exactly_once(self):
@@ -298,15 +315,44 @@ class TestReportCsv:
         folds, aggs = self.make_records()
         path = tmp_path / "report.csv"
         write_report_csv(path, folds, aggs)
-        rows = read_report_csv(path)
-        assert len(rows) == len(folds) + len(aggs)
-        fold_rows = [r for r in rows if r["row_type"] == "fold"]
-        agg_rows = [r for r in rows if r["row_type"] == "aggregate"]
-        assert len(fold_rows) == len(folds)
-        assert {r["selector"] for r in agg_rows} == {"harris", "sbs"}
-        harris_agg = next(r for r in agg_rows if r["selector"] == "harris")
-        assert float(harris_agg["par10"]) == pytest.approx(aggs[0].par10_mean)
-        assert harris_agg["lambda"] == "0.5" and harris_agg["depth"] == "2"
+        assert Counter(read_report_csv(path)) == Counter(folds + aggs)
+        assert {(a.selector, a.lam, a.depth) for a in aggs} == {("harris", 0.5, 2),
+                                                                  ("sbs", None, None)}
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(REPORT_ROWS, max_size=6))
+    def test_drawn_rows_round_trip(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "report.csv")
+            write_report_csv(path, [r for r in rows if r.fold is not None],
+                             [r for r in rows if r.fold is None])
+            assert Counter(read_report_csv(path)) == Counter(rows)
+
+    @pytest.mark.parametrize("fields, message", [
+        (["s", "harris", "0.5", "2", "", "aggregate", "1.0", "0.0", "x", "", "3"],
+         "tau must be a finite number, got 'x'"),
+        (["s", "harris", "0.5", "2", "1", "fold", "1.0", "", "", "", "3.0"],
+         "n_instances must be an integer, got '3.0'"),
+        (["s", "harris", "0.5", "2", "", "fold", "1.0", "", "", "", "3"],
+         "row_type 'fold' does not match fold ''"),
+        (["s", "harris", "0.5", "2", "1", "aggregate", "1.0", "0.0", "", "", "3"],
+         "row_type 'aggregate' does not match fold '1'"),
+        (["s", "harris", "0.5", "2", "", "aggregate", "nan", "0.0", "", "", "3"],
+         "par10 must be a finite number, got 'nan'"),
+        (["s", "harris", "0.5", "2", "1", "fold", "", "", "", "", "3"],
+         "par10 must be a finite number, got ''"),
+        (["s", "harris", "0.5", "2.5", "1", "fold", "1.0", "", "", "", "3"],
+         "depth must be an integer, got '2.5'"),
+        (["s", "harris", "inf", "2", "1", "fold", "1.0", "", "", "", "3"],
+         "lambda must be a finite number, got 'inf'"),
+    ], ids=["bad-tau", "float-count", "fold-without-fold", "aggregate-with-fold",
+            "nan-par10", "empty-par10", "fractional-depth", "infinite-lambda"])
+    def test_bad_field_names_file_and_line(self, tmp_path, fields, message):
+        path = tmp_path / "report.csv"
+        good = "s,sbs,,,,aggregate,1.0,0.0,,,3"
+        path.write_text("\n".join([",".join(REPORT_COLUMNS), good, ",".join(fields), good]) + "\n")
+        with pytest.raises(DomainError, match=rf"report\.csv:3: {re.escape(message)}$"):
+            read_report_csv(path)
 
     def test_identical_inputs_identical_bytes(self, tmp_path):
         folds, aggs = self.make_records()
@@ -348,5 +394,13 @@ class TestReportCsv:
         path = tmp_path / "sweep.csv"
         write_report_csv(path, folds, aggs)
         table = best_cells_by_scenario(read_report_csv(path))
-        assert table["synthetic"]["harris"] == pytest.approx(
-            min(a.par10_mean for a in aggs))
+        assert table["synthetic"]["harris"] == pytest.approx(min(a.par10 for a in aggs))
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index("```python\n", readme.index("## Library use")) + len("```python\n")
+    block = readme[start:readme.index("```", start)]
+    exec(compile(block, "README.md", "exec"), {})
+    par10, tau = capsys.readouterr().out.split()
+    assert float(par10) > 0 and -1 <= float(tau) <= 1

@@ -1,5 +1,7 @@
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from harris import cli
 from harris.errors import DomainError, ModelFormatError
 from harris.forest import (ForestConfig, fit_forest, forest_to_dict,
                            load_forest, predict_costs, save_forest, select_algorithm,
                            single_tree_config)
 from harris.losses import rank_vector
-from harris.scenario import ScaleParams
+from harris.scenario import (ScaleParams, column_medians, filter_unsolved, impute_features,
+                             parse_scenario)
 from harris.synthetic import make_synthetic_scenario
 from harris.tree import Tree, TreeConfig, build_tree
 
@@ -69,27 +73,31 @@ class TestFitForest:
         with pytest.raises(DomainError):
             ForestConfig(n_trees=0)
 
-    @pytest.mark.parametrize("make", [
-        lambda: ForestConfig(n_trees=2.5),
-        lambda: ForestConfig(n_trees=True),
-        lambda: ForestConfig(seed="a"),
-        lambda: ForestConfig(seed=1.0),
-        lambda: ForestConfig(bootstrap="no"),
-        lambda: ForestConfig(bootstrap=1),
-        lambda: TreeConfig(lam="0.5"),
-        lambda: TreeConfig(lam=True),
-        lambda: TreeConfig(max_depth=2.5),
-        lambda: TreeConfig(max_depth=True),
-        lambda: TreeConfig(min_samples_split=2.0),
-        lambda: TreeConfig(features_per_split=2.0),
-        lambda: TreeConfig(features_per_split=False),
+    @pytest.mark.parametrize("make, got", [
+        (lambda: ForestConfig(n_trees=2.5), "2.5"),
+        (lambda: ForestConfig(n_trees=True), "True"),
+        (lambda: ForestConfig(seed="a"), "'a'"),
+        (lambda: ForestConfig(seed=1.0), "1.0"),
+        (lambda: ForestConfig(bootstrap="no"), "'no'"),
+        (lambda: ForestConfig(bootstrap=1), "1"),
+        (lambda: TreeConfig(lam="0.5"), "'0.5'"),
+        (lambda: TreeConfig(lam=True), "True"),
+        (lambda: TreeConfig(max_depth=2.5), "2.5"),
+        (lambda: TreeConfig(max_depth=True), "True"),
+        (lambda: TreeConfig(min_samples_split=2.0), "2.0"),
+        (lambda: TreeConfig(features_per_split=2.0), "2.0"),
+        (lambda: TreeConfig(features_per_split=False), "False"),
+        (lambda: TreeConfig(features_per_split="half"), "'half'"),
+        (lambda: TreeConfig(features_per_split=0), "0"),
     ], ids=["fractional-trees", "boolean-trees", "string-seed", "float-seed",
             "string-bootstrap", "integer-bootstrap", "string-lambda", "boolean-lambda",
             "fractional-depth", "boolean-depth", "float-min-samples",
-            "float-features-per-split", "boolean-features-per-split"])
-    def test_config_field_of_wrong_type(self, make):
-        # each would otherwise fail late with a raw TypeError or ValueError, or pass
-        with pytest.raises(DomainError, match="must be"):
+            "float-features-per-split", "boolean-features-per-split",
+            "unknown-features-per-split", "zero-features-per-split"])
+    def test_config_field_of_wrong_type(self, make, got):
+        # each would otherwise fail late with a raw TypeError or ValueError, or
+        # pass; the message names the value it refuses
+        with pytest.raises(DomainError, match=rf"must be .*, got {re.escape(got)}$"):
             make()
 
     def test_config_stores_plain_numbers(self):
@@ -179,6 +187,33 @@ class TestRouting:
         assert [predict_costs(forest, x)[0]
                 for x in ([0.5], np.array([0.5]), [np.nextafter(0.5, 1)], [np.nan])] == [
                     1.0, 1.0, 2.0, 2.0]
+
+    def test_served_rows_match_a_walk_of_each_tree(self, tmp_path, monkeypatch):
+        # prediction walks one forest-wide routing table; on every row of the
+        # benchmark's ingest-serve scenario, with its model, the costs are the
+        # mean of the leaf labels a walk of each tree's own lists reaches, and
+        # the selection is their first argmin (bench/ is only read)
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        from aslibgen import Shape, write_scenario
+        train, serve, model = tmp_path / "train", tmp_path / "serve", tmp_path / "m.json"
+        write_scenario(train, Shape(n=300, k=8, p=40), 1, "ingest-serve-train", stream=1)
+        write_scenario(serve, Shape(n=12000, k=8, p=40), 1, "ingest-serve-s1")
+        cli.main(["train", "--scenario", str(train), "--lambda", "0.5", "--depth", "6",
+                  "--n-trees", "10", "--seed", "0", "-o", str(model)], standalone_mode=False)
+        forest = load_forest(model)
+        kept = filter_unsolved(parse_scenario(serve))
+        X = impute_features(kept.features, column_medians(kept.features))
+        assert len(X) == 11_520
+        for x in X:
+            leaves = []
+            for tree in forest.trees:
+                i = 0 if tree.feature else -1
+                while i >= 0:
+                    i = tree.left[i] if x[tree.feature[i]] <= tree.split[i] else tree.right[i]
+                leaves.append(tree.regression[~i])
+            expected = np.mean(leaves, axis=0)
+            assert predict_costs(forest, x).tobytes() == expected.tobytes()
+            assert select_algorithm(forest, x) == np.flatnonzero(expected == expected.min())[0]
 
 
 class TestScaleEquivariance:

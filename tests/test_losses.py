@@ -204,6 +204,16 @@ class TestKendallTauB:
         with pytest.raises(DomainError):
             kendall_tau_b([1, 2], [1, 2, 3])
 
+    @pytest.mark.parametrize("r1, r2", [
+        ([[1, 2], [2, 1]], [[1, 2], [1, 2]]),  # row taus 1 and -1, not one ranking
+        ([[1, 2, 3]], [1, 2, 3]),
+        ([1, 2, 3], [[1], [2], [3]]),
+        (1.0, 2.0),
+    ], ids=["two-matrices", "row-matrix", "column-matrix", "scalars"])
+    def test_refuses_anything_but_two_vectors(self, r1, r2):
+        with pytest.raises(DomainError, match="must be 1-D"):
+            kendall_tau_b(np.array(r1), np.array(r2))
+
     def test_exhaustive_permutations_against_pair_counts(self):
         for k in range(2, 7):
             identity = np.arange(1.0, k + 1)
