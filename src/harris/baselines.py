@@ -175,6 +175,7 @@ class ClusterSelector(Selector):
 
 KMEANS_RESTARTS = 25
 KMEANS_MAX_ITER = 100
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
 def _kmeans(Z, k, rng):
@@ -184,8 +185,8 @@ def _kmeans(Z, k, rng):
     distances, rows near a tie re-checked elementwise), and every cluster's
     sum from one weighted bincount over the (cluster, column) cells, which
     adds a cluster's rows in row order from +0.0, as mean(axis=0) does for
-    p >= 2. Empty clusters are re-seeded in cluster order; a centroid that
-    compares equal to its new centre keeps its bytes.
+    p >= 2, divided by the counts. Empty clusters are re-seeded in cluster
+    order; a centroid that compares equal to its new centre keeps its bytes.
     """
     n, p = Z.shape
     zz = (Z ** 2).sum(axis=1)
@@ -200,9 +201,12 @@ def _kmeans(Z, k, rng):
             counts = np.bincount(assignment, minlength=k)
             sums = np.bincount(cell_ids[assignment].ravel(), weights=weights,
                                minlength=k * p).reshape(k, p)
-            centers = sums / np.maximum(counts, 1)[:, None]
-            for c in np.flatnonzero(counts == 0):
-                centers[c] = Z[rng.integers(0, n)]  # re-seed an empty cluster
+            if counts.all():
+                centers = sums / counts[:, None]
+            else:
+                centers = sums / np.maximum(counts, 1)[:, None]
+                for c in np.flatnonzero(counts == 0):
+                    centers[c] = Z[rng.integers(0, n)]  # re-seed an empty cluster
             moved = (centers != centroids).any(axis=1)
             if not moved.any():
                 break  # the assignment already belongs to the final centroids
@@ -222,18 +226,22 @@ def _nearest(Z, zz, centroids, d=None):
     d is the Gram form, one n x k product Z @ (-2 c.T) + |c|^2 (each row's
     |z|^2, zz, left out), unless given. Summed in any order, as BLAS may, d
     and the elementwise distances stay within (p + 2) eps (zz_i + max |c|^2)
-    of the exact ones. A row keeps d's argmin only if its two smallest d are
-    more than 16 times that apart (tiny added for underflow); every other row,
-    a NaN or inf gap and k = 1 included, is recomputed elementwise, so BLAS's
-    summation order and thread count never show.
+    of the exact ones. A row keeps d's argmin only if its two smallest d (from
+    np.partition) are more than 16 times that apart (tiny added for
+    underflow); every other row, a NaN or inf gap and k = 1 included, is
+    recomputed elementwise, so BLAS's summation order and thread count never
+    show.
     """
     cc = (centroids ** 2).sum(axis=1)
     if d is None:
         d = Z @ (-2.0 * centroids.T) + cc
     assignment = d.argmin(axis=1)
-    gap = np.sort(d, axis=1)[:, :2][:, -1] - d.min(axis=1)  # min, unlike sort, keeps a NaN
-    bound = 16 * (Z.shape[1] + 2) * np.finfo(float).eps * (zz + cc.max() + np.finfo(float).tiny)
-    rows = np.flatnonzero(~(gap > bound))
+    if centroids.shape[0] > 1:
+        # partition puts a NaN last, but argmin points at it: the gap is NaN
+        gap = np.partition(d, 1, axis=1)[:, 1] - d[np.arange(d.shape[0]), assignment]
+        rows = (~(gap > 16 * (Z.shape[1] + 2) * _EPS * (zz + cc.max() + _TINY))).nonzero()[0]
+    else:
+        rows = np.arange(Z.shape[0])
     if rows.size:
         assignment[rows] = ((Z[rows, None, :] - centroids[None]) ** 2).sum(axis=2).argmin(axis=1)
     return assignment

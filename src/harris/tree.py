@@ -10,12 +10,15 @@ checked_training_data: n x p features, n x k targets, n, p, k >= 1, all finite.
 
 build_trees grows many trees in lockstep, level by level, as depth-wise
 boosting libraries do: each depth scores the candidate columns of every open
-node of every tree in one pass (one column-wise sort, prefix sums over the
-sorted rows, and the losses of every real split point of every column at
-once, in blocks of BLOCK_CELLS label cells), so a fit makes at most max_depth
-passes. Leaf checks run for a whole level in segment reductions, and leaf
-labels are reduced once at the end, grouped by leaf size. Each tree keeps its
-nodes in the order they grew: by depth, then left to right. A sampled tree
+node of every tree in one pass, so a fit makes at most max_depth passes.
+The columns go in blocks of BLOCK_CELLS label cells, one contiguous row per
+column: one row-wise sort, prefix sums along the sorted rows, and the losses
+of every real split point of every column at once. A candidate is kept as
+its position in its block's sorted values; split points are computed only
+for each node's winner, from the block that holds it. Leaf checks run for a
+whole level in segment reductions, and leaf labels are reduced once at the
+end, grouped by leaf size. Each tree keeps its nodes in the order they grew:
+by depth, then left to right. A sampled tree
 draws one array of uniforms per level from its own generator, one row per
 open node, so its draws depend neither on the build order nor on the trees
 grown beside it, and a deep tree cut at depth d is the depth-d tree, whose
@@ -195,42 +198,47 @@ def _ranking_means(rank_sums, unit_sums, sizes, k):
 
 
 def _candidate_losses(columns, sizes, rows, stats: _LabelStats, lam: float):
-    """All candidate splits of an N x m block of feature columns.
+    """All candidate splits of an m x N block of feature columns, one
+    contiguous row per column.
 
-    Column c holds its node's sizes[c] feature values on top, padded with NaN
-    to N rows; rows[:, c] gives the stats row of each of its entries. Returns
-    (column positions, split points, losses), ordered by column, then by
-    split point. Each column is sorted once (NaN padding sorts last and, as
-    no value is > NaN, never bounds a split) and losses come from prefix sums
-    over its sorted rows, read only at real split points, with the node's
-    totals read at its own last row; children's labels are implicit (mean
-    vector for the regression term, Borda consensus for the ranking term).
+    Row c holds its column's sizes[c] feature values first, padded with NaN
+    to N; rows[c] gives the stats row of each of its entries. Returns
+    (values, feat, at, losses): the block with each row sorted, as one flat
+    array, and per candidate its row feat, the flat position at = feat * N + i
+    of its lower value in values (the i + 1 lowest entries go left) and its
+    weighted loss, ordered by row, then by position. Each row is sorted once
+    (NaN padding sorts last and, as no value is > NaN, never bounds a split)
+    and losses come from prefix sums along its sorted stats rows, read only
+    at real split points, with the column's totals read at its own last
+    entry; children's labels are implicit (mean vector for the regression
+    term, Borda consensus for the ranking term). No split point is computed
+    here: the caller computes its winners' alone.
     """
-    m = columns.shape[1]
-    order = columns.argsort(axis=0, kind="stable")
-    order *= m
-    order += np.arange(m)                     # flat positions, column by column
-    xs = columns.ravel()[order]
-    rows = rows.ravel()[order]
-    feat, sel = (xs[1:] > xs[:-1]).T.nonzero()  # sel + 1 rows go left
-    low, high = xs[sel, feat], xs[sel + 1, feat]
-    with np.errstate(over="ignore"):  # near the float maximum mid is inf
-        mid = (low + high) / 2.0
-    splits = np.where(mid < high, mid, low)  # low <= split < high, as the sides counted
+    m, height = columns.shape
+    order = columns.argsort(axis=1, kind="stable")
+    order += np.arange(0, m * height, height)[:, None]  # flat positions, row by row
+    xs = columns.take(order).ravel()
+    rows = rows.take(order)
+    rises = xs[1:] > xs[:-1]
+    rises[height - 1::height] = False  # from one row's last entry to the next row's first
+    at = rises.nonzero()[0]
+    feat = at // height
+    base = feat * height
+    sel = at - base  # sel + 1 entries go left
+    size = sizes[feat]
 
-    # each candidate's left prefix sums, then the node's totals at its own
-    # last row, turned in place into the right side's sums
+    # each candidate's left prefix sums, then its column's totals at its own
+    # last entry, turned in place into the right side's sums
     c = sel.size
-    last = sizes[feat] - 1
-    at_row = np.concatenate((sel, last))
-    at_col = np.concatenate((feat, feat))
-    n = (last + 1).astype(float)
+    reads = np.concatenate((at, base + size - 1))
+    n = size.astype(float)
     nl = (sel + 1).astype(float)
     nr = n - nl
     sides = np.concatenate((nl, nr))
 
     def side_sums(values):
-        sums = values[rows].cumsum(axis=0)[at_row, at_col]
+        sums = values.take(rows, axis=0).cumsum(axis=1).reshape(-1, *values.shape[1:])
+        sums = sums.take(reads, axis=0)
         sums[c:] -= sums[:c]
         return sums
 
@@ -245,7 +253,16 @@ def _candidate_losses(columns, sizes, rows, stats: _LabelStats, lam: float):
     if lam != 0.0:
         rank = _ranking_means(side_sums(stats.rank_rows), side_sums(stats.unit_ranks), sides, k)
     loss = lam * rank + (1.0 - lam) * reg
-    return feat, splits, (nl / n) * loss[:c] + (nr / n) * loss[c:]
+    return xs, feat, at, (nl / n) * loss[:c] + (nr / n) * loss[c:]
+
+
+def _split_points(low, high):
+    """The split point between consecutive distinct values low < high: their
+    midpoint, or low where the midpoint rounds up onto high or overflows, so
+    low <= split < high, as the sides were counted."""
+    with np.errstate(over="ignore"):  # near the float maximum mid is inf
+        mid = (low + high) / 2.0
+    return np.where(mid < high, mid, low)
 
 
 def _best_splits(X, stats: _LabelStats, rows, srows, starts, sizes, feats, lam: float):
@@ -256,9 +273,12 @@ def _best_splits(X, stats: _LabelStats, rows, srows, starts, sizes, feats, lam: 
     candidate features feats[j] (nodes x m). Returns the arrays (feature,
     split point, weighted loss) over the nodes; a node where no candidate
     feature has two distinct values gets feature -1. Columns go largest node
-    first, in blocks of BLOCK_CELLS label cells, so that a block pads little.
-    A block holds whole nodes, or part of one node too wide for a block, and
-    the candidates are reduced to one per node as each node completes.
+    first, in blocks of BLOCK_CELLS label cells, so that a block pads little;
+    a block is laid out one contiguous row per column. A block holds whole
+    nodes, or part of one node too wide for a block, and each block's sorted
+    values are kept until its nodes complete: their candidates are then
+    reduced to one per node, and only the winners' split points are
+    computed, each from the block that holds it.
     """
     n_features = X.shape[1]
     flat_x = X.ravel()
@@ -274,28 +294,32 @@ def _best_splits(X, stats: _LabelStats, rows, srows, starts, sizes, feats, lam: 
     feature = np.full(sizes.size, -1)
     point = np.full(sizes.size, np.nan)
     loss = np.full(sizes.size, np.nan)
-    parts = []  # candidates of the nodes not yet reduced
+    parts = []  # candidates of the nodes not yet reduced, and their blocks' sorted values
+    kept = 0  # the number of sorted values in parts
     c0 = 0
     while c0 < n_cols:
         height = int(col_size[c0])
         c1 = min(n_cols, c0 + max(1, BLOCK_CELLS // (height * k)))
         if c1 < n_cols and col_node[c1] == col_node[c1 - 1] != col_node[c0]:
             c1 -= c1 % m  # that node starts the next block
-        at = np.arange(height)[:, None] + col_start[c0:c1]
-        columns = flat_x[rows.take(at, mode="clip") * n_features + col_feat[c0:c1]]
+        steps = np.arange(height)
+        entries = col_start[c0:c1, None] + steps  # of rows and srows, one row per column
+        columns = flat_x.take(rows.take(entries, mode="clip") * n_features + col_feat[c0:c1, None])
         size = col_size[c0:c1]
         if size[-1] < height:
-            columns[at >= col_start[c0:c1] + size] = np.nan
-        pos, points, losses = _candidate_losses(columns, size, srows.take(at, mode="clip"),
-                                                stats, lam)
-        parts.append((pos + c0, points, losses))
+            columns[steps >= size[:, None]] = np.nan
+        values, feat, at, losses = _candidate_losses(
+            columns, size, srows.take(entries, mode="clip"), stats, lam)
+        parts.append((values, feat + c0, at + kept, losses))
+        kept += values.size
         if c1 == n_cols or col_node[c1] != col_node[c1 - 1]:
-            cand_cols, points, losses = (np.concatenate(part) for part in zip(*parts))
+            values, cand_cols, at, losses = (np.concatenate(part) for part in zip(*parts))
             nodes, winners = _first_ties(col_node[cand_cols], losses)
             feature[nodes] = col_feat[cand_cols[winners]]
-            point[nodes] = points[winners]
+            low = at[winners]  # each winner's lower value, in its own block's values
+            point[nodes] = _split_points(values[low], values[low + 1])
             loss[nodes] = losses[winners]
-            parts = []
+            parts, kept = [], 0
         c0 = c1
     return feature, point, loss
 
@@ -323,9 +347,11 @@ def best_split(features, labels, lam: float, candidate_features=None):
     """Minimize the size-weighted hybrid child loss over all candidate splits.
 
     Returns (feature_index, split_point, weighted_loss), or None when no
-    candidate feature has two distinct values. The candidate columns are
-    scored together, BLOCK_CELLS label cells at a time.
+    candidate feature has two distinct values. lam is checked as TreeConfig
+    checks it. The candidate columns are scored together, BLOCK_CELLS label
+    cells at a time.
     """
+    lam = TreeConfig(lam=lam).lam
     X, Y = checked_training_data(features, labels)
     if X.shape[0] < 2:
         raise DomainError("need at least two rows to split")

@@ -271,6 +271,22 @@ class TestClusterSelector:
         assert got.tobytes() == expected.tobytes()
         assert (got[Z[:, 0] == 2.0 ** 30] == 0).all()  # 1 from centroids 0 and 1 alike
 
+    @pytest.mark.parametrize("offset", [0.0, 2.0 ** 30], ids=["grid", "grid-near-2**30"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_one_and_two_centroids_match_the_elementwise_argmin(self, k, offset):
+        """k = 1 re-checks every row; k = 2 keeps or re-checks each row by
+        the gap between its two distances. Grid rows tie exactly between
+        grid centroids; near 2**30 the Gram form rounds those ties apart."""
+        rng = np.random.default_rng(k)
+        Z = offset + rng.integers(-2, 3, size=(300, 2)).astype(float)
+        centroids = offset + np.array([[0.0, 1.0], [1.0, 0.0]])[:k]
+        expected = self.elementwise_nearest(Z, centroids)
+        got = _nearest(Z, (Z ** 2).sum(axis=1), centroids)
+        assert got.tobytes() == expected.tobytes()
+        if k == 2:
+            distances = ((Z[:, None, :] - centroids[None]) ** 2).sum(axis=2)
+            assert (distances[:, 0] == distances[:, 1]).any() and (expected == 1).any()
+
     def test_identical_centroids_go_to_the_lower_index(self):
         rng = np.random.default_rng(6)
         Z = rng.normal(size=(300, 7))

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,18 @@ class TestBestSplit:
     def test_single_row_is_an_error(self):
         with pytest.raises(DomainError):
             best_split(PURE_X[:1], PURE_Y[:1], 0.5)
+
+    @pytest.mark.parametrize("lam, message", [
+        (2.0, r"lambda must lie in \[0, 1\], got 2.0"),
+        (float("nan"), r"lambda must lie in \[0, 1\], got nan"),
+        (-1.0, r"lambda must lie in \[0, 1\], got -1.0"),
+        (True, "lambda must be a number, got True"),
+    ], ids=["above-one", "nan", "negative", "bool"])
+    def test_bad_lambda_is_refused_as_tree_config_refuses_it(self, lam, message):
+        with pytest.raises(DomainError, match=message):
+            TreeConfig(lam=lam)
+        with pytest.raises(DomainError, match=message):
+            best_split(PURE_X, PURE_Y, lam)
 
     def test_candidate_features_out_of_range(self):
         for candidates in ([1], [-1], [0, 2]):
@@ -120,25 +134,35 @@ def batched_split_cases(draw):
     return X, Y, candidates
 
 
-class TestBatchedSplitSearch:
-    @settings(deadline=None, max_examples=200)
-    @given(batched_split_cases(), st.sampled_from([0.0, 0.3, 1.0]))
-    def test_bit_identical_to_per_feature_search(self, case, lam):
-        X, Y, candidates = case
-        assert best_split(X, Y, lam, candidates) == \
-            oracles.per_feature_best_split(X, Y, lam, candidates)
+# Block sizes in label cells: one column per block, blocks of a few columns
+# in which a node spans several blocks or one block holds several nodes
+# padded with NaN, and the default.
+BLOCK_SIZES = [1, 24, 200, harris.tree.BLOCK_CELLS]
 
-    @settings(deadline=None, max_examples=50)
-    @given(batched_split_cases(), st.sampled_from([0.0, 0.3, 1.0]))
-    def test_one_column_blocks_match_one_block(self, case, lam):
+
+class TestBatchedSplitSearch:
+    @settings(deadline=None, max_examples=250)
+    @given(batched_split_cases(), st.sampled_from([0.0, 0.3, 1.0]), st.sampled_from(BLOCK_SIZES))
+    def test_bit_identical_to_per_feature_search(self, case, lam, block_cells):
         X, Y, candidates = case
-        expected = best_split(X, Y, lam, candidates)
-        saved = harris.tree.BLOCK_CELLS
-        harris.tree.BLOCK_CELLS = 1  # one column per block
-        try:
-            assert best_split(X, Y, lam, candidates) == expected
-        finally:
-            harris.tree.BLOCK_CELLS = saved
+        with mock.patch.object(harris.tree, "BLOCK_CELLS", block_cells):
+            got = best_split(X, Y, lam, candidates)
+        assert got == oracles.per_feature_best_split(X, Y, lam, candidates)
+
+    def test_winner_in_the_last_of_several_blocks_reads_its_own_block(self):
+        """One node over four one-column blocks (or two two-column blocks): the
+        first three columns split its rows worse than the last, whose values
+        are the near-max pair, so the winner's split point is 1e308, read
+        from the last block."""
+        X = np.array([[0.0, 5.0, -3.0, 1e308], [1.0, 6.0, -2.0, 1.7e308],
+                      [2.0, 7.0, -1.0, 1e308], [3.0, 8.0, 0.0, 1.7e308]])
+        Y = PURE_Y[[0, 2, 1, 3]]  # alternates with the last column's values
+        for lam in (0.0, 0.5, 1.0):
+            expected = oracles.per_feature_best_split(X, Y, lam, None)
+            assert expected[:2] == (3, 1e308)
+            for block_cells in (1, 8, 16):  # 4 rows x 2 labels: 8 cells a column
+                with mock.patch.object(harris.tree, "BLOCK_CELLS", block_cells):
+                    assert best_split(X, Y, lam) == expected
 
 
 @st.composite
@@ -179,18 +203,14 @@ def job_rows(n, bootstrap, seed):
 
 
 class TestLockstep:
-    @settings(deadline=None, max_examples=150)
-    @given(lockstep_cases(), st.sampled_from([1, harris.tree.BLOCK_CELLS]))
+    @settings(deadline=None, max_examples=200)
+    @given(lockstep_cases(), st.sampled_from(BLOCK_SIZES))
     def test_each_tree_equals_its_recursive_build(self, case, block_cells):
         X, targets, jobs, config = case
         n = X.shape[0]
-        saved = harris.tree.BLOCK_CELLS
-        harris.tree.BLOCK_CELLS = block_cells
-        try:
+        with mock.patch.object(harris.tree, "BLOCK_CELLS", block_cells):
             trees = build_trees(X, targets, [(t, *job_rows(n, b, seed)) for t, b, seed in jobs],
                                 config)
-        finally:
-            harris.tree.BLOCK_CELLS = saved
         assert len(trees) == len(jobs)
         for tree, (t, bootstrap, seed) in zip(trees, jobs):
             rows, rng = job_rows(n, bootstrap, seed)
