@@ -256,15 +256,6 @@ def _candidate_losses(columns, sizes, rows, stats: _LabelStats, lam: float):
     return xs, feat, at, (nl / n) * loss[:c] + (nr / n) * loss[c:]
 
 
-def _split_points(low, high):
-    """The split point between consecutive distinct values low < high: their
-    midpoint, or low where the midpoint rounds up onto high or overflows, so
-    low <= split < high, as the sides were counted."""
-    with np.errstate(over="ignore"):  # near the float maximum mid is inf
-        mid = (low + high) / 2.0
-    return np.where(mid < high, mid, low)
-
-
 def _best_splits(X, stats: _LabelStats, rows, srows, starts, sizes, feats, lam: float):
     """The lowest-loss split of each node, all nodes scored together.
 
@@ -316,8 +307,12 @@ def _best_splits(X, stats: _LabelStats, rows, srows, starts, sizes, feats, lam: 
             values, cand_cols, at, losses = (np.concatenate(part) for part in zip(*parts))
             nodes, winners = _first_ties(col_node[cand_cols], losses)
             feature[nodes] = col_feat[cand_cols[winners]]
-            low = at[winners]  # each winner's lower value, in its own block's values
-            point[nodes] = _split_points(values[low], values[low + 1])
+            # each winner's split point, from its own block: low <= split <
+            # high, as the sides were counted
+            low, high = values[at[winners]], values[at[winners] + 1]
+            with np.errstate(over="ignore"):  # near the float maximum mid is inf
+                mid = (low + high) / 2.0
+            point[nodes] = np.where(mid < high, mid, low)
             loss[nodes] = losses[winners]
             parts, kept = [], 0
         c0 = c1
