@@ -149,6 +149,14 @@ class TestBatchedSplitSearch:
             got = best_split(X, Y, lam, candidates)
         assert got == oracles.per_feature_best_split(X, Y, lam, candidates)
 
+    @settings(deadline=None, max_examples=50)
+    @given(batched_split_cases(), st.sampled_from([0.0, 0.3, 1.0]))
+    def test_one_column_blocks_match_one_block(self, case, lam):
+        X, Y, candidates = case
+        expected = best_split(X, Y, lam, candidates)
+        with mock.patch.object(harris.tree, "BLOCK_CELLS", 1):  # one column per block
+            assert best_split(X, Y, lam, candidates) == expected
+
     def test_winner_in_the_last_of_several_blocks_reads_its_own_block(self):
         """One node over four one-column blocks (or two two-column blocks): the
         first three columns split its rows worse than the last, whose values
