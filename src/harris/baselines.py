@@ -185,8 +185,8 @@ def _kmeans(Z, k, rng):
     distances, rows near a tie re-checked elementwise), and every cluster's
     sum from one weighted bincount over the (cluster, column) cells, which
     adds a cluster's rows in row order from +0.0, as mean(axis=0) does for
-    p >= 2, divided by the counts. Empty clusters are re-seeded in cluster
-    order; a centroid that compares equal to its new centre keeps its bytes.
+    p >= 2. Empty clusters are re-seeded in cluster order; a centroid that
+    compares equal to its new centre keeps its bytes.
     """
     n, p = Z.shape
     zz = (Z ** 2).sum(axis=1)
@@ -201,12 +201,9 @@ def _kmeans(Z, k, rng):
             counts = np.bincount(assignment, minlength=k)
             sums = np.bincount(cell_ids[assignment].ravel(), weights=weights,
                                minlength=k * p).reshape(k, p)
-            if counts.all():
-                centers = sums / counts[:, None]
-            else:
-                centers = sums / np.maximum(counts, 1)[:, None]
-                for c in np.flatnonzero(counts == 0):
-                    centers[c] = Z[rng.integers(0, n)]  # re-seed an empty cluster
+            centers = sums / np.maximum(counts, 1)[:, None]
+            for c in np.flatnonzero(counts == 0):
+                centers[c] = Z[rng.integers(0, n)]  # re-seed an empty cluster
             moved = (centers != centroids).any(axis=1)
             if not moved.any():
                 break  # the assignment already belongs to the final centroids
@@ -236,12 +233,11 @@ def _nearest(Z, zz, centroids, d=None):
     if d is None:
         d = Z @ (-2.0 * centroids.T) + cc
     assignment = d.argmin(axis=1)
-    if centroids.shape[0] > 1:
-        # partition puts a NaN last, but argmin points at it: the gap is NaN
-        gap = np.partition(d, 1, axis=1)[:, 1] - d[np.arange(d.shape[0]), assignment]
-        rows = (~(gap > 16 * (Z.shape[1] + 2) * _EPS * (zz + cc.max() + _TINY))).nonzero()[0]
-    else:
-        rows = np.arange(Z.shape[0])
+    # partition puts a NaN last, but argmin points at it: the gap is NaN; at
+    # k = 1, kth is 0 and the gap is 0, so every row is re-checked
+    kth = min(1, d.shape[1] - 1)
+    gap = np.partition(d, kth, axis=1)[:, kth] - d[np.arange(d.shape[0]), assignment]
+    rows = (~(gap > 16 * (Z.shape[1] + 2) * _EPS * (zz + cc.max() + _TINY))).nonzero()[0]
     if rows.size:
         assignment[rows] = ((Z[rows, None, :] - centroids[None]) ** 2).sum(axis=2).argmin(axis=1)
     return assignment
