@@ -15,18 +15,33 @@ from .errors import DomainError, UndefinedMetric
 Ranking = np.ndarray
 
 
+def real_array(values, what: str) -> np.ndarray:
+    """values as a float array, each entry converted as float() converts it;
+    DomainError naming what unless they form an array of real numbers."""
+    try:
+        a = np.asarray(values)
+        if not np.iscomplexobj(a):
+            return a.astype(float, copy=False)
+    except (TypeError, ValueError):
+        pass
+    raise DomainError(f"{what} must form an array of real numbers")
+
+
 def rank_vector(costs) -> Ranking:
     """Average-rank transform along the last axis; rank 1 = lowest cost.
 
     Ranks are counted exactly as 1 + #smaller + (#equal - 1) / 2, so tied
     costs share the mean of their positions and an n x k matrix is ranked row
-    by row. NaN has no rank and raises DomainError.
+    by row. NaN, a scalar or an entry that is not a real number raises
+    DomainError.
 
     The count makes k passes, one per column, each comparing that column with
     all k columns at once; a pass costs about as much for one row as for a
     few hundred, so single rows are better ranked together in one call.
     """
-    a = np.asarray(costs, dtype=float)
+    a = real_array(costs, "costs")
+    if a.ndim == 0:
+        raise DomainError("costs must be a vector or a matrix, got a scalar")
     if np.isnan(a).any():
         raise DomainError("cannot rank NaN costs")
     k = a.shape[-1]
@@ -55,8 +70,8 @@ def kendall_tau_b(r1: Ranking, r2: Ranking) -> float:
     UndefinedMetric when either ranking is fully tied (the tie-corrected
     denominator vanishes); callers report such instances as missing.
     """
-    a = np.asarray(r1, dtype=float)
-    b = np.asarray(r2, dtype=float)
+    a = real_array(r1, "rankings")
+    b = real_array(r2, "rankings")
     if a.ndim != 1 or b.ndim != 1:
         raise DomainError(f"rankings must be 1-D, got shapes {a.shape} and {b.shape}")
     if a.shape != b.shape:

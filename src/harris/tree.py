@@ -13,15 +13,17 @@ boosting libraries do: each depth scores the candidate columns of every open
 node of every tree in one pass, so a fit makes at most max_depth passes.
 The columns go in blocks of BLOCK_CELLS label cells, one contiguous row per
 column: one row-wise sort, prefix sums along the sorted rows, and the losses
-of every real split point of every column at once. A candidate is kept as
-its position in its block's sorted values; split points are computed only
-for each node's winner, from the block that holds it. Leaf checks run for a
-whole level in segment reductions, and leaf labels are reduced once at the
-end, grouped by leaf size. Each tree keeps its nodes in the order they grew:
-by depth, then left to right. A sampled tree
-draws one array of uniforms per level from its own generator, one row per
-open node, so its draws depend neither on the build order nor on the trees
-grown beside it, and a deep tree cut at depth d is the depth-d tree, whose
+of every real split point of every column at once. The sort is of integer
+keys, not floats: each fit ranks every column of X once, and an entry's key
+is its value's rank, then its index in its row. A candidate is kept as its
+position in its block; split points are computed only for each node's
+winner, from the values at its entries in the block that holds it. Leaf
+checks run for a whole level in segment reductions, and leaf labels are
+reduced once at the end, grouped by leaf size. Each tree keeps its nodes in
+the order they grew: by depth, then left to right. A sampled tree draws one
+array of uniforms per level from its own generator, one row per open node,
+so its draws depend neither on the build order nor on the trees grown beside
+it, and a deep tree cut at depth d is the depth-d tree, whose
 feature and split lists, and leaves above depth d, are prefixes of the deep
 tree's. best_split and build_tree are the one-node and one-tree cases. A
 leaf keeps its mean cost vector and its size: the Borda consensus scores
@@ -38,7 +40,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError
-from .losses import rank_vector
+from .losses import rank_vector, real_array
 
 # Candidate losses within this (relative above 1) tolerance of the minimum
 # count as tied; ties resolve to the lowest feature index, then the lowest
@@ -63,8 +65,10 @@ def checked_int(name: str, value) -> int:
 
 def checked_training_data(features, *targets) -> list[np.ndarray]:
     """[X, *Ys]: n x p features and n x k targets of one width k as float
-    matrices; DomainError unless n, p, k >= 1 and every entry is finite."""
-    arrays = [np.ascontiguousarray(a, dtype=float) for a in (features, *targets)]
+    matrices; DomainError unless n, p, k >= 1 and every entry is a finite
+    real number."""
+    arrays = [np.ascontiguousarray(real_array(a, "training data"))
+              for a in (features, *targets)]
     shapes = [a.shape for a in arrays]
     if any(len(s) != 2 or 0 in s for s in shapes) or len({s[0] for s in shapes}) > 1 \
             or len({s[1] for s in shapes[1:]}) > 1:
@@ -197,41 +201,50 @@ def _ranking_means(rank_sums, unit_sums, sizes, k):
     return np.where(norms == 0.0, 0.5, means)
 
 
-def _candidate_losses(columns, sizes, rows, stats: _LabelStats, lam: float):
-    """All candidate splits of an m x N block of feature columns, one
-    contiguous row per column.
+def _candidate_losses(keys, sizes, starts, srows, stats: _LabelStats, lam: float,
+                      shift: int):
+    """All candidate splits of an m x N block of sort keys, one contiguous
+    row per feature column.
 
-    Row c holds its column's sizes[c] feature values first, padded with NaN
-    to N; rows[c] gives the stats row of each of its entries. Returns
-    (values, feat, at, losses): the block with each row sorted, as one flat
-    array, and per candidate its row feat, the flat position at = feat * N + i
-    of its lower value in values (the i + 1 lowest entries go left) and its
-    weighted loss, ordered by row, then by position. Each row is sorted once
-    (NaN padding sorts last and, as no value is > NaN, never bounds a split)
-    and losses come from prefix sums along its sorted stats rows, read only
-    at real split points, with the column's totals read at its own last
-    entry; children's labels are implicit (mean vector for the regression
-    term, Borda consensus for the ranking term). No split point is computed
-    here: the caller computes its winners' alone.
+    Row c holds its column's sizes[c] keys first, each rank << shift | entry
+    (the value's dense rank in its column, then the entry's index in the
+    row), padded to N with a key above every real key; entry i of row c is
+    entry starts[c] + i of srows, its stats row. Returns (entries, feat, at,
+    losses): the entries of srows in the order of each row's sorted keys,
+    as one flat array, and per candidate its row feat, the flat position
+    at = feat * N + i of its lower entry (the i + 1 lowest entries go left)
+    and its weighted loss, ordered by row, then by position. Keys are
+    distinct, so the sort puts equal values in entry order, as a stable sort
+    of the values would; it runs in place, and keys ends holding the ranks.
+    A candidate is a rank rise between two real entries. Losses come from
+    prefix sums along the sorted stats rows, read only at candidates, with
+    the column's totals read at its own last entry; children's labels are
+    implicit (mean vector for the regression term, Borda consensus for the
+    ranking term). No split point is computed here: the caller computes its
+    winners' alone, from the values at their entries.
     """
-    m, height = columns.shape
-    order = columns.argsort(axis=1, kind="stable")
-    order += np.arange(0, m * height, height)[:, None]  # flat positions, row by row
-    xs = columns.take(order).ravel()
-    rows = rows.take(order)
-    rises = xs[1:] > xs[:-1]
-    rises[height - 1::height] = False  # from one row's last entry to the next row's first
+    m, height = keys.shape
+    keys.sort(axis=1)
+    entries = keys & ((1 << shift) - 1)
+    entries += starts[:, None]
+    rows = srows.take(entries)
+    keys >>= shift
+    ranks = keys.ravel()
+    rises = np.empty(ranks.size, dtype=bool)
+    np.greater(ranks[1:], ranks[:-1], out=rises[:-1])
+    base = np.arange(0, m * height, height)
+    last = base + sizes - 1  # each row's last real entry, which bounds no split
+    rises[last] = False
+    rises[-1] = False  # nor does the block's last entry, which np.greater skipped
     at = rises.nonzero()[0]
     feat = at // height
-    base = feat * height
-    sel = at - base  # sel + 1 entries go left
-    size = sizes[feat]
+    sel = at - base[feat]  # sel + 1 entries go left
 
     # each candidate's left prefix sums, then its column's totals at its own
     # last entry, turned in place into the right side's sums
     c = sel.size
-    reads = np.concatenate((at, base + size - 1))
-    n = size.astype(float)
+    reads = np.concatenate((at, last[feat]))
+    n = sizes[feat].astype(float)
     nl = (sel + 1).astype(float)
     nr = n - nl
     sides = np.concatenate((nl, nr))
@@ -253,26 +266,46 @@ def _candidate_losses(columns, sizes, rows, stats: _LabelStats, lam: float):
     if lam != 0.0:
         rank = _ranking_means(side_sums(stats.rank_rows), side_sums(stats.unit_ranks), sides, k)
     loss = lam * rank + (1.0 - lam) * reg
-    return xs, feat, at, (nl / n) * loss[:c] + (nr / n) * loss[c:]
+    return entries.ravel(), feat, at, (nl / n) * loss[:c] + (nr / n) * loss[c:]
 
 
-def _best_splits(X, stats: _LabelStats, rows, srows, starts, sizes, feats, lam: float):
+def _rank_table(X, shift: int):
+    """Each entry of X's column as its dense rank among the column's
+    distinct values, shifted left by shift, as an int64 matrix of X's shape.
+    Ranks compare as > compares the values, so -0.0 and 0.0 share one."""
+    order = X.argsort(axis=0)
+    values = np.take_along_axis(X, order, axis=0)
+    ranks = np.zeros(X.shape, dtype=np.int64)
+    np.cumsum(values[1:] > values[:-1], axis=0, out=ranks[1:])
+    ranks <<= shift
+    table = np.empty_like(ranks)
+    np.put_along_axis(table, order, ranks, axis=0)
+    return table
+
+
+def _best_splits(X, stats: _LabelStats, rows, srows, starts, sizes, feats, lam: float,
+                 table, shift: int):
     """The lowest-loss split of each node, all nodes scored together.
 
     Node j holds the sizes[j] entries of rows (its rows of X) and of srows
     (the matching rows of stats) from starts[j] on, and searches the sorted
-    candidate features feats[j] (nodes x m). Returns the arrays (feature,
+    candidate features feats[j] (nodes x m). table is _rank_table(X, shift),
+    where 2**shift exceeds every node's size. Returns the arrays (feature,
     split point, weighted loss) over the nodes; a node where no candidate
     feature has two distinct values gets feature -1. Columns go largest node
     first, in blocks of BLOCK_CELLS label cells, so that a block pads little;
-    a block is laid out one contiguous row per column. A block holds whole
-    nodes, or part of one node too wide for a block, and each block's sorted
-    values are kept until its nodes complete: their candidates are then
-    reduced to one per node, and only the winners' split points are
-    computed, each from the block that holds it.
+    a block is laid out one contiguous row per column. Split search sorts
+    integer keys, not floats: an entry's key is its rank from table plus its
+    index in its column's row, and padding gets a key above every real key.
+    A block holds whole nodes, or part of one node too wide for a block, and
+    each block's entries in sorted order are kept until its nodes complete:
+    their candidates are then reduced to one per node, and only the winners'
+    split points are computed, from the values in X at the winner's two
+    entries, read from its own block.
     """
     n_features = X.shape[1]
-    flat_x = X.ravel()
+    flat_table = table.ravel()
+    top = X.shape[0] << shift  # ranks lie below X.shape[0]
     k = stats.labels.shape[1]
     m = feats.shape[1]
     by_size = np.argsort(-sizes, kind="stable")
@@ -285,8 +318,8 @@ def _best_splits(X, stats: _LabelStats, rows, srows, starts, sizes, feats, lam: 
     feature = np.full(sizes.size, -1)
     point = np.full(sizes.size, np.nan)
     loss = np.full(sizes.size, np.nan)
-    parts = []  # candidates of the nodes not yet reduced, and their blocks' sorted values
-    kept = 0  # the number of sorted values in parts
+    parts = []  # candidates of the nodes not yet reduced, and their blocks' sorted entries
+    kept = 0  # the number of sorted entries in parts
     c0 = 0
     while c0 < n_cols:
         height = int(col_size[c0])
@@ -294,22 +327,26 @@ def _best_splits(X, stats: _LabelStats, rows, srows, starts, sizes, feats, lam: 
         if c1 < n_cols and col_node[c1] == col_node[c1 - 1] != col_node[c0]:
             c1 -= c1 % m  # that node starts the next block
         steps = np.arange(height)
-        entries = col_start[c0:c1, None] + steps  # of rows and srows, one row per column
-        columns = flat_x.take(rows.take(entries, mode="clip") * n_features + col_feat[c0:c1, None])
+        cells = rows.take(col_start[c0:c1, None] + steps, mode="clip")  # one row per column
+        cells *= n_features
+        cells += col_feat[c0:c1, None]
+        keys = flat_table.take(cells)
+        keys += steps
         size = col_size[c0:c1]
         if size[-1] < height:
-            columns[steps >= size[:, None]] = np.nan
-        values, feat, at, losses = _candidate_losses(
-            columns, size, srows.take(entries, mode="clip"), stats, lam)
-        parts.append((values, feat + c0, at + kept, losses))
-        kept += values.size
+            keys[steps >= size[:, None]] = top
+        entries, feat, at, losses = _candidate_losses(
+            keys, size, col_start[c0:c1], srows, stats, lam, shift)
+        parts.append((entries, feat + c0, at + kept, losses))
+        kept += entries.size
         if c1 == n_cols or col_node[c1] != col_node[c1 - 1]:
-            values, cand_cols, at, losses = (np.concatenate(part) for part in zip(*parts))
+            entries, cand_cols, at, losses = (np.concatenate(part) for part in zip(*parts))
             nodes, winners = _first_ties(col_node[cand_cols], losses)
-            feature[nodes] = col_feat[cand_cols[winners]]
-            # each winner's split point, from its own block: low <= split <
-            # high, as the sides were counted
-            low, high = values[at[winners]], values[at[winners] + 1]
+            cols = cand_cols[winners]
+            feature[nodes] = col_feat[cols]
+            # each winner's split point, from the values at its two entries
+            # in its own block: low <= split < high, as the sides were counted
+            low, high = X[rows[entries[at[winners, None] + [0, 1]]], col_feat[cols, None]].T
             with np.errstate(over="ignore"):  # near the float maximum mid is inf
                 mid = (low + high) / 2.0
             point[nodes] = np.where(mid < high, mid, low)
@@ -352,12 +389,15 @@ def best_split(features, labels, lam: float, candidate_features=None):
         raise DomainError("need at least two rows to split")
     if candidate_features is None:
         candidate_features = range(X.shape[1])
-    feats = np.array(sorted(int(f) for f in candidate_features), dtype=np.intp)
+    feats = np.array(sorted(checked_int("candidate feature", f) for f in candidate_features),
+                     dtype=np.intp)
     if feats.size and not 0 <= feats[0] <= feats[-1] < X.shape[1]:
         raise DomainError(f"candidate features must lie in 0..{X.shape[1] - 1}")
     rows = np.arange(X.shape[0])
+    shift = rows.size.bit_length()
     feature, point, loss = _best_splits(X, _LabelStats(Y), rows, rows, np.array([0]),
-                                        np.array([rows.size]), feats[None], lam)
+                                        np.array([rows.size]), feats[None], lam,
+                                        _rank_table(X, shift), shift)
     return None if feature[0] < 0 else (int(feature[0]), float(point[0]), float(loss[0]))
 
 
@@ -429,6 +469,8 @@ def build_trees(features, targets, jobs, config: TreeConfig) -> list[Tree]:
         return []
     stats = _LabelStats(np.concatenate(matrices))
     mtry = config.resolve_features_per_split(n_features)
+    shift = max(rows.size for _, rows, _ in jobs).bit_length()  # 2**shift > any node's size
+    table = _rank_table(X, shift)
 
     # the level being grown: per node its job, size and id; its rows of X and
     # of stats run node after node. Ids count nodes level by level.
@@ -456,7 +498,8 @@ def build_trees(features, targets, jobs, config: TreeConfig) -> list[Tree]:
             else:
                 feats = np.broadcast_to(np.arange(n_features), (grow.size, n_features))
             feature[grow], point[grow], _ = _best_splits(X, stats, rows, srows, starts[grow],
-                                                         sizes[grow], feats, config.lam)
+                                                         sizes[grow], feats, config.lam,
+                                                         table, shift)
         split = feature >= 0
         left = np.full(sizes.size, -1)
         left[split] = n_nodes + sizes.size + 2 * np.arange(split.sum())

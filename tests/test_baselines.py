@@ -408,6 +408,10 @@ BAD_TRAINING_DATA = {
     "NaN feature": (_with_cell(_X, np.nan), _Y),
     "inf feature": (_with_cell(_X, np.inf), _Y),
     "NaN cost": (_X, _with_cell(_Y, np.nan)),
+    "string features": ([["a", "b", "c"]] * 4, _Y),
+    "ragged features": ([[0.0, 1.0, 2.0]] * 3 + [[0.0, 1.0]], _Y),
+    "complex features": ([[1j, 2.0, 3.0]] * 4, _Y),
+    "complex cost array": (_X, _Y + 1j),
 }
 
 

@@ -72,6 +72,17 @@ class TestRankVector:
         with pytest.raises(DomainError):
             rank_vector([0.5, np.nan, 0.1])
 
+    @pytest.mark.parametrize("costs, message", [
+        (3.0, "got a scalar"),
+        (["a", "b"], "real numbers"),
+        ([[1.0, 2.0], [3.0]], "real numbers"),
+        ([1j, 2.0], "real numbers"),
+        (np.array([1j, 2.0]), "real numbers"),
+    ], ids=["scalar", "strings", "ragged", "complex", "complex-array"])
+    def test_what_is_not_a_cost_array_raises_domain_error(self, costs, message):
+        with pytest.raises(DomainError, match=message):
+            rank_vector(costs)
+
     @given(cost_vectors)
     def test_rank_sum_invariant(self, costs):
         k = len(costs)
@@ -213,6 +224,15 @@ class TestKendallTauB:
     def test_refuses_anything_but_two_vectors(self, r1, r2):
         with pytest.raises(DomainError, match="must be 1-D"):
             kendall_tau_b(np.array(r1), np.array(r2))
+
+    @pytest.mark.parametrize("r1, r2", [
+        (["a", "b"], [1, 2]),
+        ([1, 2], [[1, 2], [3]]),
+        ([1j, 2], [1, 2]),
+    ], ids=["strings", "ragged", "complex"])
+    def test_what_is_not_a_ranking_raises_domain_error(self, r1, r2):
+        with pytest.raises(DomainError, match="real numbers"):
+            kendall_tau_b(r1, r2)
 
     def test_exhaustive_permutations_against_pair_counts(self):
         for k in range(2, 7):

@@ -68,6 +68,12 @@ class TestBestSplit:
             with pytest.raises(DomainError):
                 best_split(PURE_X, PURE_Y, 0.5, candidate_features=candidates)
 
+    @pytest.mark.parametrize("candidates", [[0.7], [True], ["x"], [0, 0.0]],
+                             ids=["fraction", "bool", "string", "integral-float"])
+    def test_candidate_features_must_be_integers(self, candidates):
+        with pytest.raises(DomainError, match="candidate feature must be an integer"):
+            best_split(PURE_X, PURE_Y, 0.5, candidate_features=candidates)
+
     def test_candidate_feature_restriction(self):
         X = np.hstack([PURE_X, np.ones((4, 1))])
         assert best_split(X, PURE_Y, 0.5, candidate_features=[1]) is None
@@ -134,6 +140,42 @@ def batched_split_cases(draw):
     return X, Y, candidates
 
 
+# Value pools for the sort keys' edge cases: the keys rank each column's
+# distinct values, so these pools exercise ties, the two zeros that > calls
+# equal, values whose midpoint overflows, and midpoints that round.
+EDGE_POOLS = {
+    "zeros": [-0.0, 0.0, 1.0, -1.0],
+    "huge": [-1.7e308, -1e308, 1e308, 1.7e308, np.finfo(float).max],
+    "subnormal": [-5e-324, -0.0, 0.0, 5e-324, 1e-320, 2.2250738585072014e-308],
+}
+
+
+@st.composite
+def edge_value_nodes(draw):
+    """Columns with two or three distinct values, drawn from a normal sample
+    or from a pool above, or constant; one to four nodes of differing sizes,
+    each on rows drawn with replacement and searching its own sorted sample
+    of m features."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, k = draw(st.integers(2, 30)), draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from(["normal", "constant", *EDGE_POOLS]),
+                          min_size=1, max_size=6))
+    X = np.empty((n, len(kinds)))
+    for f, kind in enumerate(kinds):
+        pool = np.array(EDGE_POOLS.get(kind) or rng.normal(size=3))
+        values = rng.choice(pool, size=1 if kind == "constant" else int(rng.integers(2, 4)),
+                            replace=False)
+        X[:, f] = rng.choice(values, size=n)
+    Y = rng.uniform(size=(n, k))
+    if draw(st.booleans()):
+        Y = np.round(Y, 1)  # tied costs
+    m = draw(st.integers(1, len(kinds)))
+    nodes = [rng.integers(0, n, size=int(rng.integers(2, n + 2)))
+             for _ in range(draw(st.integers(1, 4)))]
+    feats = np.sort([rng.permutation(len(kinds))[:m] for _ in nodes], axis=1)
+    return X, Y, nodes, feats
+
+
 # Block sizes in label cells: one column per block, blocks of a few columns
 # in which a node spans several blocks or one block holds several nodes
 # padded with NaN, and the default.
@@ -148,6 +190,24 @@ class TestBatchedSplitSearch:
         with mock.patch.object(harris.tree, "BLOCK_CELLS", block_cells):
             got = best_split(X, Y, lam, candidates)
         assert got == oracles.per_feature_best_split(X, Y, lam, candidates)
+
+    @settings(deadline=None, max_examples=300)
+    @given(edge_value_nodes(), st.sampled_from([0.0, 0.3, 1.0]), st.sampled_from(BLOCK_SIZES))
+    def test_sort_keys_on_edge_values_match_per_feature_search(self, case, lam, block_cells):
+        """Several nodes in one pass, so that blocks are padded and nodes
+        spread over blocks; bit for bit, the sign of a zero split included."""
+        X, Y, nodes, feats = case
+        rows = np.concatenate(nodes)
+        sizes = np.array([node.size for node in nodes])
+        shift = int(sizes.max()).bit_length()
+        with mock.patch.object(harris.tree, "BLOCK_CELLS", block_cells):
+            got = harris.tree._best_splits(X, harris.tree._LabelStats(Y), rows, rows,
+                                           sizes.cumsum() - sizes, sizes, feats, lam,
+                                           harris.tree._rank_table(X, shift), shift)
+        for j, node in enumerate(nodes):
+            feature, point, loss = (a[j].item() for a in got)
+            expected = oracles.per_feature_best_split(X[node], Y[node], lam, feats[j])
+            assert repr(None if feature < 0 else (feature, point, loss)) == repr(expected)
 
     @settings(deadline=None, max_examples=50)
     @given(batched_split_cases(), st.sampled_from([0.0, 0.3, 1.0]))
