@@ -219,7 +219,6 @@ def forest_to_dict(forest: HybridForest) -> dict:
             "seed": cfg.seed,
             "lambda": cfg.tree.lam,
             "max_depth": cfg.tree.max_depth,
-            "min_samples_split": cfg.tree.min_samples_split,
             "features_per_split": cfg.tree.features_per_split,
         },
         "scale": {"min": forest.scale.min, "max": forest.scale.max},
@@ -240,7 +239,6 @@ def _config_from_dict(cfg: dict) -> ForestConfig:
             bootstrap=cfg["bootstrap"],
             seed=cfg["seed"],
             tree=TreeConfig(lam=cfg["lambda"], max_depth=cfg["max_depth"],
-                            min_samples_split=cfg["min_samples_split"],
                             features_per_split=cfg["features_per_split"]),
         )
     except DomainError as exc:

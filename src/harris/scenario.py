@@ -74,6 +74,7 @@ import numpy as np
 import yaml
 
 from .errors import ConsistencyError, DomainError, EmptyScenarioError, ParseError
+from .losses import real_array
 
 N_FOLDS = 10
 # a plain data section is split in blocks of whole rows holding at most this
@@ -158,9 +159,18 @@ def filter_unsolved(scenario: Scenario) -> Scenario:
     )
 
 
+def _real_matrix(values, what: str) -> np.ndarray:
+    """values as a float matrix, not copied when it already is one; DomainError
+    naming what unless it has at least one row and one column of real numbers."""
+    a = real_array(values, what)
+    if a.ndim != 2 or 0 in a.shape:
+        raise DomainError(f"{what} must be a nonempty matrix, got shape {a.shape}")
+    return a
+
+
 def column_medians(features) -> np.ndarray:
     """Per-column median over non-missing entries; all-missing columns get 0."""
-    X = np.asarray(features, dtype=float)
+    X = _real_matrix(features, "features")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN columns
         med = np.nanmedian(X, axis=0)
@@ -170,8 +180,8 @@ def column_medians(features) -> np.ndarray:
 def impute_features(features, medians=None) -> np.ndarray:
     """Replace missing entries by column medians (computed from `features`
     itself unless training-fold medians, one per column, are supplied)."""
-    X = np.asarray(features, dtype=float).copy()
-    medians = column_medians(X) if medians is None else np.asarray(medians, dtype=float)
+    X = _real_matrix(features, "features").copy()
+    medians = column_medians(X) if medians is None else real_array(medians, "medians")
     if medians.shape != X.shape[1:]:
         raise DomainError(f"need one median per feature column ({X.shape[-1]}), got {medians.size}")
     rows, cols = np.nonzero(np.isnan(X))
@@ -211,8 +221,9 @@ def scale_performances(costs) -> tuple[np.ndarray, ScaleParams]:
     parameters allow reporting in original units. A constant matrix maps to
     all zeros.
     """
-    params = ScaleParams.fit(costs)
-    return params.transform(costs), params
+    c = _real_matrix(costs, "costs")
+    params = ScaleParams.fit(c)
+    return params.transform(c), params
 
 
 # --- ASLib directory parsing -------------------------------------------------

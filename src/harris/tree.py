@@ -12,22 +12,23 @@ build_trees grows many trees in lockstep, level by level, as depth-wise
 boosting libraries do: each depth scores the candidate columns of every open
 node of every tree in one pass, so a fit makes at most max_depth passes.
 The columns go in blocks of BLOCK_CELLS label cells, one contiguous row per
-column: one row-wise sort, prefix sums along the sorted rows, and the losses
-of every real split point of every column at once. The sort is of integer
-keys, not floats: each fit ranks every column of X once, and an entry's key
-is its value's rank, then its index in its row. A candidate is kept as its
-position in its block; split points are computed only for each node's
-winner, from the values at its entries in the block that holds it. Leaf
-checks run for a whole level in segment reductions, and leaf labels are
+column: one row-wise sort, one prefix sum of the per-row stats matrix
+(_LabelStats) along the sorted rows, and the losses of every real split point
+of every column at once. The sort is of integer keys, not floats: each fit
+ranks every column of X once, and an entry's key is its value's rank, then its
+index in its row. A candidate is kept as its position in its block; split
+points are computed only for each node's winner, from the values at its
+entries in the block that holds it. Leaf checks run for a whole level in one
+comparison of each node's stats rows with its first row, and leaf labels are
 reduced once at the end, grouped by leaf size. Each tree keeps its nodes in
 the order they grew: by depth, then left to right. A sampled tree draws one
-array of uniforms per level from its own generator, one row per open node,
-so its draws depend neither on the build order nor on the trees grown beside
-it, and a deep tree cut at depth d is the depth-d tree, whose
-feature and split lists, and leaves above depth d, are prefixes of the deep
-tree's. best_split and build_tree are the one-node and one-tree cases. A
-leaf keeps its mean cost vector and its size: the Borda consensus scores
-splits, and prediction reads only the mean.
+array of uniforms per level from its own generator, one row per open node, so
+its draws depend neither on the build order nor on the trees grown beside it,
+and a deep tree cut at depth d is the depth-d tree, whose feature and split
+lists, and leaves above depth d, are prefixes of the deep tree's. best_split
+and build_tree are the one-node and one-tree cases. A leaf keeps its mean cost
+vector and its size: the Borda consensus scores splits, and prediction reads
+only the mean.
 """
 
 from __future__ import annotations
@@ -81,10 +82,10 @@ def checked_training_data(features, *targets) -> list[np.ndarray]:
 
 def checked_query_row(x, n_features: int) -> list[float]:
     """x as a list of floats; DomainError unless it is one row of n_features
-    finite numbers. Strings are parsed as float() parses them."""
+    finite real numbers. Strings are parsed as float() parses them."""
     try:
-        row = np.asarray(x, dtype=float)
-    except (TypeError, ValueError):
+        row = real_array(x, "features")
+    except DomainError:
         raise DomainError(f"features are not numeric: {x!r}") from None
     if row.shape != (n_features,):
         got = row.size if row.ndim == 1 else f"shape {row.shape}"
@@ -106,21 +107,17 @@ def seed_sequence(seed, *path) -> np.random.SeedSequence:
 class TreeConfig:
     lam: float = 0.5                      # weight of the ranking loss
     max_depth: int = 6
-    min_samples_split: int = 2
     features_per_split: Union[int, str] = "all"  # int, "all", or "sqrt"
 
     def __post_init__(self):
         if isinstance(self.lam, bool) or not isinstance(self.lam, numbers.Real):
             raise DomainError(f"lambda must be a number, got {self.lam!r}")
         object.__setattr__(self, "lam", float(self.lam))
-        for name in ("max_depth", "min_samples_split"):
-            object.__setattr__(self, name, checked_int(name, getattr(self, name)))
+        object.__setattr__(self, "max_depth", checked_int("max_depth", self.max_depth))
         if not 0.0 <= self.lam <= 1.0:
             raise DomainError(f"lambda must lie in [0, 1], got {self.lam}")
         if self.max_depth < 0:
             raise DomainError(f"max_depth must be >= 0, got {self.max_depth}")
-        if self.min_samples_split < 2:
-            raise DomainError(f"min_samples_split must be >= 2, got {self.min_samples_split}")
         if isinstance(self.features_per_split, str):
             if self.features_per_split not in ("all", "sqrt"):
                 raise DomainError("features_per_split must be an int, 'all' or 'sqrt', "
@@ -165,23 +162,27 @@ class Tree:
 class _LabelStats:
     """Per-row quantities reused by every split evaluation.
 
-    rank_rows holds each instance's average-rank vector; unit_ranks the
-    centered, unit-norm version (zero rows for all-tied instances, which
-    contribute the neutral 0.5 ranking loss); sq_sums the per-row sum of
-    squared costs for the regression term. Every quantity is computed row by
-    row, so the stats of stacked label matrices are the stacked stats.
+    summed holds per row the columns split search sums over a side: where
+    lam < 1, [labels | sum of squared costs] for the regression term; where
+    lam > 0, then [average ranks | centered unit-norm ranks] for the ranking
+    term (zero for an all-tied instance, which adds the neutral 0.5 loss).
+    Every column is a function of the row's labels, computed row by row.
     """
 
-    def __init__(self, labels: np.ndarray):
+    def __init__(self, labels: np.ndarray, lam: float):
         self.labels = labels
-        self.rank_rows = rank_vector(labels)
-        centered = self.rank_rows - self.rank_rows.mean(axis=1, keepdims=True)
-        norms = np.sqrt((centered ** 2).sum(axis=1))
-        unit = np.zeros_like(centered)
-        nonzero = norms > 0
-        unit[nonzero] = centered[nonzero] / norms[nonzero, None]
-        self.unit_ranks = unit
-        self.sq_sums = (labels ** 2).sum(axis=1)
+        columns = []
+        if lam != 1.0:
+            columns += [labels, (labels ** 2).sum(axis=1, keepdims=True)]
+        if lam != 0.0:
+            ranks = rank_vector(labels)
+            centered = ranks - ranks.mean(axis=1, keepdims=True)
+            norms = np.sqrt((centered ** 2).sum(axis=1))
+            unit = np.zeros_like(centered)
+            nonzero = norms > 0
+            unit[nonzero] = centered[nonzero] / norms[nonzero, None]
+            columns += [ranks, unit]
+        self.summed = np.concatenate(columns, axis=1)
 
 
 def _ranking_means(rank_sums, unit_sums, sizes, k):
@@ -248,23 +249,19 @@ def _candidate_losses(keys, sizes, starts, srows, stats: _LabelStats, lam: float
     nl = (sel + 1).astype(float)
     nr = n - nl
     sides = np.concatenate((nl, nr))
-
-    def side_sums(values):
-        sums = values.take(rows, axis=0).cumsum(axis=1).reshape(-1, *values.shape[1:])
-        sums = sums.take(reads, axis=0)
-        sums[c:] -= sums[:c]
-        return sums
+    sums = stats.summed.take(rows, axis=0).cumsum(axis=1)
+    sums = sums.reshape(m * height, -1).take(reads, axis=0)
+    sums[c:] -= sums[:c]
 
     k = stats.labels.shape[1]
     reg = 0.0
     if lam != 1.0:
-        sums, sq = side_sums(stats.labels), side_sums(stats.sq_sums)
         # mean over side of per-row MSE against the side mean; clamp the
         # cancellation residue of mathematically zero losses
-        reg = np.maximum(sq - (sums ** 2).sum(axis=1) / sides, 0.0) / (sides * k)
+        reg = np.maximum(sums[:, k] - (sums[:, :k] ** 2).sum(axis=1) / sides, 0.0) / (sides * k)
     rank = 0.0
-    if lam != 0.0:
-        rank = _ranking_means(side_sums(stats.rank_rows), side_sums(stats.unit_ranks), sides, k)
+    if lam != 0.0:  # the ranking columns are the last 2k in every layout
+        rank = _ranking_means(sums[:, -2 * k:-k], sums[:, -k:], sides, k)
     loss = lam * rank + (1.0 - lam) * reg
     return entries.ravel(), feat, at, (nl / n) * loss[:c] + (nr / n) * loss[c:]
 
@@ -395,7 +392,7 @@ def best_split(features, labels, lam: float, candidate_features=None):
         raise DomainError(f"candidate features must lie in 0..{X.shape[1] - 1}")
     rows = np.arange(X.shape[0])
     shift = rows.size.bit_length()
-    feature, point, loss = _best_splits(X, _LabelStats(Y), rows, rows, np.array([0]),
+    feature, point, loss = _best_splits(X, _LabelStats(Y, lam), rows, rows, np.array([0]),
                                         np.array([rows.size]), feats[None], lam,
                                         _rank_table(X, shift), shift)
     return None if feature[0] < 0 else (int(feature[0]), float(point[0]), float(loss[0]))
@@ -405,25 +402,19 @@ def _zero_hybrid_loss(stats: _LabelStats, srows, starts, sizes, lam: float):
     """Per node, the sizes[j] entries of srows from starts[j] on: whether its
     hybrid loss against its own labels is exactly zero.
 
-    The regression term vanishes iff every row equals the first (testing the
-    float-computed MSE would miss this: the mean of identical rows is off by
-    an ulp). The ranking term vanishes iff all instance rankings are identical
-    and not all-tied: identical rankings match their own Borda consensus with
-    an exactly-zero spearman loss, while an all-tied ranking contributes the
-    constant 0.5 and differing rankings a strictly positive term.
+    Its rows' stats, functions of their labels, must equal its first row's:
+    the labels (lam < 1) or rankings (lam = 1) are then all the first's
+    (testing the float-computed MSE would miss this: the mean of identical
+    rows is off by an ulp). Where lam > 0 the first ranking must not be
+    all-tied (a zero unit-rank row): identical rankings match their own Borda
+    consensus with an exactly-zero spearman loss, while an all-tied ranking
+    contributes the constant 0.5 and differing rankings a positive term.
     """
-    firsts = srows[starts]
-    each_first = firsts.repeat(sizes)
-
-    def rows_equal_first(values):
-        return np.logical_and.reduceat((values[srows] == values[each_first]).all(axis=1), starts)
-
-    zero = np.ones(starts.size, dtype=bool)
-    if lam != 1.0:
-        zero &= rows_equal_first(stats.labels)
+    summed, firsts = stats.summed, srows[starts]
+    zero = np.logical_and.reduceat((summed[srows] == summed[firsts.repeat(sizes)]).all(axis=1),
+                                   starts)
     if lam != 0.0:
-        ranks = stats.rank_rows[firsts]
-        zero &= rows_equal_first(stats.rank_rows) & ~(ranks == ranks[:, :1]).all(axis=1)
+        zero &= summed[firsts, -stats.labels.shape[1]:].any(axis=1)
     return zero
 
 
@@ -467,7 +458,7 @@ def build_trees(features, targets, jobs, config: TreeConfig) -> list[Tree]:
         raise DomainError(f"a job's target index must lie in 0..{len(matrices) - 1}")
     if not jobs:
         return []
-    stats = _LabelStats(np.concatenate(matrices))
+    stats = _LabelStats(np.concatenate(matrices), config.lam)
     mtry = config.resolve_features_per_split(n_features)
     shift = max(rows.size for _, rows, _ in jobs).bit_length()  # 2**shift > any node's size
     table = _rank_table(X, shift)
@@ -487,7 +478,7 @@ def build_trees(features, targets, jobs, config: TreeConfig) -> list[Tree]:
         point = np.zeros(sizes.size)
         grow = np.zeros(0, dtype=np.intp)  # the nodes to search
         if len(levels) < config.max_depth:
-            grow = ((sizes >= config.min_samples_split)
+            grow = ((sizes >= 2)
                     & ~_zero_hybrid_loss(stats, srows, starts, sizes, config.lam)).nonzero()[0]
         if grow.size:
             if mtry < n_features:
@@ -552,10 +543,9 @@ def _level_order_trees(levels, leaf_parts, labels, n_jobs) -> list[Tree]:
 def build_tree(features, labels, config: TreeConfig, rng: np.random.Generator) -> Tree:
     """Grow one hybrid tree.
 
-    A node becomes a leaf when it reaches max_depth, holds fewer than
-    min_samples_split rows, already has zero hybrid loss, or no candidate
-    feature offers a valid split. Each split searches a uniform sample
-    (without replacement) of features_per_split features, drawn as
-    build_trees draws it.
+    A node becomes a leaf when it reaches max_depth, holds one row, already
+    has zero hybrid loss, or no candidate feature offers a valid split. Each
+    split searches a uniform sample (without replacement) of
+    features_per_split features, drawn as build_trees draws it.
     """
     return build_trees(features, [labels], [(0, np.arange(len(features)), rng)], config)[0]

@@ -384,7 +384,7 @@ def level_order_build_tree(features, labels, config, rng):
     """One hybrid tree grown level by level, as nested tuples: see tree_bytes.
 
     At each depth the nodes are visited left to right. A node is a leaf at
-    max_depth, below min_samples_split rows, or at zero hybrid loss; every
+    max_depth, of one row, or at zero hybrid loss; every
     other node is searched. When features_per_split samples fewer than all p
     features, the depth's searched nodes draw one rng.random((nodes, p))
     array, and node i searches the mtry features with the smallest draws in
@@ -401,7 +401,7 @@ def level_order_build_tree(features, labels, config, rng):
     level, depth = [root], 0
     while level:
         searched = [node for node in level
-                    if depth < config.max_depth and node["idx"].size >= config.min_samples_split
+                    if depth < config.max_depth and node["idx"].size >= 2
                     and not _zero_node_loss(Y[node["idx"]], rank_rows[node["idx"]], config.lam)]
         draws = rng.random((len(searched), n_features)) if mtry < n_features else None
         level = []

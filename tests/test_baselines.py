@@ -434,6 +434,8 @@ BAD_QUERY_ROWS = {
     "inf": [np.inf] * 3,
     "1 x 3 row": [[0.5] * 3],
     "strings": ["a", "b", "c"],
+    "complex array": np.array([1 + 5j, 2, 3]),
+    "complex list": [1 + 5j, 2, 3],
     "objects": [object()] * 3,
 }
 

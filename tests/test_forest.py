@@ -84,14 +84,13 @@ class TestFitForest:
         (lambda: TreeConfig(lam=True), "True"),
         (lambda: TreeConfig(max_depth=2.5), "2.5"),
         (lambda: TreeConfig(max_depth=True), "True"),
-        (lambda: TreeConfig(min_samples_split=2.0), "2.0"),
         (lambda: TreeConfig(features_per_split=2.0), "2.0"),
         (lambda: TreeConfig(features_per_split=False), "False"),
         (lambda: TreeConfig(features_per_split="half"), "'half'"),
         (lambda: TreeConfig(features_per_split=0), "0"),
     ], ids=["fractional-trees", "boolean-trees", "string-seed", "float-seed",
             "string-bootstrap", "integer-bootstrap", "string-lambda", "boolean-lambda",
-            "fractional-depth", "boolean-depth", "float-min-samples",
+            "fractional-depth", "boolean-depth",
             "float-features-per-split", "boolean-features-per-split",
             "unknown-features-per-split", "zero-features-per-split"])
     def test_config_field_of_wrong_type(self, make, got):
@@ -303,8 +302,8 @@ class TestSerialization:
 
     @pytest.mark.parametrize("config", [
         single_tree_config(lam=0.5, max_depth=0),
-        # n = 3 < min_samples_split: every bagged tree stops at its root
-        ForestConfig(n_trees=3, seed=2, tree=TreeConfig(min_samples_split=4)),
+        # every bagged tree stops at its root
+        ForestConfig(n_trees=3, seed=2, tree=TreeConfig(max_depth=0)),
     ])
     def test_one_leaf_trees_round_trip(self, tmp_path, config):
         forest = fit_forest(PURE_X[:3], PURE_Y[:3], config)
@@ -315,6 +314,15 @@ class TestSerialization:
         assert forest_to_dict(loaded) == forest_to_dict(forest)
         for x in ([-1.0], [1.5], [9.0]):
             assert predict_costs(loaded, x).tobytes() == predict_costs(forest, x).tobytes()
+
+    def test_old_min_samples_split_key_is_ignored(self, tmp_path):
+        # version 3 files written before the setting was dropped still hold it
+        data = forest_to_dict(self.fitted())
+        data["config"]["min_samples_split"] = 2
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        del data["config"]["min_samples_split"]
+        assert forest_to_dict(load_forest(path)) == data
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_version_one_is_refused(self, tmp_path, version):
@@ -395,7 +403,7 @@ class TestSerialization:
         lambda d: d["config"].update(bootstrap="no"),
         lambda d: d["config"].update(seed=2.9),
         lambda d: d["config"].update(max_depth=True),
-        lambda d: d["config"].update(min_samples_split=2.7),
+        lambda d: d["config"].update(max_depth=2.7),
         lambda d: d["config"].update(n_trees=str(d["config"]["n_trees"])),
         lambda d: d["config"].update({"lambda": True}),
         lambda d: d["config"].update({"lambda": "0.5"}),
@@ -404,7 +412,6 @@ class TestSerialization:
         lambda d: d["config"].update({"lambda": 2}),
         lambda d: d["config"].update(n_trees=0),
         lambda d: d["config"].update(max_depth=-1),
-        lambda d: d["config"].update(min_samples_split=1),
         lambda d: d["config"].update(features_per_split=0),
         lambda d: d["trees"][0]["split"].__setitem__(0, "2.5"),
         lambda d: d["trees"][0]["split"].__setitem__(0, True),
@@ -420,10 +427,10 @@ class TestSerialization:
             "nan-scale", "no-child-list",
             "empty-tree-list", "fewer-trees-than-n_trees", "trees-not-a-list",
             "too-few-algorithm-names", "no-algorithm-names", "no-features",
-            "string-bootstrap", "fractional-seed", "boolean-depth", "fractional-min-samples",
+            "string-bootstrap", "fractional-seed", "boolean-depth", "fractional-depth",
             "string-tree-count", "boolean-lambda", "string-lambda", "unknown-feature-rule",
             "fractional-features-per-split", "lambda-out-of-range", "no-tree-count",
-            "negative-depth", "min-samples-below-two", "zero-features-per-split",
+            "negative-depth", "zero-features-per-split",
             "string-split", "boolean-split", "string-leaf-label", "boolean-leaf-label",
             "string-scale", "huge-integer-split"])
     def test_malformed_model_raises_model_format_error(self, tmp_path, damage):

@@ -3,6 +3,7 @@ import gc
 import re
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -164,6 +165,28 @@ class TestScalePerformances:
         for before, after in zip(costs, scaled):
             assert np.argmin(before) == np.argmin(after)
             assert rank_vector(before).tolist() == rank_vector(after).tolist()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: impute_features(np.array([1.0, np.nan])),
+    lambda: impute_features(np.empty((2, 0))),
+    lambda: impute_features([[1.0, np.nan]], ["a", "b"]),
+    lambda: impute_features([[1.0, np.nan]], [0.5, 1j]),
+    lambda: column_medians([["a"]]),
+    lambda: column_medians(np.empty((0, 2))),
+    lambda: scale_performances([]),
+    lambda: scale_performances([1.0, 2.0]),
+    lambda: scale_performances([["a"]]),
+    lambda: scale_performances(np.array([[1.0, 2j]])),
+], ids=["vector-features", "no-feature-columns", "string-medians", "complex-medians",
+        "string-features", "no-rows", "empty-costs", "vector-costs", "string-costs",
+        "complex-costs"])
+def test_preprocessing_refuses_bad_input(call):
+    # the package's own error, never a raw numpy error or a warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="real numbers|nonempty matrix"):
+            call()
 
 
 class TestParseScenario:

@@ -201,7 +201,7 @@ class TestBatchedSplitSearch:
         sizes = np.array([node.size for node in nodes])
         shift = int(sizes.max()).bit_length()
         with mock.patch.object(harris.tree, "BLOCK_CELLS", block_cells):
-            got = harris.tree._best_splits(X, harris.tree._LabelStats(Y), rows, rows,
+            got = harris.tree._best_splits(X, harris.tree._LabelStats(Y, lam), rows, rows,
                                            sizes.cumsum() - sizes, sizes, feats, lam,
                                            harris.tree._rank_table(X, shift), shift)
         for j, node in enumerate(nodes):
@@ -257,8 +257,7 @@ def lockstep_cases(draw):
         targets = [np.round(Y, 1) for Y in targets]  # tied costs and repeated rows
     fps = draw(st.one_of(st.sampled_from(["all", "sqrt"]), st.integers(1, len(kinds))))
     config = TreeConfig(lam=draw(st.sampled_from([0.0, 0.3, 1.0])),
-                        max_depth=draw(st.integers(0, 6)),
-                        min_samples_split=draw(st.integers(2, 5)), features_per_split=fps)
+                        max_depth=draw(st.integers(0, 6)), features_per_split=fps)
     jobs = draw(st.lists(st.tuples(st.integers(0, len(targets) - 1), st.booleans(),
                                    st.integers(0, 2**32 - 1)), min_size=1, max_size=5))
     return X, targets, jobs, config
@@ -465,10 +464,21 @@ class TestBuildTree:
         tree = build_tree(X, Y, TreeConfig(lam=0.5, max_depth=5), default_rng())
         assert oracles.tree_skeleton(tree) == ("leaf", 6)
 
-    def test_min_samples_split(self):
-        config = TreeConfig(lam=0.0, max_depth=8, min_samples_split=4)
-        tree = build_tree(PURE_X[:3], PURE_Y[:3], config, default_rng())
-        assert oracles.tree_skeleton(tree) == ("leaf", 3)
+    @pytest.mark.parametrize("Y, splits", [
+        # one ranking, two cost vectors: only the regression term is nonzero
+        ([[0.1, 0.2], [0.3, 0.9]], [1, 1, 0]),
+        # all-tied rankings: only the ranking term (0.5) is nonzero
+        ([[0.5, 0.5], [0.5, 0.5]], [0, 1, 1]),
+        # signed zeros compare equal: both terms are zero
+        ([[0.0, 1.0], [-0.0, 1.0]], [0, 0, 0]),
+    ], ids=["same-ranking", "all-tied", "signed-zeros"])
+    def test_zero_loss_leaf_rule(self, Y, splits):
+        """The root splits unless its hybrid loss is exactly zero, at
+        lambda 0, 0.5 and 1; its one-row children are leaves."""
+        X = np.array([[0.0], [1.0]])
+        got = [len(build_tree(X, np.array(Y), TreeConfig(lam=lam, max_depth=3),
+                              default_rng()).feature) for lam in (0.0, 0.5, 1.0)]
+        assert got == splits
 
 
 class TestLambdaEndpoints:
@@ -524,8 +534,6 @@ class TestTreeConfig:
             TreeConfig(lam=1.2)
         with pytest.raises(DomainError):
             TreeConfig(max_depth=-1)
-        with pytest.raises(DomainError):
-            TreeConfig(min_samples_split=1)
         with pytest.raises(DomainError):
             TreeConfig(features_per_split="half")
 
