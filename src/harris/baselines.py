@@ -39,6 +39,13 @@ class Selector:
         return int(np.argmin(self.predicted_costs(x)))
 
 
+def _fitted(state):
+    """state, set by fit; DomainError while it is still None."""
+    if state is None:
+        raise DomainError("fit the selector first")
+    return state
+
+
 def _derived_seed(seed: int, index: int) -> int:
     return int(seed_sequence(seed, index).generate_state(1, np.uint64)[0])
 
@@ -57,7 +64,7 @@ class HarrisSelector(Selector):
         return self
 
     def predicted_costs(self, x):
-        return predict_costs(self.forest, checked_query_row(x, self.forest.n_features))
+        return predict_costs(self.forest, checked_query_row(x, _fitted(self.forest).n_features))
 
 
 class _SubForestSelector(Selector):
@@ -92,7 +99,7 @@ class RegressionForestSelector(_SubForestSelector):
         return self
 
     def predicted_costs(self, x):
-        row = checked_query_row(x, self.forests[0].n_features)
+        row = checked_query_row(x, _fitted(self.forests)[0].n_features)
         return np.array([float(predict_costs(f, row)[0]) for f in self.forests])
 
 
@@ -123,8 +130,8 @@ class PairwiseVotingSelector(_SubForestSelector):
         return self
 
     def predicted_costs(self, x):
+        row = checked_query_row(x, _fitted(self.models)[0][2].n_features)
         scores = np.zeros(self.n_algorithms)
-        row = checked_query_row(x, self.models[0][2].n_features)
         for i, j, forest in self.models:
             diff = float(predict_costs(forest, row)[0])
             if diff != 0.0:  # an exactly-zero prediction carries no preference: no vote
@@ -168,7 +175,7 @@ class ClusterSelector(Selector):
         return self
 
     def predicted_costs(self, x):
-        row = checked_query_row(x, self.centroids.shape[1])
+        row = checked_query_row(x, _fitted(self.centroids).shape[1])
         z = (np.array(row) - self.feature_mean) / self.feature_std
         return self.cluster_costs[np.argmin(((self.centroids - z) ** 2).sum(axis=1))].copy()
 
@@ -255,7 +262,7 @@ class SingleBestSelector(Selector):
         return self
 
     def predicted_costs(self, x):
-        checked_query_row(x, self.n_features)
+        checked_query_row(x, _fitted(self.n_features))
         return self.mean_costs.copy()
 
 

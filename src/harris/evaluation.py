@@ -25,7 +25,7 @@ import numpy as np
 from .baselines import HarrisSelector, OracleSelector, Selector
 from .errors import DomainError, UndefinedMetric
 from .forest import ForestConfig
-from .losses import kendall_tau_b, rank_vector
+from .losses import kendall_tau_b, rank_vector, real_array
 from .scenario import (Scenario, column_medians, impute_features, par10_matrix,
                        read_csv_rows, scale_performances)
 from .tree import TreeConfig
@@ -158,7 +158,7 @@ def average_rank(par10_by_scenario: Mapping[str, Mapping[str, float]]) -> dict[s
         missing = [s for s in selectors if s not in cells]
         if missing:
             raise DomainError(f"scenario {scenario_name!r} is missing selectors {missing}")
-        totals += rank_vector([float(cells[s]) for s in selectors])
+        totals += rank_vector(real_array([cells[s] for s in selectors], "PAR10 values"))
     means = totals / len(par10_by_scenario)
     return dict(zip(selectors, means))
 

@@ -5,12 +5,13 @@ first its bootstrap rows, then one array of feature draws per depth level,
 so forests are reproducible no matter in which order or beside which trees
 they are built. fit_forests grows every tree of several forests on one
 feature matrix in one tree.build_trees lockstep, level by level; each tree
-keeps only its bootstrap row indices. On construction a forest derives one
-routing table over the split nodes of all its trees and one stack of all
-trees' regression leaf labels; prediction walks the table from each tree's
-root and averages the leaf rows it reaches, gathered with one take. A model
-file holds each tree.Tree as the plain dump of its lists, checked on load
-without recursion.
+keeps only its bootstrap row indices, and each forest holds its slice of
+the one tree.Tree table that build_trees returns. A forest derives, in one
+vectorized shift of the table's ids, a routing table over the split nodes
+of all its trees; prediction walks it from each tree's root and averages
+the table's leaf rows it reaches, gathered with one take. A model file holds
+each tree's slice of the table as the plain dump of its lists, checked on
+load without recursion.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -59,13 +61,15 @@ def single_tree_config(lam: float, max_depth: int, seed: int = 0) -> ForestConfi
 
 @dataclass(frozen=True)
 class HybridForest:
-    trees: tuple[Tree, ...]
+    """A fitted forest: one tree.Tree table of its trees, and the routing table
+    derived from it, the one place where tree ids become forest-wide."""
+    trees: Tree
     config: ForestConfig
     scale: ScaleParams
     algorithm_names: tuple[str, ...]
     n_features: int
     # derived, not stored in the model file:
-    # every tree's regression leaf labels stacked in one array
+    # every tree's regression leaf labels, trees.regression itself
     leaf_rows: np.ndarray = field(init=False, repr=False, compare=False)
     # one (feature, split, left, right) per split node of every tree, with
     # forest-wide ids: a child c >= 0 is route[c], a child c < 0 is the leaf
@@ -76,19 +80,18 @@ class HybridForest:
     roots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        route, roots, rows = [], [], 0
-        for tree in self.trees:
-            # the tree's split node c is route[nodes + c]; its leaf ~c is row
-            # rows + ~c of leaf_rows, stored as ~(rows + ~c) == c - rows
-            nodes = len(route)
-            route += [(f, s, l + nodes if l >= 0 else l - rows, r + nodes if r >= 0 else r - rows)
-                      for f, s, l, r in zip(tree.feature, tree.split, tree.left, tree.right)]
-            roots.append(nodes if tree.feature else ~rows)
-            rows += len(tree.regression)
-        object.__setattr__(self, "leaf_rows",
-                           np.concatenate([tree.regression for tree in self.trees]))
-        object.__setattr__(self, "route", tuple(route))
-        object.__setattr__(self, "roots", tuple(roots))
+        # tree t's split node c is route[first[t] + c], and its leaf ~c is row
+        # first[t] + t + ~c of leaf_rows (each tree before it has one more
+        # leaf than split nodes), stored as c - (first[t] + t)
+        splits = np.array(self.trees.splits, dtype=np.intp)
+        first = splits.cumsum() - splits
+        leaf_first = first + np.arange(splits.size)
+        children = np.array([self.trees.left, self.trees.right], dtype=np.intp)
+        children += np.where(children >= 0, first.repeat(splits), -leaf_first.repeat(splits))
+        object.__setattr__(self, "leaf_rows", self.trees.regression)
+        object.__setattr__(self, "route", tuple(zip(self.trees.feature, self.trees.split,
+                                                    *children.tolist())))
+        object.__setattr__(self, "roots", tuple(np.where(splits > 0, first, ~leaf_first).tolist()))
 
 
 def fit_forest(features, labels, config: ForestConfig, *,
@@ -123,17 +126,17 @@ def fit_forests(features, targets, configs, *, scale: ScaleParams | None = None,
             rng = np.random.default_rng(seed_sequence(config.seed, tree_number))
             rows = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
             jobs.append((target, rows, rng))
-    trees = iter(build_trees(X, labels, jobs, configs[0].tree))
+    trees = build_trees(X, labels, jobs, configs[0].tree)
     return [
         HybridForest(
-            trees=tuple(next(trees) for _ in range(config.n_trees)),
+            trees=trees[end - config.n_trees:end],
             config=config,
             scale=scale,
             algorithm_names=tuple(algorithm_names if algorithm_names is not None
                                   else (f"algo_{j}" for j in range(Y.shape[1]))),
             n_features=X.shape[1],
         )
-        for Y, config in zip(labels, configs)
+        for Y, config, end in zip(labels, configs, accumulate(c.n_trees for c in configs))
     ]
 
 
@@ -169,8 +172,9 @@ def _is_number(value) -> bool:
     return type(value) in (int, float)
 
 
-def _tree_from_dict(record: dict, n_features: int, k: int) -> Tree:
-    """The Tree a model file stores, checked so that routing any row ends at
+def _tree_from_dict(record: dict, n_features: int, k: int) -> tuple:
+    """The lists (feature, split, left, right, regression rows, size) of the
+    tree a model file record stores, checked so that routing any row ends at
     a leaf with k labels."""
     feature, split, left, right, size = (record[key] for key in
                                          ("feature", "split", "left", "right", "size"))
@@ -190,8 +194,8 @@ def _tree_from_dict(record: dict, n_features: int, k: int) -> Tree:
             and all(isinstance(r, list) and len(r) == k for r in rows)):
         raise ModelFormatError(f"regression must be {leaves} x {k}: "
                                f"a row per leaf, a column per algorithm name")
-    if not all(_is_number(v) for r in rows for v in r):
-        raise ModelFormatError("leaf labels must be numbers")
+    if not all(_is_number(v) and math.isfinite(v) for r in rows for v in r):
+        raise ModelFormatError("leaf labels must be finite numbers")
     if any(not 0 <= f < n_features for f in feature):
         raise ModelFormatError(f"feature ids must lie in 0..{n_features - 1}")
     if min(size) < 1:
@@ -202,10 +206,7 @@ def _tree_from_dict(record: dict, n_features: int, k: int) -> Tree:
             or any(0 <= c <= i for i, pair in enumerate(zip(left, right)) for c in pair):
         raise ModelFormatError("child ids must name every other node once, "
                                "split nodes after their parent")
-    regression = np.array(rows, dtype=float)
-    if not np.isfinite(regression).all():
-        raise ModelFormatError("leaf labels must be finite")
-    return Tree(feature, split, left, right, regression, size)
+    return feature, split, left, right, rows, size
 
 
 def forest_to_dict(forest: HybridForest) -> dict:
@@ -267,12 +268,15 @@ def forest_from_dict(data: dict) -> HybridForest:
                 checked.append(_tree_from_dict(record, n_features, len(names)))
             except ModelFormatError as exc:
                 raise ModelFormatError(f"tree {t}: {exc}") from None
+        feature, split, left, right, rows, size = (list(chain.from_iterable(c))
+                                                   for c in zip(*checked))
         bounds = data["scale"]["min"], data["scale"]["max"]
         if not all(_is_number(v) and math.isfinite(v) for v in bounds):
             raise ModelFormatError("scale min and max must be finite numbers")
         scale = ScaleParams(min=float(bounds[0]), max=float(bounds[1]))
         return HybridForest(
-            trees=tuple(checked),
+            trees=Tree(feature, split, left, right, np.array(rows, dtype=float), size,
+                       [len(record["feature"]) for record in trees]),
             config=config,
             scale=scale,
             algorithm_names=tuple(names),

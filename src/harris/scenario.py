@@ -199,18 +199,20 @@ class ScaleParams:
 
     @classmethod
     def fit(cls, costs) -> "ScaleParams":
-        c = np.asarray(costs, dtype=float)
+        c = real_array(costs, "costs")
+        if c.size == 0:
+            raise DomainError("costs must form a nonempty array of real numbers")
         return cls(min=float(c.min()), max=float(c.max()))
 
     def transform(self, costs) -> np.ndarray:
-        c = np.asarray(costs, dtype=float)
+        c = real_array(costs, "costs")
         span = self.max - self.min
         if span == 0.0:
             return np.zeros_like(c)
         return (c - self.min) / span
 
     def invert(self, scaled) -> np.ndarray:
-        s = np.asarray(scaled, dtype=float)
+        s = real_array(scaled, "scaled costs")
         return s * (self.max - self.min) + self.min
 
 

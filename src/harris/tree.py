@@ -25,8 +25,9 @@ the order they grew: by depth, then left to right. A sampled tree draws one
 array of uniforms per level from its own generator, one row per open node, so
 its draws depend neither on the build order nor on the trees grown beside it,
 and a deep tree cut at depth d is the depth-d tree, whose feature and split
-lists, and leaves above depth d, are prefixes of the deep tree's. best_split
-and build_tree are the one-node and one-tree cases. A leaf keeps its mean cost
+lists, and leaves above depth d, are prefixes of the deep tree's. The trees
+come back to back in one Tree table, each with its own ids. best_split and
+build_tree are the one-node and one-tree cases. A leaf keeps its mean cost
 vector and its size: the Borda consensus scores splits, and prediction reads
 only the mean.
 """
@@ -142,14 +143,16 @@ class TreeConfig:
 
 @dataclass(frozen=True, eq=False)
 class Tree:
-    """A fitted tree as parallel lists over its split nodes and its leaves,
-    each in level order: by depth, then left to right.
+    """Fitted trees back to back, as parallel lists over their split nodes and
+    their leaves, each tree's in level order (by depth, then left to right),
+    with its own ids: tree t has splits[t] split nodes and splits[t] + 1 leaves.
 
-    Split node i sends a row left when row[feature[i]] <= split[i]. A child
-    id c >= 0 (in left[i] or right[i]) is split node c; c < 0 is leaf ~c. The
-    root is split node 0, or leaf 0 (id -1) in a tree without splits. Leaf j
-    holds the mean cost vector regression[j] (leaves x k) and its training
-    size size[j].
+    A tree's split node i sends a row left when row[feature[i]] <= split[i].
+    A child id c >= 0 (in left[i] or right[i]) is its split node c; c < 0 is
+    its leaf ~c. Its root is split node 0, or leaf 0 (id -1) if it has no
+    splits. Leaf j holds the mean cost vector regression[j] (leaves x k) and
+    its training size size[j]. table[t] and table[a:b] are tables of tree t
+    and of trees a to b - 1, with no id changed; a table iterates its trees.
     """
     feature: list[int]
     split: list[float]
@@ -157,6 +160,19 @@ class Tree:
     right: list[int]
     regression: np.ndarray
     size: list[int]
+    splits: list[int]
+
+    def __len__(self) -> int:
+        return len(self.splits)
+
+    def __getitem__(self, index) -> "Tree":
+        picked = range(len(self.splits))[index]  # past the end, IndexError ends iteration
+        if isinstance(picked, range) and picked.step != 1:
+            raise IndexError("trees are sliced with step 1")
+        a, b = (picked, picked + 1) if isinstance(picked, int) else (picked.start, picked.stop)
+        s0, s1 = sum(self.splits[:a]), sum(self.splits[:b])
+        return Tree(self.feature[s0:s1], self.split[s0:s1], self.left[s0:s1], self.right[s0:s1],
+                    self.regression[s0 + a:s1 + b], self.size[s0 + a:s1 + b], self.splits[a:b])
 
 
 class _LabelStats:
@@ -431,13 +447,13 @@ def _leaf_means(labels, rows, sizes):
     return means
 
 
-def build_trees(features, targets, jobs, config: TreeConfig) -> list[Tree]:
-    """Grow one hybrid tree per job, all in lockstep, level by level.
+def build_trees(features, targets, jobs, config: TreeConfig) -> Tree:
+    """Grow one hybrid tree per job, all in lockstep, level by level, into one table.
 
     features is n x p and targets a sequence of n x k label matrices of equal
-    width k. Job (t, rows, rng) grows a tree on features[rows] and
-    targets[t][rows] (rows may repeat, as in a bootstrap sample), drawing its
-    feature samples from rng; the tree equals build_tree on that data with
+    width k. Job j, (t, rows, rng), grows tree j of the table on features[rows]
+    and targets[t][rows] (rows may repeat, as in a bootstrap sample), drawing
+    its feature samples from rng; the tree equals build_tree on that data with
     that generator. Only row indices are kept per tree and per node.
 
     Each depth scores every open node of every tree in one _best_splits pass,
@@ -457,7 +473,7 @@ def build_trees(features, targets, jobs, config: TreeConfig) -> list[Tree]:
     if any(not 0 <= t < len(matrices) for t, _, _ in jobs):
         raise DomainError(f"a job's target index must lie in 0..{len(matrices) - 1}")
     if not jobs:
-        return []
+        return Tree([], [], [], [], np.empty((0, matrices[0].shape[1])), [], [])
     stats = _LabelStats(np.concatenate(matrices), config.lam)
     mtry = config.resolve_features_per_split(n_features)
     shift = max(rows.size for _, rows, _ in jobs).bit_length()  # 2**shift > any node's size
@@ -511,9 +527,9 @@ def build_trees(features, targets, jobs, config: TreeConfig) -> list[Tree]:
     return _level_order_trees(levels, leaf_parts, stats.labels, len(jobs))
 
 
-def _level_order_trees(levels, leaf_parts, labels, n_jobs) -> list[Tree]:
-    """The Tree of each job from the levels build_trees grew, its split nodes
-    and its leaves each in level order.
+def _level_order_trees(levels, leaf_parts, labels, n_jobs) -> Tree:
+    """The table of the jobs' trees from the levels build_trees grew, each
+    tree's split nodes and leaves in level order.
 
     build_trees numbers nodes level by level and, within a level, tree by
     tree, so a stable sort by job puts each tree's nodes in its own level
@@ -530,14 +546,10 @@ def _level_order_trees(levels, leaf_parts, labels, n_jobs) -> list[Tree]:
     code = np.empty(feature.size, dtype=np.intp)  # a node's id in its tree
     code[splits] = np.arange(splits.size) - split_job.searchsorted(split_job)
     code[leaves] = ~(np.arange(leaves.size) - leaf_job.searchsorted(leaf_job))
-    regression = _leaf_means(labels, leaf_rows, leaf_sizes)[by_tree]
-    leaf_sizes = leaf_sizes[by_tree].tolist()
-    columns = [feature[splits].tolist(), point[splits].tolist(),
-               code[left[splits]].tolist(), code[left[splits] + 1].tolist()]
-    split_at, leaf_at = (job.searchsorted(np.arange(n_jobs + 1)).tolist()
-                         for job in (split_job, leaf_job))
-    return [Tree(*(column[s0:s1] for column in columns), regression[l0:l1], leaf_sizes[l0:l1])
-            for s0, s1, l0, l1 in zip(split_at, split_at[1:], leaf_at, leaf_at[1:])]
+    return Tree(feature[splits].tolist(), point[splits].tolist(), code[left[splits]].tolist(),
+                code[left[splits] + 1].tolist(),
+                _leaf_means(labels, leaf_rows, leaf_sizes)[by_tree], leaf_sizes[by_tree].tolist(),
+                np.bincount(split_job, minlength=n_jobs).tolist())
 
 
 def build_tree(features, labels, config: TreeConfig, rng: np.random.Generator) -> Tree:
@@ -548,4 +560,4 @@ def build_tree(features, labels, config: TreeConfig, rng: np.random.Generator) -
     split searches a uniform sample (without replacement) of
     features_per_split features, drawn as build_trees draws it.
     """
-    return build_trees(features, [labels], [(0, np.arange(len(features)), rng)], config)[0]
+    return build_trees(features, [labels], [(0, np.arange(len(features)), rng)], config)

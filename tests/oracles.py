@@ -485,7 +485,18 @@ def flat_tree(nested):
         return i
 
     add(nested)
-    return Tree(feature, split, left, right, np.array(regression), size)
+    return Tree(feature, split, left, right, np.array(regression), size, [len(feature)])
+
+
+def joined_trees(trees):
+    """One harris.tree.Tree table of the given one-tree tables, back to back,
+    each keeping its own ids."""
+    from harris.tree import Tree
+
+    return Tree(*([v for tree in trees for v in getattr(tree, name)]
+                  for name in ("feature", "split", "left", "right")),
+                np.concatenate([tree.regression for tree in trees]),
+                [v for tree in trees for v in tree.size], [len(tree.feature) for tree in trees])
 
 
 def forest_of(trees, n_features=1):
@@ -494,7 +505,7 @@ def forest_of(trees, n_features=1):
     from harris.scenario import ScaleParams
 
     k = trees[0].regression.shape[1]
-    return HybridForest(trees=tuple(trees), config=ForestConfig(n_trees=len(trees)),
+    return HybridForest(trees=joined_trees(trees), config=ForestConfig(n_trees=len(trees)),
                         scale=ScaleParams(0.0, 1.0),
                         algorithm_names=tuple(f"a{j}" for j in range(k)),
                         n_features=n_features)

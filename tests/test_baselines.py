@@ -22,8 +22,8 @@ from harris.tree import Tree, TreeConfig, best_split, build_tree
 
 def constant_forest(value):
     """Single-leaf forest predicting a fixed scalar (stub pairwise model)."""
-    leaf = Tree([], [], [], [], np.array([[value]], dtype=float), [1])
-    return HybridForest(trees=(leaf,), config=ForestConfig(n_trees=1),
+    leaf = Tree([], [], [], [], np.array([[value]], dtype=float), [1], [0])
+    return HybridForest(trees=leaf, config=ForestConfig(n_trees=1),
                         scale=ScaleParams(0.0, 1.0), algorithm_names=("d",),
                         n_features=1)
 
@@ -438,6 +438,25 @@ BAD_QUERY_ROWS = {
     "complex list": [1 + 5j, 2, 3],
     "objects": [object()] * 3,
 }
+
+
+UNFITTED = {
+    "harris": lambda: HarrisSelector(_CONFIG),
+    "rfr": RegressionForestSelector,
+    "satzilla": PairwiseVotingSelector,
+    "isac": ClusterSelector,
+    "sbs": SingleBestSelector,
+    "oracle": OracleSelector,
+}
+
+
+@pytest.mark.parametrize("name", UNFITTED)
+def test_every_selector_refuses_queries_before_fit(name):
+    # the package's own error, never an AttributeError or a TypeError
+    selector = UNFITTED[name]()
+    for query in (selector.predicted_costs, selector.select):
+        with pytest.raises(DomainError, match="fit the selector first|true costs"):
+            query([0.5] * 3)
 
 
 @pytest.mark.parametrize("x", BAD_QUERY_ROWS.values(), ids=BAD_QUERY_ROWS.keys())

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 import oracles
 from harris import cli
 from harris.errors import DomainError, ModelFormatError
-from harris.forest import (ForestConfig, fit_forest, forest_to_dict,
-                           load_forest, predict_costs, save_forest, select_algorithm,
-                           single_tree_config)
+from harris.forest import (ForestConfig, fit_forest, fit_forests, forest_from_dict,
+                           forest_to_dict, load_forest, predict_costs, save_forest,
+                           select_algorithm, single_tree_config)
 from harris.losses import rank_vector
 from harris.scenario import (ScaleParams, column_medians, filter_unsolved, impute_features,
                              parse_scenario)
@@ -26,7 +26,7 @@ PURE_Y = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
 
 def leaf_forest(rows):
     """Hand-built forest of single-leaf trees with fixed regression labels."""
-    return oracles.forest_of([Tree([], [], [], [], np.array([r], dtype=float), [1])
+    return oracles.forest_of([Tree([], [], [], [], np.array([r], dtype=float), [1], [0])
                               for r in rows])
 
 
@@ -174,14 +174,27 @@ class TestRouting:
     @settings(deadline=None, max_examples=100)
     @given(nested_trees_and_rows(), st.sampled_from([list, np.array]))
     def test_predict_costs_is_mean_of_leaf_labels(self, trees_row, as_input):
+        # one-leaf trees mixed with split trees, joined by hand and loaded from
+        # per-tree model records: from each tree's root, the routing table
+        # reaches the leaf its nested tree does
         trees, row = trees_row
-        forest = oracles.forest_of([oracles.flat_tree(t) for t in trees], n_features=len(row))
+        flat = [oracles.flat_tree(t) for t in trees]
+        joined = oracles.forest_of(flat, n_features=len(row))
+        records = [{"feature": t.feature, "split": t.split, "left": t.left, "right": t.right,
+                    "regression": t.regression.tolist(), "size": t.size} for t in flat]
+        loaded = forest_from_dict({**forest_to_dict(joined), "trees": records})
         expected = np.mean([np.frombuffer(oracles.route_nested(t, row)[2]) for t in trees],
                            axis=0)
-        assert predict_costs(forest, as_input(row)).tobytes() == expected.tobytes()
+        for forest in (joined, loaded):
+            assert predict_costs(forest, as_input(row)).tobytes() == expected.tobytes()
+            for i, nested in zip(forest.roots, trees, strict=True):
+                while i >= 0:
+                    feature, split, left, right = forest.route[i]
+                    i = left if row[feature] <= split else right
+                assert forest.leaf_rows[~i].tobytes() == oracles.route_nested(nested, row)[2]
 
     def test_split_point_goes_left(self):
-        tree = Tree([0], [0.5], [-1], [-2], np.array([[1.0], [2.0]]), [1, 1])
+        tree = Tree([0], [0.5], [-1], [-2], np.array([[1.0], [2.0]]), [1, 1], [1])
         forest = oracles.forest_of([tree])
         assert [predict_costs(forest, x)[0]
                 for x in ([0.5], np.array([0.5]), [np.nextafter(0.5, 1)], [np.nan])] == [
@@ -213,6 +226,30 @@ class TestRouting:
             expected = np.mean(leaves, axis=0)
             assert predict_costs(forest, x).tobytes() == expected.tobytes()
             assert select_algorithm(forest, x) == np.flatnonzero(expected == expected.min())[0]
+
+
+class TestForestsFittedTogether:
+    def test_forests_of_different_sizes(self, tmp_path):
+        # each forest is its own slice of one lockstep fit, and its routing
+        # table is the one its saved and loaded copy derives
+        rng = np.random.default_rng(12)
+        X = rng.uniform(size=(40, 4))
+        targets = [rng.uniform(size=(40, 2)) for _ in range(3)]
+        tree = TreeConfig(lam=0.5, max_depth=4, features_per_split=2)
+        configs = [ForestConfig(n_trees=1, bootstrap=False, seed=3, tree=tree),
+                   ForestConfig(n_trees=4, bootstrap=True, seed=5, tree=tree),
+                   ForestConfig(n_trees=2, bootstrap=True, seed=0, tree=tree)]
+        rows = [*X, *rng.uniform(-0.2, 1.2, size=(30, 4))]
+        forests = fit_forests(X, targets, configs)
+        assert [len(forest.trees) for forest in forests] == [1, 4, 2]
+        for i, (forest, Y, config) in enumerate(zip(forests, targets, configs, strict=True)):
+            alone = fit_forest(X, Y, config)
+            assert forest_to_dict(forest) == forest_to_dict(alone)
+            assert [predict_costs(forest, x).tobytes() for x in rows] == \
+                [predict_costs(alone, x).tobytes() for x in rows]
+            save_forest(forest, tmp_path / f"{i}.json")
+            loaded = load_forest(tmp_path / f"{i}.json")
+            assert (loaded.route, loaded.roots) == (forest.route, forest.roots)
 
 
 class TestScaleEquivariance:
@@ -287,8 +324,8 @@ class TestSerialization:
         scn = make_synthetic_scenario(120, seed=3)
         forest = fit_forest(scn.features, scn.performances,
                             ForestConfig(n_trees=6, seed=4, tree=TreeConfig(max_depth=6)))
-        preorder = replace(forest, trees=tuple(oracles.flat_tree(oracles.tree_bytes(tree))
-                                               for tree in forest.trees))
+        preorder = replace(forest, trees=oracles.joined_trees(
+            [oracles.flat_tree(oracles.tree_bytes(tree)) for tree in forest.trees]))
         assert forest_to_dict(preorder) != forest_to_dict(forest)
         path = tmp_path / "preorder.json"
         save_forest(preorder, path)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import oracles
 from aslib_writer import Table, render_arff, write_aslib
 from harris.errors import ConsistencyError, DomainError, EmptyScenarioError, ParseError
+from harris.evaluation import average_rank
 from harris import scenario
 from harris.losses import rank_vector
 from harris.scenario import (ScaleParams, Scenario, _read_arff, _read_features,
@@ -178,9 +179,15 @@ class TestScalePerformances:
     lambda: scale_performances([1.0, 2.0]),
     lambda: scale_performances([["a"]]),
     lambda: scale_performances(np.array([[1.0, 2j]])),
+    lambda: ScaleParams.fit([]),
+    lambda: ScaleParams.fit([["a"]]),
+    lambda: ScaleParams(0.0, 1.0).transform("x"),
+    lambda: ScaleParams(0.0, 1.0).invert([["a"]]),
+    lambda: average_rank({"a": {"x": "b"}}),
 ], ids=["vector-features", "no-feature-columns", "string-medians", "complex-medians",
         "string-features", "no-rows", "empty-costs", "vector-costs", "string-costs",
-        "complex-costs"])
+        "complex-costs", "fit-no-costs", "fit-string-costs", "transform-string",
+        "invert-strings", "rank-string-par10"])
 def test_preprocessing_refuses_bad_input(call):
     # the package's own error, never a raw numpy error or a warning first
     with warnings.catch_warnings():

@@ -283,6 +283,13 @@ class TestLockstep:
             rows, rng = job_rows(n, bootstrap, seed)
             expected = oracles.level_order_build_tree(X[rows], targets[t][rows], config, rng)
             assert oracles.tree_bytes(tree) == expected
+        # a slice a:b of the table holds exactly trees a to b - 1
+        singles = [oracles.tree_bytes(tree) for tree in trees]
+        for a in range(len(jobs) + 1):
+            for b in range(a, len(jobs) + 1):
+                assert [oracles.tree_bytes(tree) for tree in trees[a:b]] == singles[a:b]
+        with pytest.raises(IndexError):
+            trees[::2]
 
     @settings(deadline=None, max_examples=100)
     @given(lockstep_cases())
@@ -305,7 +312,9 @@ class TestLockstep:
             build_trees(PURE_X, [PURE_Y], [(0, np.arange(5), rng)], TreeConfig())
         with pytest.raises(DomainError):
             build_trees(PURE_X, [PURE_Y, PURE_Y[:, :1]], [(0, np.arange(4), rng)], TreeConfig())
-        assert build_trees(PURE_X, [PURE_Y], [], TreeConfig()) == []
+        empty = build_trees(PURE_X, [PURE_Y], [], TreeConfig())
+        assert len(empty) == 0 and empty.feature == empty.size == []
+        assert empty.regression.shape == (0, 2)
 
 
 class TestLevelWiseGrowth:
