@@ -2,6 +2,8 @@
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _Module
+
 from .baselines import (ClusterSelector, HarrisSelector, OracleSelector,
                         PairwiseVotingSelector, RegressionForestSelector,
                         Selector, SingleBestSelector)
@@ -19,4 +21,6 @@ from .scenario import (ScaleParams, Scenario, column_medians, filter_unsolved,
 from .synthetic import make_synthetic_scenario
 from .tree import Tree, TreeConfig, best_split, build_tree
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the API alone, not the submodules that the imports above bind
+__all__ = [name for name, value in sorted(globals().items())
+           if not (name.startswith("_") or isinstance(value, _Module))]

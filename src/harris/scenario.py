@@ -177,11 +177,12 @@ def column_medians(features) -> np.ndarray:
     return np.where(np.isnan(med), 0.0, med)
 
 
-def impute_features(features, medians=None) -> np.ndarray:
-    """Replace missing entries by column medians (computed from `features`
-    itself unless training-fold medians, one per column, are supplied)."""
+def impute_features(features, medians) -> np.ndarray:
+    """Replace missing entries by the given column medians, one per column:
+    the training fold's, from column_medians, so that no test row is imputed
+    from its own fold."""
     X = _real_matrix(features, "features").copy()
-    medians = column_medians(X) if medians is None else real_array(medians, "medians")
+    medians = real_array(medians, "medians")
     if medians.shape != X.shape[1:]:
         raise DomainError(f"need one median per feature column ({X.shape[-1]}), got {medians.size}")
     rows, cols = np.nonzero(np.isnan(X))
@@ -191,25 +192,11 @@ def impute_features(features, medians=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScaleParams:
-    """Global min-max parameters of a cost matrix, for mapping to [0, 1]
-    and back to original units."""
+    """Global min-max parameters of a cost matrix, as scale_performances
+    found them, for mapping scaled costs back to original units."""
 
     min: float
     max: float
-
-    @classmethod
-    def fit(cls, costs) -> "ScaleParams":
-        c = real_array(costs, "costs")
-        if c.size == 0:
-            raise DomainError("costs must form a nonempty array of real numbers")
-        return cls(min=float(c.min()), max=float(c.max()))
-
-    def transform(self, costs) -> np.ndarray:
-        c = real_array(costs, "costs")
-        span = self.max - self.min
-        if span == 0.0:
-            return np.zeros_like(c)
-        return (c - self.min) / span
 
     def invert(self, scaled) -> np.ndarray:
         s = real_array(scaled, "scaled costs")
@@ -221,11 +208,14 @@ def scale_performances(costs) -> tuple[np.ndarray, ScaleParams]:
 
     The affine map preserves per-instance argmins and rankings; the returned
     parameters allow reporting in original units. A constant matrix maps to
-    all zeros.
+    all zeros. Costs that are not all finite raise DomainError.
     """
     c = _real_matrix(costs, "costs")
-    params = ScaleParams.fit(c)
-    return params.transform(c), params
+    if not np.isfinite(c).all():
+        raise DomainError("costs must be finite real numbers")
+    params = ScaleParams(min=float(c.min()), max=float(c.max()))
+    span = params.max - params.min
+    return (np.zeros_like(c) if span == 0.0 else (c - params.min) / span), params
 
 
 # --- ASLib directory parsing -------------------------------------------------

@@ -10,26 +10,28 @@ checked_training_data: n x p features, n x k targets, n, p, k >= 1, all finite.
 
 build_trees grows many trees in lockstep, level by level, as depth-wise
 boosting libraries do: each depth scores the candidate columns of every open
-node of every tree in one pass, so a fit makes at most max_depth passes.
-The columns go in blocks of BLOCK_CELLS label cells, one contiguous row per
-column: one row-wise sort, one prefix sum of the per-row stats matrix
-(_LabelStats) along the sorted rows, and the losses of every real split point
-of every column at once. The sort is of integer keys, not floats: each fit
-ranks every column of X once, and an entry's key is its value's rank, then its
-index in its row. A candidate is kept as its position in its block; split
-points are computed only for each node's winner, from the values at its
-entries in the block that holds it. Leaf checks run for a whole level in one
-comparison of each node's stats rows with its first row, and leaf labels are
-reduced once at the end, grouped by leaf size. Each tree keeps its nodes in
-the order they grew: by depth, then left to right. A sampled tree draws one
-array of uniforms per level from its own generator, one row per open node, so
-its draws depend neither on the build order nor on the trees grown beside it,
-and a deep tree cut at depth d is the depth-d tree, whose feature and split
-lists, and leaves above depth d, are prefixes of the deep tree's. The trees
-come back to back in one Tree table, each with its own ids. best_split and
-build_tree are the one-node and one-tree cases. A leaf keeps its mean cost
-vector and its size: the Borda consensus scores splits, and prediction reads
-only the mean.
+node of every tree in one pass, so a fit makes at most max_depth passes. Every
+pass reads the fit's one search state (_SplitSearch): X, the stacked targets,
+lambda, their stats matrix and X's rank table. Stats row r is row r % n of X
+under target r // n, so growth moves one array of stats rows. The columns go
+in blocks of BLOCK_CELLS label cells, one contiguous row per column: one
+row-wise sort, one prefix sum of the stats rows along the sorted entries, and
+the losses of every real split point of every column at once. The sort is of
+integer keys, not floats: an entry's key is its value's rank in its column,
+from the rank table, then its index in its row. A candidate is kept as its
+position in its block; split points are computed only for each node's winner,
+from the values at its entries in the block that holds it. Leaf checks run for
+a whole level in one comparison of each node's stats rows with its first row,
+and leaf labels are reduced once at the end, grouped by leaf size. Each tree
+keeps its nodes in the order they grew: by depth, then left to right. A
+sampled tree draws one array of uniforms per level from its own generator, one
+row per open node, so its draws depend neither on the build order nor on the
+trees grown beside it, and a deep tree cut at depth d is the depth-d tree,
+whose feature and split lists, and leaves above depth d, are prefixes of the
+deep tree's. The trees come back to back in one Tree table, each with its own
+ids. best_split and build_tree are the one-node and one-tree cases. A leaf
+keeps its mean cost vector and its size: the Borda consensus scores splits,
+and prediction reads only the mean.
 """
 
 from __future__ import annotations
@@ -66,14 +68,14 @@ def checked_int(name: str, value) -> int:
 
 
 def checked_training_data(features, *targets) -> list[np.ndarray]:
-    """[X, *Ys]: n x p features and n x k targets of one width k as float
-    matrices; DomainError unless n, p, k >= 1 and every entry is a finite
-    real number."""
+    """[X, *Ys]: n x p features and one or more n x k targets of one width k
+    as float matrices; DomainError unless n, p, k >= 1 and every entry is a
+    finite real number."""
     arrays = [np.ascontiguousarray(real_array(a, "training data"))
               for a in (features, *targets)]
     shapes = [a.shape for a in arrays]
     if any(len(s) != 2 or 0 in s for s in shapes) or len({s[0] for s in shapes}) > 1 \
-            or len({s[1] for s in shapes[1:]}) > 1:
+            or len({s[1] for s in shapes[1:]}) != 1:  # no targets, or targets of two widths
         raise DomainError(f"training data must be n x p features and n x k targets, "
                           f"n, p, k >= 1; got shapes {shapes}")
     if not all(np.isfinite(a).all() for a in arrays):
@@ -175,18 +177,23 @@ class Tree:
                     self.regression[s0 + a:s1 + b], self.size[s0 + a:s1 + b], self.splits[a:b])
 
 
-class _LabelStats:
-    """Per-row quantities reused by every split evaluation.
+class _SplitSearch:
+    """One fit's split-search state, read by every pass. Stats row r is row
+    r % n of X under target r // n of the stacked n x k targets, labels.
 
-    summed holds per row the columns split search sums over a side: where
-    lam < 1, [labels | sum of squared costs] for the regression term; where
-    lam > 0, then [average ranks | centered unit-norm ranks] for the ranking
-    term (zero for an all-tied instance, which adds the neutral 0.5 loss).
-    Every column is a function of the row's labels, computed row by row.
+    summed holds per stats row the columns split search sums over a side:
+    where lam < 1, [labels | sum of squared costs] for the regression term;
+    where lam > 0, then [average ranks | centered unit-norm ranks] for the
+    ranking term (zero for an all-tied instance, which adds the neutral 0.5
+    loss), each a function of the row's labels. table holds each entry of X
+    as its dense rank among its column's distinct values (-0.0 and 0.0 share
+    one) shifted left by shift, where 2**shift > largest >= any node's size.
     """
 
-    def __init__(self, labels: np.ndarray, lam: float):
-        self.labels = labels
+    def __init__(self, X, targets, lam: float, largest: int):
+        self.X, self.lam = X, lam
+        self.labels = labels = np.concatenate(targets)
+        self.k = labels.shape[1]
         columns = []
         if lam != 1.0:
             columns += [labels, (labels ** 2).sum(axis=1, keepdims=True)]
@@ -199,6 +206,14 @@ class _LabelStats:
             unit[nonzero] = centered[nonzero] / norms[nonzero, None]
             columns += [ranks, unit]
         self.summed = np.concatenate(columns, axis=1)
+        self.shift = largest.bit_length()
+        order = X.argsort(axis=0)
+        values = np.take_along_axis(X, order, axis=0)
+        dense = np.zeros(X.shape, dtype=np.int64)
+        np.cumsum(values[1:] > values[:-1], axis=0, out=dense[1:])
+        dense <<= self.shift
+        self.table = np.empty_like(dense)
+        np.put_along_axis(self.table, order, dense, axis=0)
 
 
 def _ranking_means(rank_sums, unit_sums, sizes, k):
@@ -218,29 +233,29 @@ def _ranking_means(rank_sums, unit_sums, sizes, k):
     return np.where(norms == 0.0, 0.5, means)
 
 
-def _candidate_losses(keys, sizes, starts, srows, stats: _LabelStats, lam: float,
-                      shift: int):
+def _candidate_losses(search: _SplitSearch, keys, sizes, starts, srows):
     """All candidate splits of an m x N block of sort keys, one contiguous
     row per feature column.
 
-    Row c holds its column's sizes[c] keys first, each rank << shift | entry
-    (the value's dense rank in its column, then the entry's index in the
+    Row c holds its column's sizes[c] keys first, each rank << search.shift |
+    entry (the value's dense rank in its column, then the entry's index in the
     row), padded to N with a key above every real key; entry i of row c is
     entry starts[c] + i of srows, its stats row. Returns (entries, feat, at,
-    losses): the entries of srows in the order of each row's sorted keys,
-    as one flat array, and per candidate its row feat, the flat position
-    at = feat * N + i of its lower entry (the i + 1 lowest entries go left)
-    and its weighted loss, ordered by row, then by position. Keys are
-    distinct, so the sort puts equal values in entry order, as a stable sort
-    of the values would; it runs in place, and keys ends holding the ranks.
-    A candidate is a rank rise between two real entries. Losses come from
-    prefix sums along the sorted stats rows, read only at candidates, with
-    the column's totals read at its own last entry; children's labels are
-    implicit (mean vector for the regression term, Borda consensus for the
-    ranking term). No split point is computed here: the caller computes its
-    winners' alone, from the values at their entries.
+    losses): the entries of srows in the order of each row's sorted keys, as
+    one flat array, and per candidate its row feat, the flat position at =
+    feat * N + i of its lower entry (the i + 1 lowest entries go left) and its
+    weighted loss, ordered by row, then by position. Keys are distinct, so the
+    sort puts equal values in entry order, as a stable sort of the values
+    would; it runs in place, and keys ends holding the ranks. A candidate is a
+    rank rise between two real entries. Losses come from prefix sums along the
+    sorted stats rows, read only at candidates, with the column's totals read
+    at its own last entry; children's labels are implicit (mean vector for the
+    regression term, Borda consensus for the ranking term). No split point is
+    computed here: the caller computes its winners' alone, from the values at
+    their entries.
     """
     m, height = keys.shape
+    shift, k, lam = search.shift, search.k, search.lam
     keys.sort(axis=1)
     entries = keys & ((1 << shift) - 1)
     entries += starts[:, None]
@@ -265,11 +280,10 @@ def _candidate_losses(keys, sizes, starts, srows, stats: _LabelStats, lam: float
     nl = (sel + 1).astype(float)
     nr = n - nl
     sides = np.concatenate((nl, nr))
-    sums = stats.summed.take(rows, axis=0).cumsum(axis=1)
+    sums = search.summed.take(rows, axis=0).cumsum(axis=1)
     sums = sums.reshape(m * height, -1).take(reads, axis=0)
     sums[c:] -= sums[:c]
 
-    k = stats.labels.shape[1]
     reg = 0.0
     if lam != 1.0:
         # mean over side of per-row MSE against the side mean; clamp the
@@ -282,44 +296,27 @@ def _candidate_losses(keys, sizes, starts, srows, stats: _LabelStats, lam: float
     return entries.ravel(), feat, at, (nl / n) * loss[:c] + (nr / n) * loss[c:]
 
 
-def _rank_table(X, shift: int):
-    """Each entry of X's column as its dense rank among the column's
-    distinct values, shifted left by shift, as an int64 matrix of X's shape.
-    Ranks compare as > compares the values, so -0.0 and 0.0 share one."""
-    order = X.argsort(axis=0)
-    values = np.take_along_axis(X, order, axis=0)
-    ranks = np.zeros(X.shape, dtype=np.int64)
-    np.cumsum(values[1:] > values[:-1], axis=0, out=ranks[1:])
-    ranks <<= shift
-    table = np.empty_like(ranks)
-    np.put_along_axis(table, order, ranks, axis=0)
-    return table
-
-
-def _best_splits(X, stats: _LabelStats, rows, srows, starts, sizes, feats, lam: float,
-                 table, shift: int):
+def _best_splits(search: _SplitSearch, srows, starts, sizes, feats):
     """The lowest-loss split of each node, all nodes scored together.
 
-    Node j holds the sizes[j] entries of rows (its rows of X) and of srows
-    (the matching rows of stats) from starts[j] on, and searches the sorted
-    candidate features feats[j] (nodes x m). table is _rank_table(X, shift),
-    where 2**shift exceeds every node's size. Returns the arrays (feature,
-    split point, weighted loss) over the nodes; a node where no candidate
-    feature has two distinct values gets feature -1. Columns go largest node
-    first, in blocks of BLOCK_CELLS label cells, so that a block pads little;
-    a block is laid out one contiguous row per column. Split search sorts
-    integer keys, not floats: an entry's key is its rank from table plus its
-    index in its column's row, and padding gets a key above every real key.
-    A block holds whole nodes, or part of one node too wide for a block, and
-    each block's entries in sorted order are kept until its nodes complete:
-    their candidates are then reduced to one per node, and only the winners'
-    split points are computed, from the values in X at the winner's two
-    entries, read from its own block.
+    Node j holds the sizes[j] stats rows of srows from starts[j] on and
+    searches the sorted candidate features feats[j] (nodes x m). Returns the
+    arrays (feature, split point, weighted loss) over the nodes; a node where
+    no candidate feature has two distinct values gets feature -1. Columns go
+    largest node first, in blocks of BLOCK_CELLS label cells, so that a block
+    pads little; a block is laid out one contiguous row per column. Split
+    search sorts integer keys, not floats: an entry's key is its rank from
+    search.table plus its index in its column's row, and padding gets a key
+    above every real key. A block holds whole nodes, or part of one node too
+    wide for a block, and each block's entries in sorted order are kept until
+    its nodes complete: their candidates are then reduced to one per node, and
+    only the winners' split points are computed, from the values in X at the
+    winner's two entries, read from its own block.
     """
-    n_features = X.shape[1]
-    flat_table = table.ravel()
-    top = X.shape[0] << shift  # ranks lie below X.shape[0]
-    k = stats.labels.shape[1]
+    X, k = search.X, search.k
+    n, n_features = X.shape
+    flat_table = search.table.ravel()
+    top = n << search.shift  # ranks lie below n
     m = feats.shape[1]
     by_size = np.argsort(-sizes, kind="stable")
     col_node = by_size.repeat(m)
@@ -340,7 +337,8 @@ def _best_splits(X, stats: _LabelStats, rows, srows, starts, sizes, feats, lam: 
         if c1 < n_cols and col_node[c1] == col_node[c1 - 1] != col_node[c0]:
             c1 -= c1 % m  # that node starts the next block
         steps = np.arange(height)
-        cells = rows.take(col_start[c0:c1, None] + steps, mode="clip")  # one row per column
+        cells = srows.take(col_start[c0:c1, None] + steps, mode="clip")  # one row per column
+        cells %= n
         cells *= n_features
         cells += col_feat[c0:c1, None]
         keys = flat_table.take(cells)
@@ -348,8 +346,8 @@ def _best_splits(X, stats: _LabelStats, rows, srows, starts, sizes, feats, lam: 
         size = col_size[c0:c1]
         if size[-1] < height:
             keys[steps >= size[:, None]] = top
-        entries, feat, at, losses = _candidate_losses(
-            keys, size, col_start[c0:c1], srows, stats, lam, shift)
+        entries, feat, at, losses = _candidate_losses(search, keys, size, col_start[c0:c1],
+                                                      srows)
         parts.append((entries, feat + c0, at + kept, losses))
         kept += entries.size
         if c1 == n_cols or col_node[c1] != col_node[c1 - 1]:
@@ -359,7 +357,7 @@ def _best_splits(X, stats: _LabelStats, rows, srows, starts, sizes, feats, lam: 
             feature[nodes] = col_feat[cols]
             # each winner's split point, from the values at its two entries
             # in its own block: low <= split < high, as the sides were counted
-            low, high = X[rows[entries[at[winners, None] + [0, 1]]], col_feat[cols, None]].T
+            low, high = X[srows[entries[at[winners, None] + [0, 1]]] % n, col_feat[cols, None]].T
             with np.errstate(over="ignore"):  # near the float maximum mid is inf
                 mid = (low + high) / 2.0
             point[nodes] = np.where(mid < high, mid, low)
@@ -398,23 +396,21 @@ def best_split(features, labels, lam: float, candidate_features=None):
     """
     lam = TreeConfig(lam=lam).lam
     X, Y = checked_training_data(features, labels)
-    if X.shape[0] < 2:
+    n, p = X.shape
+    if n < 2:
         raise DomainError("need at least two rows to split")
     if candidate_features is None:
-        candidate_features = range(X.shape[1])
+        candidate_features = range(p)
     feats = np.array(sorted(checked_int("candidate feature", f) for f in candidate_features),
                      dtype=np.intp)
-    if feats.size and not 0 <= feats[0] <= feats[-1] < X.shape[1]:
-        raise DomainError(f"candidate features must lie in 0..{X.shape[1] - 1}")
-    rows = np.arange(X.shape[0])
-    shift = rows.size.bit_length()
-    feature, point, loss = _best_splits(X, _LabelStats(Y, lam), rows, rows, np.array([0]),
-                                        np.array([rows.size]), feats[None], lam,
-                                        _rank_table(X, shift), shift)
+    if feats.size and not 0 <= feats[0] <= feats[-1] < p:
+        raise DomainError(f"candidate features must lie in 0..{p - 1}")
+    feature, point, loss = _best_splits(_SplitSearch(X, [Y], lam, n), np.arange(n),
+                                        np.array([0]), np.array([n]), feats[None])
     return None if feature[0] < 0 else (int(feature[0]), float(point[0]), float(loss[0]))
 
 
-def _zero_hybrid_loss(stats: _LabelStats, srows, starts, sizes, lam: float):
+def _zero_hybrid_loss(search: _SplitSearch, srows, starts, sizes):
     """Per node, the sizes[j] entries of srows from starts[j] on: whether its
     hybrid loss against its own labels is exactly zero.
 
@@ -426,11 +422,11 @@ def _zero_hybrid_loss(stats: _LabelStats, srows, starts, sizes, lam: float):
     consensus with an exactly-zero spearman loss, while an all-tied ranking
     contributes the constant 0.5 and differing rankings a positive term.
     """
-    summed, firsts = stats.summed, srows[starts]
+    summed, firsts = search.summed, srows[starts]
     zero = np.logical_and.reduceat((summed[srows] == summed[firsts.repeat(sizes)]).all(axis=1),
                                    starts)
-    if lam != 0.0:
-        zero &= summed[firsts, -stats.labels.shape[1]:].any(axis=1)
+    if search.lam != 0.0:
+        zero &= summed[firsts, -search.k:].any(axis=1)
     return zero
 
 
@@ -474,17 +470,14 @@ def build_trees(features, targets, jobs, config: TreeConfig) -> Tree:
         raise DomainError(f"a job's target index must lie in 0..{len(matrices) - 1}")
     if not jobs:
         return Tree([], [], [], [], np.empty((0, matrices[0].shape[1])), [], [])
-    stats = _LabelStats(np.concatenate(matrices), config.lam)
+    search = _SplitSearch(X, matrices, config.lam, max(rows.size for _, rows, _ in jobs))
     mtry = config.resolve_features_per_split(n_features)
-    shift = max(rows.size for _, rows, _ in jobs).bit_length()  # 2**shift > any node's size
-    table = _rank_table(X, shift)
 
-    # the level being grown: per node its job, size and id; its rows of X and
-    # of stats run node after node. Ids count nodes level by level.
+    # the level being grown: per node its job, size and id; its stats rows
+    # run node after node. Ids count nodes level by level.
     node_job = np.arange(len(jobs))
     sizes = np.array([rows.size for _, rows, _ in jobs])
-    rows = np.concatenate([rows for _, rows, _ in jobs])
-    srows = rows + np.repeat([t * n for t, _, _ in jobs], sizes)
+    srows = np.concatenate([rows + t * n for t, rows, _ in jobs])
     levels = []  # per level: node jobs, features (-1 at a leaf), split points, left child ids
     leaf_parts = []  # per level: its leaves' stats rows and sizes
     n_nodes = 0
@@ -494,8 +487,7 @@ def build_trees(features, targets, jobs, config: TreeConfig) -> Tree:
         point = np.zeros(sizes.size)
         grow = np.zeros(0, dtype=np.intp)  # the nodes to search
         if len(levels) < config.max_depth:
-            grow = ((sizes >= 2)
-                    & ~_zero_hybrid_loss(stats, srows, starts, sizes, config.lam)).nonzero()[0]
+            grow = ((sizes >= 2) & ~_zero_hybrid_loss(search, srows, starts, sizes)).nonzero()[0]
         if grow.size:
             if mtry < n_features:
                 counts = np.bincount(node_job[grow], minlength=len(jobs)).tolist()
@@ -504,9 +496,8 @@ def build_trees(features, targets, jobs, config: TreeConfig) -> Tree:
                 feats = np.sort(draws.argsort(axis=1, kind="stable")[:, :mtry], axis=1)
             else:
                 feats = np.broadcast_to(np.arange(n_features), (grow.size, n_features))
-            feature[grow], point[grow], _ = _best_splits(X, stats, rows, srows, starts[grow],
-                                                         sizes[grow], feats, config.lam,
-                                                         table, shift)
+            feature[grow], point[grow], _ = _best_splits(search, srows, starts[grow], sizes[grow],
+                                                         feats)
         split = feature >= 0
         left = np.full(sizes.size, -1)
         left[split] = n_nodes + sizes.size + 2 * np.arange(split.sum())
@@ -517,14 +508,13 @@ def build_trees(features, targets, jobs, config: TreeConfig) -> Tree:
 
         # each split node's rows, left side then right, make its two children
         row_node = np.repeat(np.arange(sizes.size), sizes)[~in_leaf]
-        rows, srows = rows[~in_leaf], srows[~in_leaf]
+        srows = srows[~in_leaf]
         child = 2 * np.repeat(np.arange(split.sum()), sizes[split]) \
-            + ~(X[rows, feature[row_node]] <= point[row_node])
-        order = child.argsort(kind="stable")
-        rows, srows = rows[order], srows[order]
+            + ~(X[srows % n, feature[row_node]] <= point[row_node])
+        srows = srows[child.argsort(kind="stable")]
         sizes = np.bincount(child, minlength=2 * split.sum())
         node_job = node_job[split].repeat(2)
-    return _level_order_trees(levels, leaf_parts, stats.labels, len(jobs))
+    return _level_order_trees(levels, leaf_parts, search.labels, len(jobs))
 
 
 def _level_order_trees(levels, leaf_parts, labels, n_jobs) -> Tree:

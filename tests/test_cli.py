@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -39,6 +40,12 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def test_package_exports_the_api_alone():
+    # `from harris import *` binds no submodule such as harris.tree
+    assert not [name for name in harris.__all__ if inspect.ismodule(getattr(harris, name))]
+    assert {"fit_forest", "scale_performances", "DomainError"} <= set(harris.__all__)
 
 
 class TestEvaluate:

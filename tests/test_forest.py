@@ -68,6 +68,8 @@ class TestFitForest:
     def test_empty_training_data(self):
         with pytest.raises(DomainError):
             fit_forest(np.empty((0, 2)), np.empty((0, 2)), ForestConfig(n_trees=1))
+        with pytest.raises(DomainError, match="n x k targets"):
+            fit_forests(PURE_X, [], [])
 
     def test_bad_config(self):
         with pytest.raises(DomainError):

@@ -113,15 +113,15 @@ class TestFilterUnsolved:
 class TestImputeFeatures:
     def test_median_fill(self):
         col = np.array([[1.0], [np.nan], [3.0]])
-        assert impute_features(col).ravel().tolist() == [1.0, 2.0, 3.0]
+        assert impute_features(col, column_medians(col)).ravel().tolist() == [1.0, 2.0, 3.0]
 
     def test_no_missing_is_identity(self):
         X = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert impute_features(X).tolist() == X.tolist()
+        assert impute_features(X, [9.0, 9.0]).tolist() == X.tolist()
 
     def test_fully_missing_column_is_zero(self):
         X = np.array([[np.nan, 1.0], [np.nan, 2.0]])
-        assert impute_features(X)[:, 0].tolist() == [0.0, 0.0]
+        assert impute_features(X, column_medians(X))[:, 0].tolist() == [0.0, 0.0]
 
     def test_train_medians_applied_to_test(self):
         train = np.array([[1.0], [5.0]])
@@ -154,10 +154,6 @@ class TestScalePerformances:
         scaled, params = scale_performances(costs)
         assert params.invert(scaled) == pytest.approx(costs)
 
-    def test_transform_applies_train_params_to_test(self):
-        params = ScaleParams.fit(np.array([0.0, 10.0]))
-        assert params.transform(np.array([20.0])).tolist() == [2.0]
-
     @given(st.integers(0, 10**6))
     def test_preserves_argmin_and_ranking(self, seed):
         rng = np.random.default_rng(seed)
@@ -169,8 +165,8 @@ class TestScalePerformances:
 
 
 @pytest.mark.parametrize("call", [
-    lambda: impute_features(np.array([1.0, np.nan])),
-    lambda: impute_features(np.empty((2, 0))),
+    lambda: impute_features(np.array([1.0, np.nan]), [0.5]),
+    lambda: impute_features(np.empty((2, 0)), []),
     lambda: impute_features([[1.0, np.nan]], ["a", "b"]),
     lambda: impute_features([[1.0, np.nan]], [0.5, 1j]),
     lambda: column_medians([["a"]]),
@@ -179,15 +175,18 @@ class TestScalePerformances:
     lambda: scale_performances([1.0, 2.0]),
     lambda: scale_performances([["a"]]),
     lambda: scale_performances(np.array([[1.0, 2j]])),
-    lambda: ScaleParams.fit([]),
-    lambda: ScaleParams.fit([["a"]]),
-    lambda: ScaleParams(0.0, 1.0).transform("x"),
+    lambda: scale_performances(np.empty((0, 2))),
+    lambda: scale_performances([[1.0, "a"]]),
+    lambda: scale_performances("x"),
+    lambda: scale_performances([[np.nan, 1.0], [2.0, 3.0]]),
+    lambda: scale_performances([[np.inf, 1.0]]),
+    lambda: scale_performances([[1.0, -np.inf]]),
     lambda: ScaleParams(0.0, 1.0).invert([["a"]]),
     lambda: average_rank({"a": {"x": "b"}}),
 ], ids=["vector-features", "no-feature-columns", "string-medians", "complex-medians",
         "string-features", "no-rows", "empty-costs", "vector-costs", "string-costs",
         "complex-costs", "fit-no-costs", "fit-string-costs", "transform-string",
-        "invert-strings", "rank-string-par10"])
+        "nan-costs", "inf-costs", "minus-inf-costs", "invert-strings", "rank-string-par10"])
 def test_preprocessing_refuses_bad_input(call):
     # the package's own error, never a raw numpy error or a warning first
     with warnings.catch_warnings():

@@ -197,13 +197,11 @@ class TestBatchedSplitSearch:
         """Several nodes in one pass, so that blocks are padded and nodes
         spread over blocks; bit for bit, the sign of a zero split included."""
         X, Y, nodes, feats = case
-        rows = np.concatenate(nodes)
+        rows = np.concatenate(nodes)  # the stats rows of one target are X's rows
         sizes = np.array([node.size for node in nodes])
-        shift = int(sizes.max()).bit_length()
+        search = harris.tree._SplitSearch(X, [Y], lam, int(sizes.max()))
         with mock.patch.object(harris.tree, "BLOCK_CELLS", block_cells):
-            got = harris.tree._best_splits(X, harris.tree._LabelStats(Y, lam), rows, rows,
-                                           sizes.cumsum() - sizes, sizes, feats, lam,
-                                           harris.tree._rank_table(X, shift), shift)
+            got = harris.tree._best_splits(search, rows, sizes.cumsum() - sizes, sizes, feats)
         for j, node in enumerate(nodes):
             feature, point, loss = (a[j].item() for a in got)
             expected = oracles.per_feature_best_split(X[node], Y[node], lam, feats[j])
@@ -315,6 +313,8 @@ class TestLockstep:
         empty = build_trees(PURE_X, [PURE_Y], [], TreeConfig())
         assert len(empty) == 0 and empty.feature == empty.size == []
         assert empty.regression.shape == (0, 2)
+        with pytest.raises(DomainError, match="n x k targets"):  # no target, no label width
+            build_trees(PURE_X, [], [], TreeConfig())
 
 
 class TestLevelWiseGrowth:
@@ -375,7 +375,7 @@ class TestLevelWiseGrowth:
         passes = []
         real = harris.tree._best_splits
         monkeypatch.setattr(harris.tree, "_best_splits",
-                            lambda *args: passes.append(args[4].size) or real(*args))
+                            lambda *args: passes.append(args[3].size) or real(*args))
         together = build_trees(X, targets, [(t, *job_rows(n, b, seed)) for t, b, seed in jobs],
                                config)
         assert len(passes) == depth and passes[0] == len(jobs)
