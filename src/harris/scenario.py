@@ -208,13 +208,16 @@ def scale_performances(costs) -> tuple[np.ndarray, ScaleParams]:
 
     The affine map preserves per-instance argmins and rankings; the returned
     parameters allow reporting in original units. A constant matrix maps to
-    all zeros. Costs that are not all finite raise DomainError.
+    all zeros. Costs that are not all finite, or whose range max - min
+    overflows, raise DomainError.
     """
     c = _real_matrix(costs, "costs")
     if not np.isfinite(c).all():
         raise DomainError("costs must be finite real numbers")
     params = ScaleParams(min=float(c.min()), max=float(c.max()))
     span = params.max - params.min
+    if not math.isfinite(span):
+        raise DomainError(f"costs must span a finite range, got {params.min!r} to {params.max!r}")
     return (np.zeros_like(c) if span == 0.0 else (c - params.min) / span), params
 
 

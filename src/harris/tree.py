@@ -18,7 +18,11 @@ in blocks of BLOCK_CELLS label cells, one contiguous row per column: one
 row-wise sort, one prefix sum of the stats rows along the sorted entries, and
 the losses of every real split point of every column at once. The sort is of
 integer keys, not floats: an entry's key is its value's rank in its column,
-from the rank table, then its index in its row. A candidate is kept as its
+from the rank table (read at offsets computed once per pass), then its index
+in its row. The stats rows are gathered level-major, entry i of every column
+in one row, and summed by one in-place vector add per row; a block narrower
+than ROW_ADD_WIDTH stats entries a row takes one cumsum down its rows
+instead, with the same additions in the same order. A candidate is kept as its
 position in its block; split points are computed only for each node's winner,
 from the values at its entries in the block that holds it. Leaf checks run for
 a whole level in one comparison of each node's stats rows with its first row,
@@ -57,6 +61,15 @@ SPLIT_TIE_TOL = 1e-10
 # 2**14 to 2**16 cells ran equally fast; the smaller bound keeps a fit of
 # many trees in lockstep near the memory of growing them one at a time.
 BLOCK_CELLS = 1 << 14
+
+# A block whose rows hold at least this many stats entries (columns x stats
+# columns) forms its prefix sums by one vector add per row; a narrower block,
+# a tall node alone or the short last block of a pass, by one cumsum down its
+# rows. Timed on single full blocks (one core, numpy 2.4), the row adds took
+# 8.6x the cumsum's time at 25 entries a row, 1.2x at 200, 0.96x at 250,
+# 0.84x at 300 and 0.65x at 400 (25 stats columns); with 16 stats columns
+# 1.2x at 192 and 0.84x at 256; with 9, 1.4x at 288 and 0.81x at 432.
+ROW_ADD_WIDTH = 256
 
 
 def checked_int(name: str, value) -> int:
@@ -222,15 +235,23 @@ def _ranking_means(rank_sums, unit_sums, sizes, k):
     For side S with consensus ranking c: mean over rows of (1 - u_i . c_hat)/2
     where u_i is the row's unit-norm centered rank vector, which equals
     0.5 - (sum_i u_i) . c_hat / (2 |S|). A constant consensus fixes the loss
-    at 0.5.
+    at 0.5. Each step runs in place, in the order of
+    0.5 - 0.5 * dots / sizes, so the bytes are those of the out-of-place
+    expression (tests/oracles.py).
     """
-    consensus = rank_vector(rank_sums)
-    centered = consensus - (k + 1) / 2.0
-    norms = np.sqrt((centered ** 2).sum(axis=1))
-    safe = np.where(norms == 0.0, 1.0, norms)
-    dots = (unit_sums * (centered / safe[:, None])).sum(axis=1)
-    means = 0.5 - 0.5 * dots / sizes
-    return np.where(norms == 0.0, 0.5, means)
+    centered = rank_vector(rank_sums)
+    centered -= (k + 1) / 2.0
+    norms = np.sqrt((centered * centered).sum(axis=1))
+    flat = norms == 0.0
+    norms[flat] = 1.0
+    centered /= norms[:, None]
+    centered *= unit_sums
+    means = centered.sum(axis=1)  # the dots
+    means *= 0.5
+    means /= sizes
+    np.subtract(0.5, means, out=means)
+    means[flat] = 0.5
+    return means
 
 
 def _candidate_losses(search: _SplitSearch, keys, sizes, starts, srows):
@@ -250,9 +271,14 @@ def _candidate_losses(search: _SplitSearch, keys, sizes, starts, srows):
     rank rise between two real entries. Losses come from prefix sums along the
     sorted stats rows, read only at candidates, with the column's totals read
     at its own last entry; children's labels are implicit (mean vector for the
-    regression term, Borda consensus for the ranking term). No split point is
-    computed here: the caller computes its winners' alone, from the values at
-    their entries.
+    regression term, Borda consensus for the ranking term). The stats rows are
+    gathered level-major, N x m x stats columns, so that row i holds entry i of
+    every column; the prefix sums are one in-place add of each row to the next
+    where a row holds at least ROW_ADD_WIDTH stats entries, else one cumsum
+    down the rows. Either adds each column's terms in its sorted order, so
+    both give the same bytes. Candidate (feat, i) is read at row i * m + feat.
+    No split point is computed here: the caller computes its winners' alone,
+    from the values at their entries.
     """
     m, height = keys.shape
     shift, k, lam = search.shift, search.k, search.lam
@@ -275,13 +301,21 @@ def _candidate_losses(search: _SplitSearch, keys, sizes, starts, srows):
     # each candidate's left prefix sums, then its column's totals at its own
     # last entry, turned in place into the right side's sums
     c = sel.size
-    reads = np.concatenate((at, last[feat]))
-    n = sizes[feat].astype(float)
+    size = sizes[feat]
+    reads = np.concatenate((sel, size - 1))
+    reads *= m
+    reads += np.concatenate((feat, feat))
+    n = size.astype(float)
     nl = (sel + 1).astype(float)
     nr = n - nl
     sides = np.concatenate((nl, nr))
-    sums = search.summed.take(rows, axis=0).cumsum(axis=1)
-    sums = sums.reshape(m * height, -1).take(reads, axis=0)
+    sums = search.summed.take(rows.T, axis=0)  # height x m x stats columns
+    if sums[0].size < ROW_ADD_WIDTH:
+        np.cumsum(sums, axis=0, out=sums)
+    else:
+        for i in range(1, height):
+            sums[i] += sums[i - 1]
+    sums = sums.reshape(height * m, -1).take(reads, axis=0)
     sums[c:] -= sums[:c]
 
     reg = 0.0
@@ -307,15 +341,19 @@ def _best_splits(search: _SplitSearch, srows, starts, sizes, feats):
     pads little; a block is laid out one contiguous row per column. Split
     search sorts integer keys, not floats: an entry's key is its rank from
     search.table plus its index in its column's row, and padding gets a key
-    above every real key. A block holds whole nodes, or part of one node too
-    wide for a block, and each block's entries in sorted order are kept until
-    its nodes complete: their candidates are then reduced to one per node, and
-    only the winners' split points are computed, from the values in X at the
-    winner's two entries, read from its own block.
+    above every real key. Each stats row's offset in the flat rank table
+    (its row of X times p) is computed once per pass, and a block gathers
+    its keys' table positions from those offsets. A block holds whole nodes,
+    or part of one node too wide for a block, and each block's entries in
+    sorted order are kept until its nodes complete: their candidates are then
+    reduced to one per node, and only the winners' split points are computed,
+    from the values in X at the winner's two entries, read from its own block.
     """
     X, k = search.X, search.k
     n, n_features = X.shape
     flat_table = search.table.ravel()
+    offsets = srows % n  # each stats row's offset in the flat rank table
+    offsets *= n_features
     top = n << search.shift  # ranks lie below n
     m = feats.shape[1]
     by_size = np.argsort(-sizes, kind="stable")
@@ -337,9 +375,7 @@ def _best_splits(search: _SplitSearch, srows, starts, sizes, feats):
         if c1 < n_cols and col_node[c1] == col_node[c1 - 1] != col_node[c0]:
             c1 -= c1 % m  # that node starts the next block
         steps = np.arange(height)
-        cells = srows.take(col_start[c0:c1, None] + steps, mode="clip")  # one row per column
-        cells %= n
-        cells *= n_features
+        cells = offsets.take(col_start[c0:c1, None] + steps, mode="clip")  # one row per column
         cells += col_feat[c0:c1, None]
         keys = flat_table.take(cells)
         keys += steps
@@ -443,6 +479,24 @@ def _leaf_means(labels, rows, sizes):
     return means
 
 
+def _checked_job(job):
+    """job as (target index, rows as a 1-D intp array, rng); DomainError
+    unless it is a triple whose target index is an integer and whose rows
+    form a 1-D array of integers (an empty one of any type)."""
+    try:
+        t, rows, rng = job
+    except (TypeError, ValueError):
+        raise DomainError("a job must be a (target index, rows, rng) triple") from None
+    try:
+        rows = np.asarray(rows)
+        integers = rows.ndim == 1 and (rows.size == 0 or rows.dtype.kind in "iu")
+    except ValueError:  # ragged
+        integers = False
+    if not integers:
+        raise DomainError("a job's rows must be a 1-D array of integers")
+    return checked_int("a job's target index", t), rows.astype(np.intp), rng
+
+
 def build_trees(features, targets, jobs, config: TreeConfig) -> Tree:
     """Grow one hybrid tree per job, all in lockstep, level by level, into one table.
 
@@ -450,7 +504,10 @@ def build_trees(features, targets, jobs, config: TreeConfig) -> Tree:
     width k. Job j, (t, rows, rng), grows tree j of the table on features[rows]
     and targets[t][rows] (rows may repeat, as in a bootstrap sample), drawing
     its feature samples from rng; the tree equals build_tree on that data with
-    that generator. Only row indices are kept per tree and per node.
+    that generator. Only row indices are kept per tree and per node. A job
+    that is not such a triple, a target index that is not an integer, and
+    rows that are not a 1-D array of integers (fractions are not truncated)
+    raise DomainError.
 
     Each depth scores every open node of every tree in one _best_splits pass,
     so a call makes at most max_depth passes. A node keeps its rows in job
@@ -461,7 +518,7 @@ def build_trees(features, targets, jobs, config: TreeConfig) -> Tree:
     """
     X, *matrices = checked_training_data(features, *targets)
     n, n_features = X.shape
-    jobs = [(t, np.asarray(rows, dtype=np.intp), rng) for t, rows, rng in jobs]
+    jobs = [_checked_job(job) for job in jobs]
     if any(rows.size == 0 for _, rows, _ in jobs):
         raise DomainError("cannot build a tree from an empty dataset")
     if any(rows.min() < 0 or rows.max() >= n for _, rows, _ in jobs):

@@ -278,7 +278,9 @@ def exhaustive_best_split(X, Y, lam, candidate_features=None):
 # same elementwise operations on the same sorted rows as the package's batched
 # search. Kept here so tests can demand bit-identical floats, not just ties.
 
-def _per_feature_ranking_means(rank_sums, unit_sums, sizes, k):
+def ranking_means(rank_sums, unit_sums, sizes, k):
+    """The package's _ranking_means as one out-of-place expression; the
+    package runs the same steps in place, and must match it bit for bit."""
     consensus = rank_vector(rank_sums)
     centered = consensus - (k + 1) / 2.0
     norms = np.sqrt((centered ** 2).sum(axis=1))
@@ -320,9 +322,9 @@ def _per_feature_candidate_losses(column, labels, rank_rows, unit_ranks, sq_sums
     if lam != 0.0:
         rank_cum = np.cumsum(rank_rows[order], axis=0)
         unit_cum = np.cumsum(unit_ranks[order], axis=0)
-        rank_left = _per_feature_ranking_means(rank_cum[sel], unit_cum[sel], nl, k)
-        rank_right = _per_feature_ranking_means(rank_cum[-1] - rank_cum[sel],
-                                                unit_cum[-1] - unit_cum[sel], nr, k)
+        rank_left = ranking_means(rank_cum[sel], unit_cum[sel], nl, k)
+        rank_right = ranking_means(rank_cum[-1] - rank_cum[sel],
+                                   unit_cum[-1] - unit_cum[sel], nr, k)
 
     left_loss = lam * rank_left + (1.0 - lam) * reg_left
     right_loss = lam * rank_right + (1.0 - lam) * reg_right

@@ -195,6 +195,16 @@ def test_preprocessing_refuses_bad_input(call):
             call()
 
 
+def test_cost_range_that_overflows_is_refused():
+    # two finite costs whose max - min overflows to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="finite range"):
+            scale_performances([[-1e308, 1e308], [0.0, 1.0]])
+    scaled, params = scale_performances([[-8e307, 8e307]])  # a range that fits
+    assert scaled.tolist() == [[0.0, 1.0]] and params.max - params.min == 1.6e308
+
+
 class TestParseScenario:
     def test_parses_demo_directory(self, aslib_dir_factory):
         scn = parse_scenario(aslib_dir_factory())

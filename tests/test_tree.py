@@ -316,6 +316,73 @@ class TestLockstep:
         with pytest.raises(DomainError, match="n x k targets"):  # no target, no label width
             build_trees(PURE_X, [], [], TreeConfig())
 
+    @pytest.mark.parametrize("job, message", [
+        ((0, [0.5, 1.0], None), "1-D array of integers"),  # fractions, not truncated
+        ((0, np.array([0.0, 1.0]), None), "1-D array of integers"),
+        ((0, [True, False], None), "1-D array of integers"),
+        ((0, [[0, 1]], None), "1-D array of integers"),
+        ((0, [[0], [1, 2]], None), "1-D array of integers"),  # ragged
+        ((0, np.arange(4)), "triple"),
+        ((0, np.arange(4), None, None), "triple"),
+        (5, "triple"),
+        ((0.0, np.arange(4), None), "target index"),
+    ], ids=["fractions", "float-rows", "bool-rows", "2-D-rows", "ragged-rows", "pair",
+            "quadruple", "not-a-job", "float-target"])
+    def test_malformed_jobs(self, job, message):
+        with pytest.raises(DomainError, match=message):
+            build_trees(PURE_X, [PURE_Y], [job], TreeConfig())
+
+    @settings(deadline=None, max_examples=150)
+    @given(lockstep_cases(), st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from(["sqrt", "all"]),
+           st.sampled_from(BLOCK_SIZES))
+    def test_row_adds_and_cumsum_grow_the_same_bytes(self, case, lam, fps, block_cells):
+        """Prefix sums by row adds everywhere, then by cumsum everywhere: the
+        same trees, leaf bytes included, from the same candidate losses, bit
+        for bit."""
+        X, targets, jobs, config = case
+        config = TreeConfig(lam=lam, max_depth=config.max_depth, features_per_split=fps)
+        n = X.shape[0]
+        real = harris.tree._candidate_losses
+        grown = []
+        for width in (0, 2**62):
+            losses = []
+
+            def recording(*args):
+                out = real(*args)
+                losses.append(out[3].tobytes())
+                return out
+
+            with mock.patch.object(harris.tree, "ROW_ADD_WIDTH", width), \
+                    mock.patch.object(harris.tree, "BLOCK_CELLS", block_cells), \
+                    mock.patch.object(harris.tree, "_candidate_losses", recording):
+                trees = build_trees(X, targets,
+                                    [(t, *job_rows(n, b, seed)) for t, b, seed in jobs], config)
+            grown.append(([oracles.tree_bytes(tree) for tree in trees], losses))
+        assert grown[0] == grown[1]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_in_place_ranking_means_match_the_expression(seed, k):
+    """On side sums of drawn rankings, all-tied rows (zero unit ranks) and
+    sides whose rank sums are constant (a constant consensus) included."""
+    rng = np.random.default_rng(seed)
+    labels = np.round(rng.uniform(size=(30, k)), 1)
+    labels[::3] = labels[::3, :1]  # all-tied rows
+    summed = harris.tree._SplitSearch(np.zeros((30, 1)), [labels], 1.0, 30).summed
+    prefix = summed[rng.permutation(30)].cumsum(axis=0)
+    left = np.arange(1.0, 31.0)
+    # left sides, right sides, and one-row sides of all-tied rows
+    for sums, sizes in ((prefix, left), (prefix[-1] - prefix[:-1], 30.0 - left[:-1]),
+                        (summed[::3], np.ones(10))):
+        rank_sums, unit_sums = sums[:, :k], sums[:, k:]
+        expected = oracles.ranking_means(rank_sums, unit_sums, sizes, k)
+        before = sums.tobytes()
+        got = harris.tree._ranking_means(rank_sums, unit_sums, sizes, k)
+        assert got.tobytes() == expected.tobytes()
+        assert sums.tobytes() == before
+    assert (got == 0.5).all()  # all-tied rows: a constant consensus
+
 
 class TestLevelWiseGrowth:
     """Every depth is one split-search pass over all trees' open nodes, and a
