@@ -150,6 +150,9 @@ def sweep(scenario: Scenario, lambdas: Iterable[float] = DEFAULT_LAMBDA_GRID,
 def average_rank(par10_by_scenario: Mapping[str, Mapping[str, float]]) -> dict[str, float]:
     """Average rank of each selector across scenarios (rank 1 = lowest mean
     PAR10 within a scenario; ties share averaged ranks)."""
+    if not (isinstance(par10_by_scenario, Mapping)
+            and all(isinstance(cells, Mapping) for cells in par10_by_scenario.values())):
+        raise DomainError("PAR10 table must map each scenario to a mapping of selectors")
     if not par10_by_scenario:
         raise DomainError("no scenarios to rank")
     selectors = sorted({s for cells in par10_by_scenario.values() for s in cells})

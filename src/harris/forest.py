@@ -6,12 +6,12 @@ so forests are reproducible no matter in which order or beside which trees
 they are built. fit_forests grows every tree of several forests on one
 feature matrix in one tree.build_trees lockstep, level by level; each tree
 keeps only its bootstrap row indices, and each forest holds its slice of
-the one tree.Tree table that build_trees returns. A forest derives, in one
-vectorized shift of the table's ids, a routing table over the split nodes
-of all its trees; prediction walks it from each tree's root and averages
-the table's leaf rows it reaches, gathered with one take. A model file holds
-each tree's slice of the table as the plain dump of its lists, checked on
-load without recursion.
+the one tree.Tree table that build_trees returns. A tree's level-order ids
+are the only ids: the model file stores them, the loader checks them, and
+prediction walks each tree on its own lists, sliced from the table, then
+averages the table's leaf rows it reaches, gathered with one take. A model
+file holds each tree's slice of the table as the plain dump of its lists,
+checked on load without recursion.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate, chain, pairwise
 from pathlib import Path
 
 import numpy as np
@@ -61,37 +61,24 @@ def single_tree_config(lam: float, max_depth: int, seed: int = 0) -> ForestConfi
 
 @dataclass(frozen=True)
 class HybridForest:
-    """A fitted forest: one tree.Tree table of its trees, and the routing table
-    derived from it, the one place where tree ids become forest-wide."""
+    """A fitted forest: the tree.Tree table of its trees, each with its own
+    ids, and per tree the walk that prediction takes from its root."""
     trees: Tree
     config: ForestConfig
     scale: ScaleParams
     algorithm_names: tuple[str, ...]
     n_features: int
-    # derived, not stored in the model file:
-    # every tree's regression leaf labels, trees.regression itself
-    leaf_rows: np.ndarray = field(init=False, repr=False, compare=False)
-    # one (feature, split, left, right) per split node of every tree, with
-    # forest-wide ids: a child c >= 0 is route[c], a child c < 0 is the leaf
-    # in row ~c of leaf_rows
-    route: tuple[tuple[int, float, int, int], ...] = field(init=False, repr=False,
-                                                           compare=False)
-    # each tree's root id in route; a one-leaf tree's root is ~(its leaf row)
-    roots: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # derived, not stored in the model file: per tree, (root, feature, split,
+    # left, right, leaf0) with its lists sliced from the table, ids unchanged;
+    # root is 0, or -1 for a one-leaf tree, and its leaf ~c is row leaf0 + ~c
+    # of trees.regression (each tree before it has one more leaf than splits)
+    walks: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # tree t's split node c is route[first[t] + c], and its leaf ~c is row
-        # first[t] + t + ~c of leaf_rows (each tree before it has one more
-        # leaf than split nodes), stored as c - (first[t] + t)
-        splits = np.array(self.trees.splits, dtype=np.intp)
-        first = splits.cumsum() - splits
-        leaf_first = first + np.arange(splits.size)
-        children = np.array([self.trees.left, self.trees.right], dtype=np.intp)
-        children += np.where(children >= 0, first.repeat(splits), -leaf_first.repeat(splits))
-        object.__setattr__(self, "leaf_rows", self.trees.regression)
-        object.__setattr__(self, "route", tuple(zip(self.trees.feature, self.trees.split,
-                                                    *children.tolist())))
-        object.__setattr__(self, "roots", tuple(np.where(splits > 0, first, ~leaf_first).tolist()))
+        t = self.trees
+        object.__setattr__(self, "walks", tuple(
+            (0 if b > a else -1, t.feature[a:b], t.split[a:b], t.left[a:b], t.right[a:b], a + n)
+            for n, (a, b) in enumerate(pairwise(accumulate(t.splits, initial=0)))))
 
 
 def fit_forest(features, labels, config: ForestConfig, *,
@@ -149,15 +136,13 @@ def predict_costs(forest: HybridForest, x) -> np.ndarray:
     check it: every selector and `harris predict` use tree.checked_query_row.
     """
     row = x if isinstance(x, list) else np.asarray(x, dtype=float).tolist()
-    route = forest.route
     ids = []
-    for i in forest.roots:
+    for i, feature, split, left, right, leaf0 in forest.walks:
         while i >= 0:
-            feature, split, left, right = route[i]
-            i = left if row[feature] <= split else right
-        ids.append(~i)
+            i = left[i] if row[feature[i]] <= split[i] else right[i]
+        ids.append(leaf0 + ~i)
     # the reduction np.mean(leaves, axis=0) runs, without building its input
-    return np.add.reduce(forest.leaf_rows.take(ids, 0), 0) / len(ids)
+    return np.add.reduce(forest.trees.regression.take(ids, 0), 0) / len(ids)
 
 
 def select_algorithm(forest: HybridForest, x) -> int:

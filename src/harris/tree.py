@@ -435,9 +435,12 @@ def best_split(features, labels, lam: float, candidate_features=None):
     n, p = X.shape
     if n < 2:
         raise DomainError("need at least two rows to split")
-    if candidate_features is None:
-        candidate_features = range(p)
-    feats = np.array(sorted(checked_int("candidate feature", f) for f in candidate_features),
+    try:
+        candidates = iter(range(p) if candidate_features is None else candidate_features)
+    except TypeError:
+        raise DomainError("candidate_features must be an iterable of integers, "
+                          f"got {candidate_features!r}") from None
+    feats = np.array(sorted(checked_int("candidate feature", f) for f in candidates),
                      dtype=np.intp)
     if feats.size and not 0 <= feats[0] <= feats[-1] < p:
         raise DomainError(f"candidate features must lie in 0..{p - 1}")

@@ -302,6 +302,12 @@ class TestAverageRank:
         with pytest.raises(DomainError):
             average_rank({"s1": {"a": 1.0, "b": 2.0}, "s2": {"a": 1.0}})
 
+    @pytest.mark.parametrize("table", [[1, 2], {"a": 5}, {"s1": {"a": 1.0}, "s2": [1.0]}],
+                             ids=["list", "number-cells", "list-cells"])
+    def test_table_must_map_scenarios_to_mappings(self, table):
+        with pytest.raises(DomainError, match="must map each scenario to a mapping"):
+            average_rank(table)
+
 
 class TestReportCsv:
     def make_records(self):

@@ -177,8 +177,8 @@ class TestRouting:
     @given(nested_trees_and_rows(), st.sampled_from([list, np.array]))
     def test_predict_costs_is_mean_of_leaf_labels(self, trees_row, as_input):
         # one-leaf trees mixed with split trees, joined by hand and loaded from
-        # per-tree model records: from each tree's root, the routing table
-        # reaches the leaf its nested tree does
+        # per-tree model records: from each tree's root, its walk reaches the
+        # leaf its nested tree does
         trees, row = trees_row
         flat = [oracles.flat_tree(t) for t in trees]
         joined = oracles.forest_of(flat, n_features=len(row))
@@ -189,11 +189,38 @@ class TestRouting:
                            axis=0)
         for forest in (joined, loaded):
             assert predict_costs(forest, as_input(row)).tobytes() == expected.tobytes()
-            for i, nested in zip(forest.roots, trees, strict=True):
+            for (i, feature, split, left, right, leaf0), nested in zip(forest.walks, trees,
+                                                                        strict=True):
                 while i >= 0:
-                    feature, split, left, right = forest.route[i]
-                    i = left if row[feature] <= split else right
-                assert forest.leaf_rows[~i].tobytes() == oracles.route_nested(nested, row)[2]
+                    i = left[i] if row[feature[i]] <= split[i] else right[i]
+                assert forest.trees.regression[leaf0 + ~i].tobytes() == \
+                    oracles.route_nested(nested, row)[2]
+
+    def test_walks_are_the_tables_own_lists(self, tmp_path):
+        # fitted, saved and loaded, joined by hand (a one-leaf tree among
+        # split trees) and all one-leaf: each walk holds its tree's model
+        # record lists with ids unchanged, and its leaf 0 is the table's row
+        # after the leaves of the trees before it
+        rng = np.random.default_rng(4)
+        X, Y = rng.uniform(size=(50, 3)), rng.uniform(size=(50, 2))
+        fitted = fit_forest(X, Y, ForestConfig(n_trees=5, seed=1, tree=TreeConfig(max_depth=3)))
+        save_forest(fitted, tmp_path / "m.json")
+        leaf = ("leaf", 2, np.array([0.5, 1.5]).tobytes())
+        nested = ("node", 1, 0.25, leaf, ("node", 0, 0.5, leaf, leaf))
+        joined = oracles.forest_of([oracles.flat_tree(t) for t in (nested, leaf, nested)],
+                                   n_features=3)
+        stumps = fit_forest(X, Y, ForestConfig(n_trees=3, tree=TreeConfig(max_depth=0)))
+        for forest in (fitted, load_forest(tmp_path / "m.json"), joined, stumps):
+            records = forest_to_dict(forest)["trees"]
+            assert len(forest.walks) == len(records)
+            leaves_before = 0
+            for (root, *lists, leaf0), record in zip(forest.walks, records):
+                assert root == (0 if record["feature"] else -1)
+                assert lists == [record[key] for key in ("feature", "split", "left", "right")]
+                assert leaf0 == leaves_before
+                leaves_before += len(record["size"])
+            assert leaves_before == len(forest.trees.regression)
+        assert [walk[0] for walk in stumps.walks] == [-1, -1, -1]
 
     def test_split_point_goes_left(self):
         tree = Tree([0], [0.5], [-1], [-2], np.array([[1.0], [2.0]]), [1, 1], [1])
@@ -203,10 +230,10 @@ class TestRouting:
                     1.0, 1.0, 2.0, 2.0]
 
     def test_served_rows_match_a_walk_of_each_tree(self, tmp_path, monkeypatch):
-        # prediction walks one forest-wide routing table; on every row of the
-        # benchmark's ingest-serve scenario, with its model, the costs are the
-        # mean of the leaf labels a walk of each tree's own lists reaches, and
-        # the selection is their first argmin (bench/ is only read)
+        # on every row of the benchmark's ingest-serve scenario, with its
+        # model, the costs are the mean of the leaf labels a walk of each
+        # tree's slice of the table reaches, and the selection is their first
+        # argmin (bench/ is only read)
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
         from aslibgen import Shape, write_scenario
         train, serve, model = tmp_path / "train", tmp_path / "serve", tmp_path / "m.json"
@@ -232,8 +259,8 @@ class TestRouting:
 
 class TestForestsFittedTogether:
     def test_forests_of_different_sizes(self, tmp_path):
-        # each forest is its own slice of one lockstep fit, and its routing
-        # table is the one its saved and loaded copy derives
+        # each forest is its own slice of one lockstep fit, and its walks
+        # are the ones its saved and loaded copy derives
         rng = np.random.default_rng(12)
         X = rng.uniform(size=(40, 4))
         targets = [rng.uniform(size=(40, 2)) for _ in range(3)]
@@ -251,7 +278,7 @@ class TestForestsFittedTogether:
                 [predict_costs(alone, x).tobytes() for x in rows]
             save_forest(forest, tmp_path / f"{i}.json")
             loaded = load_forest(tmp_path / f"{i}.json")
-            assert (loaded.route, loaded.roots) == (forest.route, forest.roots)
+            assert loaded.walks == forest.walks
 
 
 class TestScaleEquivariance:

@@ -74,6 +74,11 @@ class TestBestSplit:
         with pytest.raises(DomainError, match="candidate feature must be an integer"):
             best_split(PURE_X, PURE_Y, 0.5, candidate_features=candidates)
 
+    @pytest.mark.parametrize("candidates", [5, 0.5, np.array(0)], ids=["int", "float", "0-d"])
+    def test_candidate_features_must_be_iterable(self, candidates):
+        with pytest.raises(DomainError, match="must be an iterable of integers"):
+            best_split(PURE_X, PURE_Y, 0.5, candidate_features=candidates)
+
     def test_candidate_feature_restriction(self):
         X = np.hstack([PURE_X, np.ones((4, 1))])
         assert best_split(X, PURE_Y, 0.5, candidate_features=[1]) is None
